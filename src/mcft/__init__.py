@@ -1,7 +1,7 @@
 """Symbolic + numeric workbench for action-dependent (multicontact)
 classical field theories."""
 
-from .charts import Chart, config_chart, generic_chart, ham_chart, jet_chart
+from .charts import Chart, generic_chart, ham_chart, jet_chart
 from .expr import (
     Expr,
     Symbol,
@@ -44,7 +44,7 @@ from .forms import (
 from .lagrangian import (
     LagrangianSystem,
     Regularity,
-    SopdeFamily,
+    SolutionFamily,
     build_lagrangian_system,
     herglotz_el_residuals,
     solve_sopde_family,

@@ -72,9 +72,6 @@ class AffineSolution:
     free: list  # Symbols left free
     unknowns: list
 
-    def substitution(self) -> dict:
-        return dict(self.solved)
-
 
 def _pivot_quality(c: Expr) -> tuple:
     # prefer rational constants, then single-term monomials, then anything

@@ -164,13 +164,6 @@ def ham_chart(bases: Sequence[str], fields: Sequence[str]) -> Chart:
     return Chart(coords, len(bases))
 
 
-def config_chart(chart: Chart) -> Chart:
-    """The configuration chart (x^mu, y^a, s^mu) underlying a jet or
-    Hamiltonian chart."""
-    coords = [c for c in chart.coords if c.role in ("base", "field", "action")]
-    return Chart(coords, chart.base_dim)
-
-
 def generic_chart(names: Sequence[str], base_dim: int = 1) -> Chart:
     """Unstructured chart for generic exterior-calculus work."""
     _check_names(names, "coordinate")

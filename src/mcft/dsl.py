@@ -171,12 +171,6 @@ class ModelFile:
             and self.scenarios == other.scenarios
         )
 
-    def param_symbol(self, name: str):
-        for i, (n, _) in enumerate(self.params):
-            if n == name:
-                return var(n, "param", i)
-        raise KeyError(name)
-
     def param_defaults(self) -> dict:
         out = {}
         for n, v in self.params:

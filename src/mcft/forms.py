@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
+from .algebra import det
 from .charts import Chart
 from .expr import (
     Expr,
@@ -155,14 +156,6 @@ def wedge(a: Form, b: Form) -> Form:
     return Form(a.chart, k, out)
 
 
-def wedge_all(*forms: Form) -> Form:
-    it = iter(forms)
-    acc = next(it)
-    for f in it:
-        acc = wedge(acc, f)
-    return acc
-
-
 def ext_d(a: Form) -> Form:
     """Coordinate exterior derivative."""
     chart = a.chart
@@ -289,20 +282,6 @@ class Multivector:
         return f"Multivector({multivector_to_text(self)})"
 
 
-def _det(rows: list) -> Expr:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    parts = []
-    for j in range(n):
-        c = rows[0][j]
-        if not c.terms:
-            continue
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        parts.append(mul(const((-1) ** j), c, _det(minor)))
-    return add(*parts) if parts else ZERO_E
-
-
 def _expand_factors(chart: Chart, factors) -> dict:
     from itertools import combinations
 
@@ -311,7 +290,7 @@ def _expand_factors(chart: Chart, factors) -> dict:
     out = {}
     for idx in combinations(axes_used, m):
         rows = [[f.get(i, ZERO_E) for i in idx] for f in factors]
-        c = _det(rows)
+        c = det(rows)
         if c.terms:
             out[idx] = c
     return out

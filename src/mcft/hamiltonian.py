@@ -18,19 +18,19 @@ from .algebra import InconsistentSystemError, NonlinearSystemError, solve_affine
 from .charts import Chart, ham_chart, momentum_name
 from .expr import (
     Expr,
-    Symbol,
     add,
     const,
     diff,
     mul,
     substitute,
-    var,
 )
-from .forms import Form, Multivector, bar_d, one_form, volume_form, wedge
 from .lagrangian import (
     LagrangianSystem,
+    MulticontactSystem,
+    SolutionFamily,
     check_symbols,
-    d_minus_one_x,
+    semi_holonomic_ansatz,
+    slope_symbol,
 )
 
 
@@ -40,7 +40,7 @@ class LegendreError(Exception):
         self.unsolved = unsolved or []
 
 
-class HamiltonianSystem:
+class HamiltonianSystem(MulticontactSystem):
     """Hamiltonian chart + H with the multicontact data cached."""
 
     def __init__(self, chart: Chart, H):
@@ -48,30 +48,13 @@ class HamiltonianSystem:
 
         H = _coerce(H)
         check_symbols(chart, H, "Hamiltonian")
-        self.chart = chart
         self.hamiltonian = H
-        m = chart.base_dim
-        self.m = m
-        self.n = len(chart.field_axes)
-        self.omega = volume_form(chart)
-        theta = wedge(volume_form(chart), Form.function(chart, H))
-        for a in range(self.n):
-            dy = one_form(chart, chart.coords[chart.field_axes[a]].name)
-            for mu in range(m):
-                p = chart.coord(chart.coords[chart.momentum_axis(a, mu)].name)
-                theta = theta + wedge(dy, d_minus_one_x(chart, mu)).scale(mul(const(-1), p))
-        for mu in range(m):
-            ds = one_form(chart, chart.coords[chart.action_axis(mu)].name)
-            theta = theta + wedge(ds, d_minus_one_x(chart, mu))
-        self.theta = theta
-        sigma = Form.zero(chart, 1)
-        for mu in range(m):
-            dH_ds = diff(H, chart.symbols[chart.action_axis(mu)])
-            sigma = sigma + one_form(chart, chart.coords[chart.base_axes[mu]].name).scale(dH_ds)
-        self.sigma = sigma
-
-    def bar_d_theta(self) -> Form:
-        return bar_d(self.theta, self.sigma)
+        momenta = {
+            (a, mu): chart.coord(chart.coords[chart.momentum_axis(a, mu)].name)
+            for a in range(len(chart.field_axes))
+            for mu in range(chart.base_dim)
+        }
+        super().__init__(chart, momenta, H, H, 1)
 
     def __repr__(self):
         return f"HamiltonianSystem(H={self.hamiltonian})"
@@ -165,54 +148,18 @@ def action_trace_rhs(hsys: HamiltonianSystem) -> Expr:
     return add(*parts, mul(const(-1), hsys.hamiltonian))
 
 
-@dataclass
-class HdwFamily:
-    system: HamiltonianSystem
-    factors: list
-    free: list
-    solved: dict
-
-    def multivector(self) -> Multivector:
-        return Multivector(self.system.chart, len(self.factors), factors=self.factors)
-
-
-def _letter(i: int) -> str:
-    return chr(ord("A") + i)
-
-
-def hdw_multivector(hsys: HamiltonianSystem) -> HdwFamily:
+def hdw_multivector(hsys: HamiltonianSystem) -> SolutionFamily:
     """Decomposable solution family: y-components fixed to dH/dp,
     momentum and action components free up to the trace constraints."""
     chart = hsys.chart
-    factors = []
-    unknowns = []
-    for mu in range(hsys.m):
-        letter = _letter(mu)
-        comp = {chart.base_axes[mu]: const(1)}
-        for a in range(hsys.n):
-            comp[chart.field_axes[a]] = _dH_dp(hsys, a, mu)
-        for a in range(hsys.n):
-            for nu in range(hsys.m):
-                ax = chart.momentum_axis(a, nu)
-                u = Symbol(f"{letter}{ax + 1}", "aux")
-                unknowns.append(u)
-                comp[ax] = var(u.name, "aux")
-        for nu in range(hsys.m):
-            ax = chart.action_axis(nu)
-            u = Symbol(f"{letter}{ax + 1}", "aux")
-            unknowns.append(u)
-            comp[ax] = var(u.name, "aux")
-        factors.append(comp)
+    factors, unknowns = semi_holonomic_ansatz(hsys, lambda a, mu: _dH_dp(hsys, a, mu), chart.momentum_axis)
     equations = []
     for a in range(hsys.n):
         trace = add(*[factors[mu][chart.momentum_axis(a, mu)] for mu in range(hsys.m)])
         equations.append(add(trace, mul(const(-1), momentum_trace_rhs(hsys, a))))
     trace = add(*[factors[mu][chart.action_axis(mu)] for mu in range(hsys.m)])
     equations.append(add(trace, mul(const(-1), action_trace_rhs(hsys))))
-    sol = solve_affine(equations, unknowns)
-    subs = sol.substitution()
-    solved_factors = [{i: substitute(c, subs) for i, c in f.items()} for f in factors]
-    return HdwFamily(system=hsys, factors=solved_factors, free=sol.free, solved=sol.solved)
+    return SolutionFamily.solve(hsys, factors, unknowns, equations)
 
 
 @dataclass
@@ -225,22 +172,16 @@ class HdwResiduals:
     action: Expr  # sum_mu ds^mu/dx^mu - (p dH/dp - H)
 
 
-def _slope(chart: Chart, axis: int, mu: int) -> Expr:
-    zname = chart.coords[axis].name
-    bname = chart.coords[chart.base_axes[mu]].name
-    return var(f"{zname}_{bname}", "aux")
-
-
 def hdw_residuals(hsys: HamiltonianSystem) -> HdwResiduals:
     chart = hsys.chart
     fields = []
     for a in range(hsys.n):
         for mu in range(hsys.m):
-            fields.append(add(_slope(chart, chart.field_axes[a], mu), mul(const(-1), _dH_dp(hsys, a, mu))))
+            fields.append(add(slope_symbol(chart, chart.field_axes[a], mu), mul(const(-1), _dH_dp(hsys, a, mu))))
     momenta = []
     for a in range(hsys.n):
-        parts = [_slope(chart, chart.momentum_axis(a, mu), mu) for mu in range(hsys.m)]
+        parts = [slope_symbol(chart, chart.momentum_axis(a, mu), mu) for mu in range(hsys.m)]
         momenta.append(add(*parts, mul(const(-1), momentum_trace_rhs(hsys, a))))
-    action_parts = [_slope(chart, chart.action_axis(mu), mu) for mu in range(hsys.m)]
+    action_parts = [slope_symbol(chart, chart.action_axis(mu), mu) for mu in range(hsys.m)]
     action = add(*action_parts, mul(const(-1), action_trace_rhs(hsys)))
     return HdwResiduals(fields=fields, momenta=momenta, action=action)

@@ -15,6 +15,10 @@ and solves the contraction equations
 
 for semi-holonomic multivector fields exactly, returning the solved
 family with its free component functions.
+
+The Theta construction (``multicontact_theta``), the solution family
+and its ansatz are shared with the Hamiltonian picture, which passes
+the p-coordinates and H where this module passes dL/dy^a_mu and E_L.
 """
 from __future__ import annotations
 
@@ -71,7 +75,41 @@ def d_minus_one_x(chart: Chart, mu: int) -> Form:
     return contract(X, volume_form(chart))
 
 
-class LagrangianSystem:
+def multicontact_theta(chart: Chart, momenta: dict, energy: Expr) -> Form:
+    """Theta = -p^mu_a dy^a ^ d^{m-1}x_mu + E d^m x + ds^mu ^ d^{m-1}x_mu
+    for momenta p^mu_a keyed by (field, base) and the energy E."""
+    theta = wedge(volume_form(chart), Form.function(chart, energy))
+    for a, fa in enumerate(chart.field_axes):
+        dy = one_form(chart, chart.coords[fa].name)
+        for mu in range(chart.base_dim):
+            theta = theta + wedge(dy, d_minus_one_x(chart, mu)).scale(mul(const(-1), momenta[(a, mu)]))
+    for mu in range(chart.base_dim):
+        ds = one_form(chart, chart.coords[chart.action_axis(mu)].name)
+        theta = theta + wedge(ds, d_minus_one_x(chart, mu))
+    return theta
+
+
+class MulticontactSystem:
+    """(Theta, sigma, omega) on a jet or Hamiltonian chart, with
+    sigma = sign * d density/ds^mu dx^mu."""
+
+    def __init__(self, chart: Chart, momenta: dict, energy: Expr, density: Expr, sign: int):
+        self.chart = chart
+        self.m = chart.base_dim
+        self.n = len(chart.field_axes)
+        self.omega = volume_form(chart)
+        self.theta = multicontact_theta(chart, momenta, energy)
+        sigma = Form.zero(chart, 1)
+        for mu in range(self.m):
+            d_ds = diff(density, chart.symbols[chart.action_axis(mu)])
+            sigma = sigma + one_form(chart, chart.coords[chart.base_axes[mu]].name).scale(mul(const(sign), d_ds))
+        self.sigma = sigma
+
+    def bar_d_theta(self) -> Form:
+        return bar_d(self.theta, self.sigma)
+
+
+class LagrangianSystem(MulticontactSystem):
     """Jet chart + Lagrangian with all derived multicontact data cached."""
 
     def __init__(self, chart: Chart, L):
@@ -81,44 +119,26 @@ class LagrangianSystem:
         if not chart.field_axes:
             raise LagrangianError("chart has no field coordinates")
         check_symbols(chart, L, "Lagrangian")
-        self.chart = chart
         self.lagrangian = L
         m = chart.base_dim
-        self.m = m
-        fields = chart.field_axes
-        self.n = len(fields)
+        n = len(chart.field_axes)
         self.momenta = {
             (a, mu): diff(L, chart.symbols[chart.velocity_axis(a, mu)])
-            for a in range(self.n)
+            for a in range(n)
             for mu in range(m)
         }
         self.energy = add(
             *[
                 mul(self.momenta[(a, mu)], chart.coord(chart.coords[chart.velocity_axis(a, mu)].name))
-                for a in range(self.n)
+                for a in range(n)
                 for mu in range(m)
             ],
             mul(const(-1), L),
         )
-        self.omega = volume_form(chart)
-        theta = wedge(volume_form(chart), Form.function(chart, self.energy))
-        for a in range(self.n):
-            dy = one_form(chart, chart.coords[fields[a]].name)
-            for mu in range(m):
-                theta = theta + wedge(dy, d_minus_one_x(chart, mu)).scale(mul(const(-1), self.momenta[(a, mu)]))
-        for mu in range(m):
-            ds = one_form(chart, chart.coords[chart.action_axis(mu)].name)
-            theta = theta + wedge(ds, d_minus_one_x(chart, mu))
-        self.theta = theta
-        sigma = Form.zero(chart, 1)
-        for mu in range(m):
-            dL_ds = diff(L, chart.symbols[chart.action_axis(mu)])
-            sigma = sigma + one_form(chart, chart.coords[chart.base_axes[mu]].name).scale(mul(const(-1), dL_ds))
-        self.sigma = sigma
-        vel_axes = [chart.velocity_axis(a, mu) for a in range(self.n) for mu in range(m)]
+        super().__init__(chart, self.momenta, self.energy, L, -1)
         self.hessian = [
-            [diff(self.momenta[(a, mu)], chart.symbols[chart.velocity_axis(b, nu)]) for b in range(self.n) for nu in range(m)]
-            for a in range(self.n)
+            [diff(self.momenta[(a, mu)], chart.symbols[chart.velocity_axis(b, nu)]) for b in range(n) for nu in range(m)]
+            for a in range(n)
             for mu in range(m)
         ]
         self.hessian_det = det(self.hessian)
@@ -132,9 +152,6 @@ class LagrangianSystem:
     @property
     def is_regular(self) -> bool:
         return self.regularity is not Regularity.SINGULAR
-
-    def bar_d_theta(self) -> Form:
-        return bar_d(self.theta, self.sigma)
 
     def __repr__(self):
         return f"LagrangianSystem(L={self.lagrangian})"
@@ -156,11 +173,12 @@ def second_derivative_symbol(chart: Chart, field: int, mu: int, nu: int) -> Expr
     return var(f"{fname}_{b[lo]}{b[hi]}", "aux")
 
 
-def action_derivative_symbol(chart: Chart, nu: int, mu: int) -> Expr:
-    """Placeholder for d s^nu / dx^mu (e.g. s_t_t)."""
-    sname = chart.coords[chart.action_axis(nu)].name
+def slope_symbol(chart: Chart, axis: int, mu: int) -> Expr:
+    """Placeholder for d z / dx^mu along a section, z the coordinate on
+    ``axis`` (e.g. s_t_t, p_t_t, y_t)."""
+    zname = chart.coords[axis].name
     bname = chart.coords[chart.base_axes[mu]].name
-    return var(f"{sname}_{bname}", "aux")
+    return var(f"{zname}_{bname}", "aux")
 
 
 def total_derivative(e: Expr, chart: Chart, mu: int) -> Expr:
@@ -179,7 +197,7 @@ def total_derivative(e: Expr, chart: Chart, mu: int) -> Expr:
     for nu in range(chart.base_dim):
         ds = diff(e, chart.symbols[chart.action_axis(nu)])
         if ds.terms:
-            parts.append(mul(action_derivative_symbol(chart, nu, mu), ds))
+            parts.append(mul(slope_symbol(chart, chart.action_axis(nu), mu), ds))
     return add(*parts)
 
 
@@ -206,7 +224,7 @@ def herglotz_el_residuals(sys: LagrangianSystem) -> EulerLagrangeResiduals:
         )
         out.append(add(lhs, mul(const(-1), dLdy), mul(const(-1), coupling)))
     action = add(
-        *[action_derivative_symbol(chart, mu, mu) for mu in range(sys.m)],
+        *[slope_symbol(chart, chart.action_axis(mu), mu) for mu in range(sys.m)],
         mul(const(-1), sys.lagrangian),
     )
     return EulerLagrangeResiduals(fields=out, action=action)
@@ -217,7 +235,7 @@ def herglotz_el_residuals(sys: LagrangianSystem) -> EulerLagrangeResiduals:
 
 
 @dataclass
-class SopdeFamily:
+class SolutionFamily:
     """Solved semi-holonomic family: factor components with the linear
     constraints already substituted; leftover component functions appear
     as free symbols."""
@@ -226,6 +244,14 @@ class SopdeFamily:
     factors: list  # list of dicts axis -> Expr
     free: list  # free component Symbols
     solved: dict  # Symbol -> Expr
+
+    @classmethod
+    def solve(cls, system, factors: list, unknowns: list, equations: list) -> "SolutionFamily":
+        """Solve the affine ``equations`` for the ansatz unknowns and
+        substitute the solution into the factors."""
+        sol = solve_affine(equations, unknowns)
+        solved_factors = [{i: substitute(c, sol.solved) for i, c in f.items()} for f in factors]
+        return cls(system=system, factors=solved_factors, free=sol.free, solved=sol.solved)
 
     def multivector(self) -> Multivector:
         return Multivector(self.system.chart, len(self.factors), factors=self.factors)
@@ -237,12 +263,10 @@ class SopdeFamily:
         return Multivector(self.system.chart, len(self.factors), factors=factors)
 
 
-def _component_letter(i: int) -> str:
-    return chr(ord("A") + i)
-
-
-def semi_holonomic_ansatz(sys: LagrangianSystem):
-    """SOPDE-shaped factors with unknown velocity and action components.
+def semi_holonomic_ansatz(sys: MulticontactSystem, field_component, conjugate_axis):
+    """Factors X_mu = d/dx^mu + field_component(a, mu) d/dy^a + unknowns
+    along the conjugate axes conjugate_axis(a, nu) (velocities or momenta)
+    and the action axes.
 
     Unknowns are named per the factor letter and 1-based axis position:
     factor 1 components A1..AN, factor 2 components B1..BN, so that the
@@ -252,18 +276,13 @@ def semi_holonomic_ansatz(sys: LagrangianSystem):
     factors = []
     unknowns = []
     for mu in range(sys.m):
-        letter = _component_letter(mu)
+        letter = chr(ord("A") + mu)
         comp = {chart.base_axes[mu]: const(1)}
         for a in range(sys.n):
-            comp[chart.field_axes[a]] = chart.coord(chart.coords[chart.velocity_axis(a, mu)].name)
-        for a in range(sys.n):
-            for nu in range(sys.m):
-                ax = chart.velocity_axis(a, nu)
-                u = Symbol(f"{letter}{ax + 1}", "aux")
-                unknowns.append(u)
-                comp[ax] = var(u.name, "aux")
-        for nu in range(sys.m):
-            ax = chart.action_axis(nu)
+            comp[chart.field_axes[a]] = field_component(a, mu)
+        axes = [conjugate_axis(a, nu) for a in range(sys.n) for nu in range(sys.m)]
+        axes += [chart.action_axis(nu) for nu in range(sys.m)]
+        for ax in axes:
             u = Symbol(f"{letter}{ax + 1}", "aux")
             unknowns.append(u)
             comp[ax] = var(u.name, "aux")
@@ -271,15 +290,17 @@ def semi_holonomic_ansatz(sys: LagrangianSystem):
     return factors, unknowns
 
 
-def solve_sopde_family(sys: LagrangianSystem) -> SopdeFamily:
+def solve_sopde_family(sys: LagrangianSystem) -> SolutionFamily:
     """Solve i_X Theta_L = 0 and i_X bar_d Theta_L = 0 over the
-    semi-holonomic ansatz (m <= 2)."""
-    if sys.m > 2:
-        raise LagrangianError(f"solve_sopde_family supports base dimension <= 2, got {sys.m}")
+    semi-holonomic ansatz."""
     if not sys.is_regular:
         raise LagrangianError("singular Lagrangian: the ansatz equations need not be solvable")
     chart = sys.chart
-    factors, unknowns = semi_holonomic_ansatz(sys)
+    factors, unknowns = semi_holonomic_ansatz(
+        sys,
+        lambda a, mu: chart.coord(chart.coords[chart.velocity_axis(a, mu)].name),
+        chart.velocity_axis,
+    )
     X = Multivector(chart, sys.m, factors=factors)
     eqs = []
     c0 = contract(X, sys.theta)
@@ -287,12 +308,9 @@ def solve_sopde_family(sys: LagrangianSystem) -> SopdeFamily:
     c1 = contract(X, sys.bar_d_theta())
     eqs.extend(c for _, c in c1.items())
     try:
-        sol = solve_affine(eqs, unknowns)
+        fam = SolutionFamily.solve(sys, factors, unknowns, eqs)
     except InconsistentSystemError as exc:
         raise LagrangianError(f"contraction equations are inconsistent: {exc}") from exc
-    subs = sol.substitution()
-    solved_factors = [{i: substitute(c, subs) for i, c in f.items()} for f in factors]
-    fam = SopdeFamily(system=sys, factors=solved_factors, free=sol.free, solved=sol.solved)
     X = fam.multivector()
     for label, f in (("i_X Theta_L", contract(X, sys.theta)), ("i_X bar_d Theta_L", contract(X, sys.bar_d_theta()))):
         if f.table:

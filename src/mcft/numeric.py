@@ -407,9 +407,6 @@ def wave_params_from_system(lsys, bindings: Mapping[str, float]):
     for s in free_symbols(l_base):
         if s.role != "param" and s not in base_syms:
             raise NumericError("unsupported density shape for numeric integration")
-    if l_base.terms and any(free_symbols(l_base)):
-        # pure base-coordinate source terms do not enter the y-equation
-        pass
     gamma = -evaluate(dst, bindings) if dst.terms else 0.0
     if rho <= 0 or tau <= 0:
         raise NumericError("need rho > 0 and tau > 0 for a real wave speed")

@@ -41,7 +41,6 @@ from .forms import (
     Multivector,
     bar_d,
     contract,
-    ext_d,
     form_to_json,
     form_witnesses,
     form_zero_check,
@@ -217,7 +216,7 @@ def classify(Y: Multivector, system, seed: int = 0, tol: float = 1e-9) -> Symmet
         classification=classification,
         sigma_invariant=sigma_invariant,
         lemma_consistent=(classification != STRONG_NOETHER) or sigma_invariant,
-        current=contract(Y, system.theta),
+        current=noether_current(Y, system),
         witnesses=witnesses,
         numerically_certified=probing,
     )
@@ -239,7 +238,4 @@ def check_dissipative(xi: Form, family, sigma: Form, seed: int = 0, tol: float =
 
 def check_conserved(xi: Form, family, seed: int = 0, tol: float = 1e-9) -> CheckResult:
     """i_X d xi = 0 over the whole family, free symbols symbolic."""
-    X = family.multivector() if hasattr(family, "multivector") else family
-    if xi.degree != X.degree - 1:
-        raise SymmetryError(f"conserved-form check needs degree {X.degree - 1}, got {xi.degree}")
-    return check_form_zero(contract(X, ext_d(xi)), seed=seed, tol=tol)
+    return check_dissipative(xi, family, Form.zero(xi.chart, 1), seed=seed, tol=tol)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from mcft.charts import jet_chart
-from mcft.expr import const, evaluate, free_symbols, substitute, to_text, var
+from mcft.expr import ZeroCheck, const, evaluate, free_symbols, substitute, to_text, var
 from mcft.forms import Form, Multivector, contract, one_form, volume_form, wedge
 from mcft.lagrangian import (
     LagrangianError,
@@ -15,6 +15,7 @@ from mcft.lagrangian import (
     solve_sopde_family,
     verify_sigma_property,
 )
+from mcft.symmetry import check_dissipative, jet_lift, noether_current
 
 
 class TestBuild:
@@ -158,12 +159,23 @@ class TestSopde:
         with pytest.raises(LagrangianError):
             solve_sopde_family(sys2)
 
-    def test_unsupported_base_dimension(self):
-        ch = jet_chart(["t", "x", "z"], ["y"])
-        L = Fraction(1, 2) * (ch.coord("y_t") ** 2 - ch.coord("y_x") ** 2 - ch.coord("y_z") ** 2)
-        sys_ = build_lagrangian_system(ch, L)
-        with pytest.raises(LagrangianError):
-            solve_sopde_family(sys_)
+    def test_base_dimension_three_and_four(self):
+        # damped massless Klein-Gordon field over m = 3 and m = 4 base axes
+        for m in (3, 4):
+            ch = jet_chart(["t", "x", "w", "z"][:m], ["y"])
+            L = Fraction(1, 2) * ch.coord("y_t") ** 2 - Fraction(1, 10) * ch.coord("s_t")
+            for b in ["x", "w", "z"][: m - 1]:
+                L = L - Fraction(3, 2) * ch.coord(f"y_{b}") ** 2
+            sys_ = build_lagrangian_system(ch, L)
+            fam = solve_sopde_family(sys_)
+            n = 1
+            assert len(fam.free) == m * (n * m + m) - (n + 1)
+            X = fam.multivector()
+            assert contract(X, sys_.theta).is_structurally_zero()
+            assert contract(X, sys_.bar_d_theta()).is_structurally_zero()
+            assert contract(X, sys_.omega) == Form.function(ch, 1)
+            xi = noether_current(jet_lift(Multivector.vector(ch, {"y": 1})), sys_)
+            assert check_dissipative(xi, fam, sys_.sigma).certainty is ZeroCheck.ZERO
 
 
 class TestSigmaProperty:
