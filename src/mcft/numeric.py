@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping, Optional
 
 import numpy as np
@@ -80,8 +81,8 @@ class Grid1p1:
             raise NumericError("need at least 8 spatial points")
         if self.bc not in BCS:
             raise NumericError(f"unknown boundary condition {self.bc!r}")
-        if self.dt <= 0 or self.nt < 1:
-            raise NumericError("need positive dt and at least one step")
+        if self.dt <= 0 or self.nt < 2:
+            raise NumericError("need positive dt and at least two time steps (three levels for d/dt)")
         if self.wave_speed * self.dt / self.dx > 1.0 + 1e-12:
             raise CflError(
                 f"CFL number {self.wave_speed * self.dt / self.dx:.3f} exceeds 1"
@@ -109,17 +110,23 @@ def make_grid(nx: int, lx: float, cfl: float, t_final: float, wave_speed: float,
     return Grid1p1(nx=nx, lx=lx, dt=dt, nt=nt, bc=bc, wave_speed=wave_speed)
 
 
-def _d2x(y: np.ndarray, bc: str) -> np.ndarray:
+def _d2x(y: np.ndarray, bc: str, out: np.ndarray) -> np.ndarray:
+    """(y[i+1] - 2 y[i]) + y[i-1] of a row into ``out``, edges wrapped or zero."""
+    np.subtract(y[2:], np.multiply(y[1:-1], 2.0, out=out[1:-1]), out=out[1:-1])
+    out[1:-1] += y[:-2]
     if bc == "periodic":
-        return np.roll(y, -1) - 2.0 * y + np.roll(y, 1)
-    out = np.zeros_like(y)
-    out[1:-1] = y[2:] - 2.0 * y[1:-1] + y[:-2]
+        out[0] = y[1] - 2.0 * y[0] + y[-1]
+        out[-1] = y[0] - 2.0 * y[-1] + y[-2]
+    else:
+        out[0] = out[-1] = 0.0
     return out
 
 
 @dataclass
 class Trajectory:
-    """Discrete field solution with derived central-difference arrays."""
+    """Discrete field solution with derived central-difference arrays;
+    ``y_t`` and ``y_x`` are computed once, and ``integrate_damped_wave``
+    returns ``y`` read-only so that they cannot go stale."""
 
     grid: Grid1p1
     params: dict
@@ -127,28 +134,30 @@ class Trajectory:
     s_t: Optional[np.ndarray] = None  # gauge: s_x = 0
 
     def d_dt(self, a: np.ndarray) -> np.ndarray:
-        dt = self.grid.dt
         out = np.empty_like(a)
-        out[1:-1] = (a[2:] - a[:-2]) / (2.0 * dt)
-        out[0] = (-3.0 * a[0] + 4.0 * a[1] - a[2]) / (2.0 * dt)
-        out[-1] = (3.0 * a[-1] - 4.0 * a[-2] + a[-3]) / (2.0 * dt)
+        np.subtract(a[2:], a[:-2], out=out[1:-1])
+        out[0] = -3.0 * a[0] + 4.0 * a[1] - a[2]
+        out[-1] = 3.0 * a[-1] - 4.0 * a[-2] + a[-3]
+        out /= 2.0 * self.grid.dt
         return out
 
     def d_dx(self, a: np.ndarray) -> np.ndarray:
-        dx = self.grid.dx
-        if self.grid.bc == "periodic":
-            return (np.roll(a, -1, axis=-1) - np.roll(a, 1, axis=-1)) / (2.0 * dx)
         out = np.empty_like(a)
-        out[..., 1:-1] = (a[..., 2:] - a[..., :-2]) / (2.0 * dx)
-        out[..., 0] = (-3.0 * a[..., 0] + 4.0 * a[..., 1] - a[..., 2]) / (2.0 * dx)
-        out[..., -1] = (3.0 * a[..., -1] - 4.0 * a[..., -2] + a[..., -3]) / (2.0 * dx)
+        np.subtract(a[..., 2:], a[..., :-2], out=out[..., 1:-1])
+        if self.grid.bc == "periodic":
+            out[..., 0] = a[..., 1] - a[..., -1]
+            out[..., -1] = a[..., 0] - a[..., -2]
+        else:
+            out[..., 0] = -3.0 * a[..., 0] + 4.0 * a[..., 1] - a[..., 2]
+            out[..., -1] = 3.0 * a[..., -1] - 4.0 * a[..., -2] + a[..., -3]
+        out /= 2.0 * self.grid.dx
         return out
 
-    @property
+    @cached_property
     def y_t(self) -> np.ndarray:
         return self.d_dt(self.y)
 
-    @property
+    @cached_property
     def y_x(self) -> np.ndarray:
         return self.d_dx(self.y)
 
@@ -180,19 +189,25 @@ def integrate_damped_wave(params: Mapping[str, float], y0: np.ndarray, v0: np.nd
     dt, dx = grid.dt, grid.dx
     lam2 = c2 * dt * dt / (dx * dx)
     y = np.empty((grid.nt + 1, grid.nx), dtype=float)
+    scratch = np.empty(grid.nx, dtype=float)
     y[0] = y0
-    y[1] = y0 + dt * v0 + 0.5 * dt * dt * (c2 * _d2x(y0, grid.bc) / (dx * dx) - gamma * v0)
+    y[1] = y0 + dt * v0 + 0.5 * dt * dt * (c2 * _d2x(y0, grid.bc, scratch) / (dx * dx) - gamma * v0)
     if grid.bc == "dirichlet-zero":
         y[1, 0] = y[1, -1] = 0.0
     a_plus = 1.0 + 0.5 * gamma * dt
     a_minus = 1.0 - 0.5 * gamma * dt
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, grid.nt):
-            y[n + 1] = (2.0 * y[n] - a_minus * y[n - 1] + lam2 * _d2x(y[n], grid.bc)) / a_plus
+            # y[n+1] = ((2 y[n] - a_minus y[n-1]) + lam2 D2 y[n]) / a_plus, in place
+            row = y[n + 1]
+            np.subtract(np.multiply(y[n], 2.0, out=row), np.multiply(y[n - 1], a_minus, out=scratch), out=row)
+            row += np.multiply(_d2x(y[n], grid.bc, scratch), lam2, out=scratch)
+            row /= a_plus
             if grid.bc == "dirichlet-zero":
-                y[n + 1, 0] = y[n + 1, -1] = 0.0
-            if not np.all(np.isfinite(y[n + 1])):
+                row[0] = row[-1] = 0.0
+            if not np.isfinite(row).all():
                 raise BlowupError(n + 1)
+    y.flags.writeable = False
     return Trajectory(grid=grid, params={"rho": rho, "tau": tau, "gamma": gamma}, y=y)
 
 
@@ -208,8 +223,7 @@ def compile_expr(e: Expr) -> Callable[[Mapping[str, object]], object]:
 
     def compile_atom(a):
         if isinstance(a, Symbol):
-            name = a.name
-            def f(env, name=name):
+            def f(env, name=a.name):
                 try:
                     return env[name]
                 except KeyError:
@@ -219,8 +233,7 @@ def compile_expr(e: Expr) -> Callable[[Mapping[str, object]], object]:
             inner = compile_expr(a.arg)
             fn = np_fn[a.fn]
             return lambda env: fn(inner(env))
-        inner = compile_expr(a.expr)
-        return lambda env: inner(env)
+        return compile_expr(a.expr)
 
     compiled_terms = []
     for mono, c in e.terms:
@@ -273,31 +286,29 @@ def evaluate_current(xi: Form, traj: Trajectory, bindings: Mapping[str, float]):
         raise NumericError("current references s_t but the trajectory carries no action coordinate")
     env = _traj_env(traj, chart, bindings, names)
     fname = chart.coords[chart.field_axes[0]].name
-    # differential of each coordinate along the section: (d/dt, d/dx) parts
-    zero = 0.0
+    # differential of each coordinate along the section, (d/dt, d/dx) parts,
+    # computed only for the coordinates the current carries
     dpsi = {
-        "t": (1.0, zero),
-        "x": (zero, 1.0),
-        fname: (traj.y_t, traj.y_x),
-        f"{fname}_t": (traj.d_dt(traj.y_t), traj.d_dx(traj.y_t)),
-        f"{fname}_x": (traj.d_dt(traj.y_x), traj.d_dx(traj.y_x)),
-        "s_x": (zero, zero),
+        "t": lambda: (1.0, 0.0),
+        "x": lambda: (0.0, 1.0),
+        fname: lambda: (traj.y_t, traj.y_x),
+        f"{fname}_t": lambda: (traj.d_dt(traj.y_t), traj.d_dx(traj.y_t)),
+        f"{fname}_x": lambda: (traj.d_dt(traj.y_x), traj.d_dx(traj.y_x)),
+        "s_x": lambda: (0.0, 0.0),
     }
     if traj.s_t is not None:
-        dpsi["s_t"] = (traj.d_dt(traj.s_t), traj.d_dx(traj.s_t))
-    shape = traj.y.shape
-    A = np.zeros(shape)  # dt component
-    B = np.zeros(shape)  # dx component
+        dpsi["s_t"] = lambda: (traj.d_dt(traj.s_t), traj.d_dx(traj.s_t))
+    A = np.zeros(traj.y.shape)  # dt component
+    B = np.zeros(traj.y.shape)  # dx component
     for (i,), coeff in xi.table.items():
         name = chart.coords[i].name
         if name not in dpsi:
             raise NumericError(f"current references {name!r}, absent from the trajectory")
         cval = compile_expr(coeff)(env)
-        A = A + cval * dpsi[name][0]
-        B = B + cval * dpsi[name][1]
-    ft = B
-    fx = -A
-    return np.asarray(ft, dtype=float), np.asarray(fx, dtype=float)
+        d_t, d_x = dpsi[name]()
+        A += cval * d_t
+        B += cval * d_x
+    return B, np.negative(A, out=A)
 
 
 @dataclass
@@ -312,7 +323,9 @@ def dissipation_residual(ft: np.ndarray, fx: np.ndarray, source_t, source_x, tra
     source (dL/ds^mu o psi) f^mu."""
     if ft.shape != traj.y.shape or fx.shape != traj.y.shape:
         raise NumericError("current arrays must match the trajectory shape")
-    r = traj.d_dt(ft) + traj.d_dx(fx) - (source_t * ft + source_x * fx)
+    r = traj.d_dt(ft)
+    r += traj.d_dx(fx)
+    r -= source_t * ft + source_x * fx
     interior = r[1:-1, :] if traj.grid.bc == "periodic" else r[1:-1, 1:-1]
     scale = math.sqrt(traj.grid.dx * traj.grid.dt)
     return ResidualReport(
@@ -337,13 +350,17 @@ def integrate_action_coordinate(traj: Trajectory, L: Expr, chart: Chart, binding
     L0 = substitute(L, {st_sym: 0, sx_sym: 0})
     names = {s.name for s in free_symbols(L0)}
     env = _traj_env(traj, chart, bindings, names)
-    lvals = compile_expr(L0)(env)
-    lvals = np.broadcast_to(lvals, traj.y.shape)
+    lvals = np.broadcast_to(compile_expr(L0)(env), traj.y.shape)
     dt = traj.grid.dt
-    s = np.zeros_like(traj.y)
+    growth = 1.0 + 0.5 * dt * ct_val
     denom = 1.0 - 0.5 * dt * ct_val
-    for n in range(1, traj.y.shape[0]):
-        s[n] = (s[n - 1] * (1.0 + 0.5 * dt * ct_val) + 0.5 * dt * (lvals[n] + lvals[n - 1])) / denom
+    # s[n] = (s[n-1] growth + 0.5 dt (l[n] + l[n-1])) / denom; increments first
+    s = np.zeros(traj.y.shape)
+    np.add(lvals[1:], lvals[:-1], out=s[1:])
+    s[1:] *= 0.5 * dt
+    for n in range(1, s.shape[0]):
+        s[n] += s[n - 1] * growth
+        s[n] /= denom
     return s
 
 

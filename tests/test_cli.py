@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -178,6 +179,27 @@ class TestSimulate:
         lines = csv.read_text().splitlines()
         assert lines[0] == "t,x,value"
         assert len(lines) > 128
+
+
+ONE_STEP = (
+    "coords t x\nfields y\nparams rho=1 tau=1 gamma=0.1\n"
+    "lagrangian 0.5*(rho*dy[t]^2 - tau*dy[x]^2) - gamma*s[t]\nsymmetry Y: d/dy\n"
+    "scenario one { bc periodic; grid cfl=0.5 lx=1 nx=16 t=0.01; init y0 = sin(2*pi*x); init v0 = 0; }\n"
+)
+
+
+@pytest.mark.parametrize("verb", [["simulate"], ["verify-law", "Y"]], ids=["simulate", "verify-law"])
+def test_one_step_scenario_exit_2(tmp_path, verb):
+    # nt = 1 leaves two time levels, too few for the one-sided d/dt
+    p = tmp_path / "one.mcft"
+    p.write_text(ONE_STEP)
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cmd = [sys.executable, "-m", "mcft.cli", verb[0], str(p), *verb[1:], "one"]
+    r = subprocess.run(cmd, capture_output=True, text=True, env=env)
+    assert r.returncode == 2
+    assert r.stderr.startswith("error:") and "two time steps" in r.stderr
+    assert "Traceback" not in r.stderr
 
 
 class TestDeterminism:

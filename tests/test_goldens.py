@@ -1,6 +1,7 @@
 """Byte-identity of the symbolic verbs' ``--json`` output against the
 goldens frozen in ``perfbench/goldens/shipped/`` (one file per verb:
-argv with a ``{model}`` placeholder, exit code and stdout)."""
+argv with a ``{model}`` placeholder, exit code and stdout), and exact
+equality of the numeric verbs' figures with ``string_mesh.json``."""
 import contextlib
 import io
 import json
@@ -13,6 +14,15 @@ from mcft.cli import main
 GOLDENS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "goldens"
 MODEL = GOLDENS / "string.mcft"
 CASES = sorted((GOLDENS / "shipped").glob("*.json"))
+STRING_MESH = json.loads((GOLDENS / "string_mesh.json").read_text(encoding="utf-8"))
+
+
+def _outputs(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["--json", *argv])
+    assert code == 0
+    return json.loads(out.getvalue())["outputs"]
 
 
 def test_goldens_present():
@@ -28,3 +38,24 @@ def test_shipped_verb_matches_golden(path):
         code = main(["--json", *argv])
     assert code == golden["exit"]
     assert out.getvalue() == golden["stdout"]
+
+
+def test_string_mesh_golden_at_unit_amplitude():
+    assert STRING_MESH["amplitude"] == 1
+
+
+def test_verify_law_norms_match_golden():
+    out = _outputs("verify-law", str(MODEL), "Y", "main")
+    assert [n["l2"] for n in out["norms"]] == STRING_MESH["verify-law"]["main"]
+
+
+@pytest.mark.parametrize("scenario", ["main", "standing"])
+def test_simulate_matches_golden(scenario):
+    golden = STRING_MESH["simulate"][scenario]
+    out = _outputs("simulate", str(MODEL), scenario)
+    assert out["energy"]["initial"] == golden["energy_initial"]
+    assert out["energy"]["final"] == golden["energy_final"]
+    assert out["action_final_mean"] == golden["action_final_mean"]
+    if golden["momentum_initial"] is not None:
+        assert out["momentum"]["initial"] == golden["momentum_initial"]
+        assert out["momentum"]["final"] == golden["momentum_final"]

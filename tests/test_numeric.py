@@ -4,14 +4,20 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mcft.charts import jet_chart
 from mcft.expr import diff, evaluate, var
 from mcft.forms import Multivector, one_form
 from mcft.lagrangian import build_lagrangian_system
 from mcft.numeric import (
+    BCS,
     BlowupError,
     CflError,
+    Grid1p1,
+    Trajectory,
+    _d2x,
     NumericError,
     compile_expr,
     decay_fit,
@@ -49,6 +55,39 @@ class TestGrid:
     def test_minimum_points(self):
         with pytest.raises(NumericError):
             make_grid(4, 1.0, 0.5, 1.0, 1.0)
+
+    def test_needs_two_time_steps(self):
+        # one step leaves two time levels; the one-sided d/dt reads three
+        with pytest.raises(NumericError):
+            make_grid(16, 1.0, 0.5, 0.01, 1.0)
+        assert make_grid(16, 1.0, 0.5, 0.06, 1.0).nt == 2
+
+
+def _roll_d2x(y, bc):
+    """The np.roll second difference the slice stencil replaced."""
+    if bc == "periodic":
+        return np.roll(y, -1) - 2.0 * y + np.roll(y, 1)
+    out = np.zeros_like(y)
+    out[1:-1] = y[2:] - 2.0 * y[1:-1] + y[:-2]
+    return out
+
+
+def _roll_d_dx(a, dx):
+    return (np.roll(a, -1, axis=-1) - np.roll(a, 1, axis=-1)) / (2.0 * dx)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    a=arrays(np.float64, st.tuples(st.integers(3, 6), st.integers(8, 40)), elements=st.floats(-1e6, 1e6)),
+    bc=st.sampled_from(BCS),
+)
+def test_slice_stencils_match_roll_formulas(a, bc):
+    for row in a:
+        assert np.array_equal(_d2x(row, bc, np.full_like(row, np.nan)), _roll_d2x(row, bc))
+    nt, nx = a.shape[0] - 1, a.shape[1]
+    tr = Trajectory(grid=Grid1p1(nx=nx, lx=1.0, dt=0.5 / nx, nt=nt, bc="periodic"), params={}, y=a)
+    assert np.array_equal(tr.d_dx(a), _roll_d_dx(a, tr.grid.dx))
+    assert np.array_equal(tr.d_dx(a[1]), _roll_d_dx(a[1], tr.grid.dx))
 
 
 class TestIntegrator:
@@ -131,10 +170,27 @@ class TestIntegrator:
         # anti-damping grows the solution until it overflows; the
         # integrator must abort with the offending step index
         g = make_grid(32, 1.0, 0.5, 60.0, 1.0)
-        y0 = np.sin(K * g.x)
+        y0, v0, gamma = np.sin(K * g.x), np.ones(g.nx), -50.0
         with pytest.raises(BlowupError) as exc:
-            integrate_damped_wave({"rho": 1, "tau": 1, "gamma": -50.0}, y0, np.ones(g.nx), g)
-        assert exc.value.step > 0
+            integrate_damped_wave({"rho": 1, "tau": 1, "gamma": gamma}, y0, v0, g)
+        # reference: plain leapfrog rows until the first non-finite one
+        dt, dx = g.dt, g.dx
+        a_plus, a_minus = 1.0 + 0.5 * gamma * dt, 1.0 - 0.5 * gamma * dt
+        prev, cur, first = y0, y0 + dt * v0 + 0.5 * dt * dt * (_roll_d2x(y0, "periodic") / (dx * dx) - gamma * v0), 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            while np.isfinite(cur).all() and first <= g.nt:
+                prev, cur = cur, (2.0 * cur - a_minus * prev + dt * dt / (dx * dx) * _roll_d2x(cur, "periodic")) / a_plus
+                first += 1
+        assert 1 < first <= g.nt
+        assert exc.value.step == first
+
+    def test_trajectory_read_only_with_cached_derivatives(self):
+        g = make_grid(32, 1.0, 0.5, 0.5, 1.0)
+        tr = integrate_damped_wave(PR, *sine_ic(g), g)
+        with pytest.raises(ValueError):
+            tr.y[1, 1] = 0.0
+        assert tr.y_t is tr.y_t and tr.y_x is tr.y_x
+        assert np.array_equal(tr.y_t, tr.d_dt(tr.y)) and np.array_equal(tr.y_x, tr.d_dx(tr.y))
 
     def test_dirichlet_boundary(self):
         g = make_grid(64, 1.0, 0.5, 1.0, 1.0, bc="dirichlet-zero")
