@@ -328,9 +328,11 @@ def cmd_simulate(args) -> int:
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write("t,x,value\n")
-            for n, tv in enumerate(traj.t):
-                for i, xv in enumerate(traj.x):
-                    fh.write(f"{tv!r},{xv!r},{traj.y[n, i]!r}\n")
+            # plain float reprs (numpy 2 scalars repr as np.float64(...)); one block per time level
+            xs = [repr(xv) for xv in traj.x.tolist()]
+            for tv, row in zip(traj.t.tolist(), traj.y):
+                t = repr(tv)
+                fh.write("".join(f"{t},{xv},{yv!r}\n" for xv, yv in zip(xs, row.tolist())))
     outputs = {
         "grid": {"nx": grid.nx, "dt": grid.dt, "nt": grid.nt, "bc": grid.bc},
         "momentum": {"initial": float(P[0]), "final": float(P[-1])},

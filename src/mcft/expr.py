@@ -18,6 +18,12 @@ Consequences baked into this representation:
 
 There is deliberately no simplification beyond canonicalization: no
 factoring, no trigonometric rewriting.
+
+Atoms are immutable and shared by reference between expressions, so
+each computes once what cannot change: its hash at construction, its
+derivative by each symbol on first request, and its plain rendering
+(no ``name_map``) on first request.  ``Expr.key`` is built on first use,
+since most intermediate results are never compared, hashed or atomized.
 """
 from __future__ import annotations
 
@@ -85,7 +91,7 @@ class Symbol:
     bindings match symbols by name.
     """
 
-    __slots__ = ("name", "role", "order", "key")
+    __slots__ = ("name", "role", "order", "key", "_hash")
 
     def __init__(self, name: str, role: str = "generic", order: int = 0):
         if role not in ROLE_RANK:
@@ -96,12 +102,13 @@ class Symbol:
         self.role = role
         self.order = order
         self.key = (0, ROLE_RANK[role], order, name)
+        self._hash = hash(self.key)
 
     def __eq__(self, other):
-        return isinstance(other, Symbol) and other.key == self.key
+        return self is other or (isinstance(other, Symbol) and other._hash == self._hash and other.key == self.key)
 
     def __hash__(self):
-        return hash(self.key)
+        return self._hash
 
     def __repr__(self):
         return f"Symbol({self.name!r})"
@@ -110,18 +117,21 @@ class Symbol:
 class FuncAtom:
     """Elementary function application, opaque to canonicalization."""
 
-    __slots__ = ("fn", "arg", "key")
+    __slots__ = ("fn", "arg", "key", "_hash", "_diff", "_text")
 
     def __init__(self, fn: str, arg: "Expr"):
         self.fn = fn
         self.arg = arg
         self.key = (1, fn, arg.key)
+        self._hash = hash(self.key)
+        self._diff = None
+        self._text = None
 
     def __eq__(self, other):
-        return isinstance(other, FuncAtom) and self.key == other.key
+        return self is other or (isinstance(other, FuncAtom) and other._hash == self._hash and other.key == self.key)
 
     def __hash__(self):
-        return hash(self.key)
+        return self._hash
 
     def __repr__(self):
         return f"{self.fn}({self.arg!r})"
@@ -134,17 +144,20 @@ class SumAtom:
     rescaled denominators canonicalize identically.
     """
 
-    __slots__ = ("expr", "key")
+    __slots__ = ("expr", "key", "_hash", "_diff", "_text")
 
     def __init__(self, expr: "Expr"):
         self.expr = expr
         self.key = (2, expr.key)
+        self._hash = hash(self.key)
+        self._diff = None
+        self._text = None
 
     def __eq__(self, other):
-        return isinstance(other, SumAtom) and self.key == other.key
+        return self is other or (isinstance(other, SumAtom) and other._hash == self._hash and other.key == self.key)
 
     def __hash__(self):
-        return hash(self.key)
+        return self._hash
 
     def __repr__(self):
         return f"({self.expr!r})"
@@ -159,14 +172,21 @@ Monomial = tuple
 class Expr:
     """Immutable canonical expression: tuple of (monomial, coefficient)."""
 
-    __slots__ = ("terms", "key", "_hash")
+    __slots__ = ("terms", "_key", "_hash")
 
     def __init__(self, terms):
         self.terms = terms
-        self.key = tuple(
-            (tuple((a.key, k) for a, k in m), (c.numerator, c.denominator)) for m, c in terms
-        )
+        self._key = None
         self._hash = None
+
+    @property
+    def key(self) -> tuple:
+        """Nested structural tuple, built on first use."""
+        if self._key is None:
+            self._key = tuple(
+                (tuple((a.key, k) for a, k in m), (c.numerator, c.denominator)) for m, c in self.terms
+            )
+        return self._key
 
     def __hash__(self):
         if self._hash is None:
@@ -174,6 +194,8 @@ class Expr:
         return self._hash
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if isinstance(other, (int, Fraction)):
             other = const(other)
         return isinstance(other, Expr) and self.key == other.key
@@ -410,12 +432,20 @@ _FUNC_DIFF: dict = {
 def _atom_diff(atom: Atom, s: Symbol) -> Expr:
     if isinstance(atom, Symbol):
         return ONE if atom == s else ZERO
+    memo = atom._diff
+    if memo is None:
+        memo = atom._diff = {}
+    else:
+        hit = memo.get(s)
+        if hit is not None:
+            return hit
     if isinstance(atom, FuncAtom):
         inner = diff(atom.arg, s)
-        if not inner.terms:
-            return ZERO
-        return mul(_FUNC_DIFF[atom.fn](atom.arg), inner)
-    return diff(atom.expr, s)
+        out = mul(_FUNC_DIFF[atom.fn](atom.arg), inner) if inner.terms else ZERO
+    else:
+        out = diff(atom.expr, s)
+    memo[s] = out
+    return out
 
 
 def diff(e, v) -> Expr:
@@ -659,9 +689,15 @@ def _poly_div(num: Expr, den: Expr):
 def _atom_text(a: Atom, name_map) -> str:
     if isinstance(a, Symbol):
         return name_map(a.name) if name_map else a.name
+    if name_map is None and a._text is not None:
+        return a._text
     if isinstance(a, FuncAtom):
-        return f"{a.fn}({to_text(a.arg, name_map)})"
-    return f"({to_text(a.expr, name_map)})"
+        out = f"{a.fn}({to_text(a.arg, name_map)})"
+    else:
+        out = f"({to_text(a.expr, name_map)})"
+    if name_map is None:
+        a._text = out
+    return out
 
 
 def _term_text(mono: Monomial, c: Fraction, name_map) -> str:

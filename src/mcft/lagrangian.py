@@ -36,6 +36,7 @@ from .expr import (
     free_symbols,
     mul,
     substitute,
+    to_text,
     var,
 )
 from .forms import (
@@ -314,8 +315,21 @@ def solve_sopde_family(sys: LagrangianSystem) -> SolutionFamily:
     X = fam.multivector()
     for label, f in (("i_X Theta_L", contract(X, sys.theta)), ("i_X bar_d Theta_L", contract(X, sys.bar_d_theta()))):
         if f.table:
-            raise LagrangianError(f"solved family does not annihilate {label}: {f.table}")
+            raise LagrangianError(f"solved family does not annihilate {label}: {_residual_summary(f)}")
     return fam
+
+
+def _residual_summary(f: Form) -> str:
+    """Each nonzero component's index, term count and first 200 characters;
+    the full residuals of inverted-sum families run to hundreds of kilobytes."""
+    parts = []
+    for idx, c in f.items():
+        text = to_text(c)
+        if len(text) > 200:
+            text = text[:200] + "..."
+        index = "^".join(f"d{f.chart.coords[i].name}" for i in idx) or "1"
+        parts.append(f"{index}: {len(c.terms)} terms: {text}")
+    return "; ".join(parts)
 
 
 # ---------------------------------------------------------------------------

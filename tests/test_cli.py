@@ -4,9 +4,11 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from mcft.cli import main
+from mcft.cli import _integrate, main
+from mcft.dsl import parse
 
 MODEL = str(pathlib.Path(__file__).resolve().parents[1] / "models" / "string.mcft")
 
@@ -178,7 +180,30 @@ class TestSimulate:
         assert rep["outputs"]["momentum"]["initial"] > 0
         lines = csv.read_text().splitlines()
         assert lines[0] == "t,x,value"
-        assert len(lines) > 128
+        model = parse(pathlib.Path(MODEL).read_text(encoding="utf-8"))
+        scenario = model.scenarios["main"]
+        traj, _gamma = _integrate(model.system(), scenario, model.param_defaults(), scenario.nx)
+        nt, nx = traj.y.shape
+        assert nt == rep["outputs"]["grid"]["nt"] + 1
+        assert len(lines) == nt * nx + 1
+        cells = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        assert np.array_equal(cells[:, 0], np.repeat(traj.t, nx))
+        assert np.array_equal(cells[:, 1], np.tile(traj.x, nt))
+        assert np.array_equal(cells[:, 2], traj.y.ravel())
+
+
+PARAMETRIC_N2 = pathlib.Path(__file__).resolve().parent / "goldens" / "parametric_n2.mcft"
+
+
+def test_sopde_self_check_error_is_bounded():
+    # inverted sums in the residual do not cancel structurally: exit 3 with a
+    # per-component summary instead of the full nested expressions
+    code, out, err = run_cli("--json", "sopde", str(PARAMETRIC_N2))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: solved family does not annihilate ")
+    assert "dt: " in err and " terms: " in err
+    assert len(err.encode()) < 4096
 
 
 ONE_STEP = (

@@ -3,11 +3,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from mcft.expr import (
     EvalError,
+    Expr,
     ExprError,
+    FuncAtom,
+    SumAtom,
+    Symbol,
     ZeroCheck,
     add,
     canon,
@@ -224,3 +228,103 @@ def test_substitute_commutes_with_eval(e, v, g, seed):
         return
     scale = max(1.0, abs(lhs), abs(rhs))
     assert abs(lhs - rhs) / scale < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Per-atom caches: hashes, derivatives and plain text are computed once per
+# atom and must agree with what a freshly built equal atom computes.
+
+
+def _atom(e):
+    """The single atom of a one-atom monomial expression."""
+    ((mono, _c),) = e.terms
+    ((a, _k),) = mono
+    return a
+
+
+def _rebuilt(e):
+    # substitution with a nonempty map builds every atom anew
+    return substitute(e, {x: x})
+
+
+class TestAtomCaches:
+    def test_text_cache_keeps_plain_and_mapped_apart(self):
+        for e, plain, mapped in (
+            (pow_(x + y, -1), "1/(x + y)", "1/(X + Y)"),
+            (sin(x * y), "sin(x*y)", "sin(X*Y)"),
+        ):
+            assert to_text(e) == plain
+            assert to_text(e, str.upper) == mapped
+            assert to_text(e) == plain
+        e = pow_(x + z, -1)
+        assert to_text(e, str.upper) == "1/(X + Z)"
+        assert to_text(e) == "1/(x + z)"
+
+    def test_derivative_memo_per_symbol(self):
+        e = pow_(x + y * z, -1)
+        atom = _atom(e)
+        sx, sy = x.single_symbol, y.single_symbol
+        assert diff(e, x) == -pow_(x + y * z, -2)
+        assert diff(e, y) == -z * pow_(x + y * z, -2)
+        assert set(atom._diff) == {sx, sy}
+        assert atom._diff[sx] != atom._diff[sy]
+        fresh = x + y * z
+        assert atom._diff[sx] == diff(fresh, x)
+        assert atom._diff[sy] == diff(fresh, y)
+
+    def test_function_atom_derivative_memo(self):
+        e = sin(x * y)
+        atom = _atom(e)
+        assert diff(e, x) == y * cos(x * y)
+        assert diff(e, z) == const(0)
+        assert atom._diff[x.single_symbol] == y * cos(x * y)
+        assert atom._diff[z.single_symbol] == const(0)
+
+    def test_no_instance_dict(self):
+        e = add(sin(x), pow_(x + y, -1))
+        for obj in (x.single_symbol, _atom(sin(x)), _atom(pow_(x + y, -1)), e):
+            assert not hasattr(obj, "__dict__")
+        assert isinstance(_atom(sin(x)), FuncAtom) and isinstance(_atom(pow_(x + y, -1)), SumAtom)
+
+
+@st.composite
+def rational_exprs(draw):
+    """Expressions that also carry inverted-sum atoms, nested inside
+    function arguments and other inverted sums."""
+    num = draw(exprs())
+    den = add(draw(exprs()), x, const(draw(st.integers(1, 3))))
+    assume(den.terms)
+    inner = mul(num, pow_(den, -1))
+    outer = add(draw(exprs()), y)
+    assume(outer.terms)
+    return add(inner, sin(inner), mul(draw(exprs()), pow_(add(outer, pow_(den, -1)), -1)))
+
+
+def _pair_atoms(a, b):
+    """Walk two structurally equal expressions in step, yielding atom pairs."""
+    assert len(a.terms) == len(b.terms)
+    for (ma, _), (mb, _) in zip(a.terms, b.terms):
+        for (u, _), (v, _) in zip(ma, mb):
+            yield u, v
+            if isinstance(u, FuncAtom):
+                yield from _pair_atoms(u.arg, v.arg)
+            elif isinstance(u, SumAtom):
+                yield from _pair_atoms(u.expr, v.expr)
+
+
+@given(rational_exprs())
+@settings(max_examples=60, deadline=None)
+def test_cached_hashes_and_keys_agree_across_rebuilds(e):
+    f = _rebuilt(e)
+    assert f is not e
+    assert f == e and e == f
+    assert hash(f) == hash(e)
+    assert f.key == e.key
+    assert hash(e) == hash(e.key)
+    for u, v in _pair_atoms(e, f):
+        assert type(u) is type(v)
+        assert u == v and v == u
+        assert hash(u) == hash(v) == hash(u.key) == hash(v.key)
+        assert u.key == v.key
+        if not isinstance(u, Symbol):
+            assert u is not v

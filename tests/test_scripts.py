@@ -14,13 +14,18 @@ def run_script(name, *args):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     r = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args], capture_output=True, text=True, env=env)
     assert r.returncode == 0, r.stderr
-    return json.loads(r.stdout)
+    return r.stdout
 
 
 def test_convergence_study_smoke():
-    (row,) = run_script("convergence_study.py", "--gammas", "0.1", "--meshes", "32", "64", "128", "--t-final", "0.5")
+    (row,) = json.loads(run_script("convergence_study.py", "--gammas", "0.1", "--meshes", "32", "64", "128", "--t-final", "0.5"))
     assert [n["nx"] for n in row["norms"]] == [32, 64, 128]
     assert len(row["convergence_ratios"]) == 2
     for r in row["convergence_ratios"]:
         assert 3.2 <= r <= 4.8
     assert abs(row["decay_fit"] - 0.1) <= GAMMA_FIT_TOL
+
+
+def test_noether_corpus_smoke():
+    out = run_script("noether_corpus.py", "--size", "6")
+    assert out.splitlines()[-1].startswith("43 candidates, 16 Noether, 0 law failures")
