@@ -217,9 +217,11 @@ def _initial_arrays(scenario, xs, bindings):
     env = dict(bindings)
     env["x"] = xs
     out = []
-    for e in (scenario.y0, scenario.v0):
-        v = compile_expr(e)(env)
-        out.append(np.broadcast_to(np.asarray(v, dtype=float), xs.shape).copy())
+    # a pole on the grid gives inf/nan here, which integrate_damped_wave rejects
+    with np.errstate(all="ignore"):
+        for e in (scenario.y0, scenario.v0):
+            v = compile_expr(e)(env)
+            out.append(np.broadcast_to(np.asarray(v, dtype=float), xs.shape).copy())
     return out
 
 

@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .charts import Chart, jet_chart
-from .expr import Expr, add, const, cos, exp, mul, pow_, sin, to_text, var
+from .expr import Expr, ExprError, add, const, cos, exp, mul, pow_, sin, to_text, var
 from .lagrangian import LagrangianSystem, build_lagrangian_system
 
 KEYWORDS = {"coords", "fields", "params", "lagrangian", "symmetry", "scenario", "grid", "init", "bc"}
@@ -57,6 +57,14 @@ class Token:
     text: str
     line: int
     col: int
+
+
+def _power(base: Expr, k: int, tok: Token) -> Expr:
+    """``base^k``, with a zero base under a negative power reported at ``tok``."""
+    try:
+        return pow_(base, k)
+    except ExprError as exc:
+        raise DslError("division by zero", tok.line, tok.col) from exc
 
 
 _OPS = sorted(["=", "*", "+", "-", "/", "^", "(", ")", "[", "]", "{", "}", ":", ";", ","], key=len, reverse=True)
@@ -397,9 +405,9 @@ class _Parser:
         while self.peek().kind == "op" and self.peek().text in "*/":
             if stop_at_direction and self.peek().text == "*" and self._direction_ahead(1):
                 break
-            op = self.next().text
+            op = self.next()
             rhs = self.parse_unary(allow)
-            e = mul(e, rhs) if op == "*" else mul(e, pow_(rhs, -1))
+            e = mul(e, rhs) if op.text == "*" else mul(e, _power(rhs, -1, op))
         return e
 
     def parse_unary(self, allow) -> Expr:
@@ -411,7 +419,7 @@ class _Parser:
     def parse_power(self, allow) -> Expr:
         base = self.parse_atom(allow)
         if self.peek().kind == "op" and self.peek().text == "^":
-            self.next()
+            caret = self.next()
             sign = 1
             if self.peek().kind == "op" and self.peek().text == "-":
                 self.next()
@@ -419,7 +427,7 @@ class _Parser:
             num = self.next()
             if num.kind != "number" or "." in num.text or "e" in num.text or "E" in num.text:
                 raise DslError("exponent must be an integer literal", num.line, num.col)
-            return pow_(base, sign * int(num.text))
+            return _power(base, sign * int(num.text), caret)
         return base
 
     def parse_atom(self, allow) -> Expr:

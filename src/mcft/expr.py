@@ -19,6 +19,13 @@ Consequences baked into this representation:
 There is deliberately no simplification beyond canonicalization: no
 factoring, no trigonometric rewriting.
 
+Products and sums hand back what they need not rebuild: a nonzero
+rational factor only rescales coefficients (the monomials, and so their
+order, are unchanged), a factor of 1 or a lone nonzero operand of
+``add``/``mul`` is returned as is, and only two non-constant factors are
+multiplied term by term.  ``canon`` rebuilds an expression without these
+shortcuts and is the reference the property tests hold them to.
+
 Atoms are immutable and shared by reference between expressions, so
 each computes once what cannot change: its hash at construction, its
 derivative by each symbol on first request, and its plain rendering
@@ -289,28 +296,37 @@ def sym(name: str, role: str = "generic", order: int = 0) -> Symbol:
 
 
 def _from_dict(d: dict) -> Expr:
-    items = [(m, c) for m, c in d.items() if c != 0]
-    items.sort(key=lambda mc: _mono_key(mc[0]))
-    return Expr(tuple(items))
+    # No coefficient in ``d`` is zero: a monomial enters with the nonzero
+    # coefficient it has, and one whose sum cancels is deleted (``_accumulate``).
+    return Expr(tuple(sorted(d.items(), key=lambda mc: _mono_key(mc[0]))))
 
 
 def _mono_key(mono: Monomial):
     return tuple((a.key, k) for a, k in mono)
 
 
+def _accumulate(acc: dict, mono: Monomial, c: Fraction) -> None:
+    """Add the nonzero term ``c*mono`` into ``acc``, dropping it if it cancels."""
+    old = acc.get(mono)
+    if old is None:
+        acc[mono] = c
+    else:
+        c += old
+        if c:
+            acc[mono] = c
+        else:
+            del acc[mono]
+
+
 def add(*exprs) -> Expr:
-    acc: dict = {}
-    for e in exprs:
-        for mono, c in _coerce(e).terms:
-            nc = acc.get(mono, _F0) + c
-            if nc:
-                acc[mono] = nc
-            elif mono in acc:
-                del acc[mono]
+    live = [e for e in map(_coerce, exprs) if e.terms]
+    if len(live) < 2:
+        return live[0] if live else ZERO
+    acc = dict(live[0].terms)
+    for e in live[1:]:
+        for mono, c in e.terms:
+            _accumulate(acc, mono, c)
     return _from_dict(acc)
-
-
-_F0 = Fraction(0)
 
 
 def _merge_factors(m1: Monomial, m2: Monomial) -> dict:
@@ -341,29 +357,52 @@ def _expr_from_factors(coeff: Fraction, factors: dict) -> Expr:
     return out
 
 
+def _scale(e: Expr, c: Fraction) -> Expr:
+    """``c*e`` for a nonzero rational ``c``; the monomials, and so their
+    canonical order, are those of ``e``."""
+    if c == 1:
+        return e
+    return Expr(tuple((m, ec * c) for m, ec in e.terms))
+
+
+def _rational(e: Expr):
+    """The value of a nonzero constant expression, else None."""
+    if len(e.terms) == 1 and not e.terms[0][0]:
+        return e.terms[0][1]
+    return None
+
+
+def _product(a: Expr, b: Expr) -> Expr:
+    """Term-by-term product of two nonzero expressions."""
+    # Canonical sum-atom exponents are negative, so a product of two
+    # monomials never raises a sum atom to a positive power.
+    acc: dict = {}
+    for m1, c1 in a.terms:
+        for m2, c2 in b.terms:
+            factors = _merge_factors(m1, m2)
+            mono = tuple(sorted(((f, k) for f, k in factors.items() if k), key=lambda fk: fk[0].key))
+            _accumulate(acc, mono, c1 * c2)
+    return _from_dict(acc)
+
+
 def mul(*exprs) -> Expr:
-    out = ONE
-    for e in exprs:
+    if not exprs:
+        return ONE
+    out = _coerce(exprs[0])
+    for e in exprs[1:]:
         e = _coerce(e)
         if not out.terms or not e.terms:
             return ZERO
-        acc: dict = {}
-        pending = []
-        for m1, c1 in out.terms:
-            for m2, c2 in e.terms:
-                factors = _merge_factors(m1, m2)
-                if any(isinstance(a, SumAtom) and k > 0 for a, k in factors.items()):
-                    pending.append(_expr_from_factors(c1 * c2, factors))
-                    continue
-                mono = tuple(sorted(((a, k) for a, k in factors.items() if k), key=lambda ak: ak[0].key))
-                nc = acc.get(mono, _F0) + c1 * c2
-                if nc:
-                    acc[mono] = nc
-                elif mono in acc:
-                    del acc[mono]
-        out = _from_dict(acc)
-        if pending:
-            out = add(out, *pending)
+        c = _rational(e)
+        if c == 1:
+            continue
+        d = _rational(out)
+        if d is not None:
+            out = _scale(e, d)
+        elif c is not None:
+            out = _scale(out, c)
+        else:
+            out = _product(out, e)
     return out
 
 
@@ -429,9 +468,7 @@ _FUNC_DIFF: dict = {
 }
 
 
-def _atom_diff(atom: Atom, s: Symbol) -> Expr:
-    if isinstance(atom, Symbol):
-        return ONE if atom == s else ZERO
+def _atom_diff(atom: Union[FuncAtom, SumAtom], s: Symbol) -> Expr:
     memo = atom._diff
     if memo is None:
         memo = atom._diff = {}
@@ -454,11 +491,16 @@ def diff(e, v) -> Expr:
     s = v if isinstance(v, Symbol) else _coerce(v).single_symbol
     parts = []
     for mono, c in e.terms:
-        for i, (a, k) in enumerate(mono):
-            da = _atom_diff(a, s)
-            if not da.terms:
-                continue
-            rest = {b: kk for b, kk in mono}
+        for a, k in mono:
+            if isinstance(a, Symbol):
+                if a != s:
+                    continue
+                da = ONE
+            else:
+                da = _atom_diff(a, s)
+                if not da.terms:
+                    continue
+            rest = dict(mono)
             rest[a] = k - 1
             parts.append(mul(_expr_from_factors(c * k, rest), da))
     return add(*parts) if parts else ZERO
@@ -531,9 +573,28 @@ def evaluate(e, bindings: Mapping[str, float], _guard: float = 0.0) -> float:
     return total
 
 
+def _canon_atom(a: Atom) -> Atom:
+    if isinstance(a, Symbol):
+        return a
+    if isinstance(a, FuncAtom):
+        return FuncAtom(a.fn, canon(a.arg))
+    return SumAtom(canon(a.expr))
+
+
 def canon(e) -> Expr:
-    """Re-canonicalize (identity on canonical input; used by property tests)."""
-    return substitute(_coerce(e), {})
+    """Rebuild ``e`` from its terms: atoms rebuilt recursively, each
+    monomial's factors merged and re-sorted, coefficients re-summed and
+    the terms fully sorted.  It shares no shortcut with ``add``/``mul``,
+    so ``canon(e).terms == e.terms`` checks that ``e`` is canonical."""
+    acc: dict = {}
+    for mono, c in _coerce(e).terms:
+        factors: dict = {}
+        for a, k in mono:
+            a = _canon_atom(a)
+            factors[a] = factors.get(a, 0) + k
+        m = tuple(sorted(((a, k) for a, k in factors.items() if k), key=lambda ak: ak[0].key))
+        acc[m] = acc.get(m, 0) + c
+    return Expr(tuple(sorted(((m, c) for m, c in acc.items() if c), key=lambda mc: _mono_key(mc[0]))))
 
 
 def free_symbols(e) -> set:
@@ -677,7 +738,7 @@ def _poly_div(num: Expr, den: Expr):
             return None
         qm = _mono_quot(rm, lead_mono)
         qc = rc / lead_c
-        quo[qm] = quo.get(qm, _F0) + qc
+        _accumulate(quo, qm, qc)
         rem = add(rem, mul(Expr(((qm, -qc),)), den))
     return None
 

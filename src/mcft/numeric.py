@@ -104,6 +104,10 @@ class Grid1p1:
 def make_grid(nx: int, lx: float, cfl: float, t_final: float, wave_speed: float, bc: str = "periodic") -> Grid1p1:
     if cfl <= 0 or cfl > 1.0:
         raise CflError(f"CFL factor must lie in (0, 1], got {cfl}")
+    if nx < 8:
+        raise NumericError("need at least 8 spatial points")
+    if lx <= 0:
+        raise NumericError(f"domain length must be positive, got {lx}")
     dx = lx / nx
     dt = cfl * dx / wave_speed
     nt = max(1, round(t_final / dt))
@@ -183,6 +187,9 @@ def integrate_damped_wave(params: Mapping[str, float], y0: np.ndarray, v0: np.nd
     v0 = np.asarray(v0, dtype=float).copy()
     if y0.shape != (grid.nx,) or v0.shape != (grid.nx,):
         raise NumericError(f"initial data must have shape ({grid.nx},)")
+    for name, data in (("y0", y0), ("v0", v0)):
+        if not np.isfinite(data).all():
+            raise NumericError(f"initial data {name} is not finite on the grid")
     if grid.bc == "dirichlet-zero":
         y0[0] = y0[-1] = 0.0
         v0[0] = v0[-1] = 0.0

@@ -206,6 +206,12 @@ def test_sopde_self_check_error_is_bounded():
     assert len(err.encode()) < 4096
 
 
+def run_subprocess(*argv):
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "mcft.cli", *argv], capture_output=True, text=True, env=env)
+
+
 ONE_STEP = (
     "coords t x\nfields y\nparams rho=1 tau=1 gamma=0.1\n"
     "lagrangian 0.5*(rho*dy[t]^2 - tau*dy[x]^2) - gamma*s[t]\nsymmetry Y: d/dy\n"
@@ -218,13 +224,37 @@ def test_one_step_scenario_exit_2(tmp_path, verb):
     # nt = 1 leaves two time levels, too few for the one-sided d/dt
     p = tmp_path / "one.mcft"
     p.write_text(ONE_STEP)
-    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    cmd = [sys.executable, "-m", "mcft.cli", verb[0], str(p), *verb[1:], "one"]
-    r = subprocess.run(cmd, capture_output=True, text=True, env=env)
+    r = run_subprocess(verb[0], str(p), *verb[1:], "one")
     assert r.returncode == 2
     assert r.stderr.startswith("error:") and "two time steps" in r.stderr
     assert "Traceback" not in r.stderr
+
+
+def test_division_by_zero_in_model_exit_2(tmp_path):
+    p = tmp_path / "div0.mcft"
+    p.write_text("coords t x\nfields y\nlagrangian 0.5*dy[t]^2 + 1/(y-y)\n")
+    r = run_subprocess("derive", str(p))
+    assert r.returncode == 2
+    assert r.stderr == f"error: {p}: line 3, col 27: division by zero\n"
+
+
+DEGENERATE = {
+    "nx0": ("grid cfl=0.5 lx=1 nx=0 t=1; init y0 = 0", "at least 8 spatial points"),
+    "lx0": ("grid cfl=0.5 lx=0 nx=16 t=1; init y0 = 0", "domain length must be positive"),
+    "pole": ("grid cfl=0.5 lx=1 nx=16 t=1; init y0 = 1/x", "initial data y0 is not finite"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEGENERATE))
+@pytest.mark.parametrize("verb", [["simulate"], ["verify-law", "Y"]], ids=["simulate", "verify-law"])
+def test_degenerate_scenario_exit_2(tmp_path, verb, case):
+    body, message = DEGENERATE[case]
+    p = tmp_path / "degenerate.mcft"
+    p.write_text(ONE_STEP.split("scenario")[0] + f"scenario bad {{ bc periodic; {body}; init v0 = 0; }}\n")
+    r = run_subprocess(verb[0], str(p), *verb[1:], "bad")
+    assert r.returncode == 2
+    assert r.stderr.startswith("error:") and message in r.stderr
+    assert "Traceback" not in r.stderr and "Warning" not in r.stderr
 
 
 class TestDeterminism:

@@ -39,6 +39,14 @@ class TestParse:
         line = text.splitlines()[exc.value.line - 1]
         assert line[exc.value.col - 1] == "q"
 
+    @pytest.mark.parametrize("tail, op", [("1/0", "/"), ("1/(y-y)", "/"), ("(y - y)^-2", "^")])
+    def test_division_by_zero_span(self, tail, op):
+        text = f"coords t x\nfields y\nlagrangian 0.5*dy[t]^2 + {tail}"
+        with pytest.raises(DslError, match="division by zero") as exc:
+            parse(text)
+        assert exc.value.line == 3
+        assert text.splitlines()[2][exc.value.col - 1] == op
+
     def test_velocity_requires_declared_base(self):
         with pytest.raises(DslError, match="unknown base"):
             parse("coords t\nfields y\nlagrangian dy[z]")

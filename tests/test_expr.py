@@ -10,8 +10,10 @@ from mcft.expr import (
     Expr,
     ExprError,
     FuncAtom,
+    ONE,
     SumAtom,
     Symbol,
+    ZERO,
     ZeroCheck,
     add,
     canon,
@@ -184,7 +186,13 @@ def exprs(draw, depth=2):
 @given(exprs())
 @settings(max_examples=150, deadline=None)
 def test_canonical_idempotence(e):
-    assert canon(canon(e)) == canon(e)
+    assert canon(e).terms == e.terms
+
+
+def test_canon_rebuilds_a_noncanonical_expression():
+    sx, sy = x.single_symbol, y.single_symbol
+    raw = Expr(((((sy, 1), (sx, 1)), Fraction(1)), (((sx, 1),), Fraction(2)), (((sx, 1),), Fraction(-2))))
+    assert canon(raw).terms == (x * y).terms
 
 
 @given(exprs(), exprs(), st.sampled_from(SYMS))
@@ -328,3 +336,120 @@ def test_cached_hashes_and_keys_agree_across_rebuilds(e):
         assert u.key == v.key
         if not isinstance(u, Symbol):
             assert u is not v
+
+
+# ---------------------------------------------------------------------------
+# Fast paths of add/mul/diff (rational factors rescale, lone operands pass
+# through) against a reference that multiplies term by term, sums into a
+# dict and sorts fully.
+
+
+def _ref_mono(*monos):
+    f: dict = {}
+    for mono in monos:
+        for a, k in mono:
+            f[a] = f.get(a, 0) + k
+    return tuple(sorted(((a, k) for a, k in f.items() if k), key=lambda ak: ak[0].key))
+
+
+def _ref_terms(acc):
+    items = [(m, c) for m, c in acc.items() if c]
+    return tuple(sorted(items, key=lambda mc: tuple((a.key, k) for a, k in mc[0])))
+
+
+def ref_mul(*es):
+    terms = (((), Fraction(1)),)
+    for e in es:
+        acc: dict = {}
+        for m1, c1 in terms:
+            for m2, c2 in e.terms:
+                m = _ref_mono(m1, m2)
+                acc[m] = acc.get(m, 0) + c1 * c2
+        terms = _ref_terms(acc)
+    return terms
+
+
+def ref_add(*es):
+    acc: dict = {}
+    for e in es:
+        for m, c in e.terms:
+            acc[m] = acc.get(m, 0) + c
+    return _ref_terms(acc)
+
+
+def ref_diff(e, s):
+    acc: dict = {}
+    for mono, c in e.terms:
+        for i, (a, k) in enumerate(mono):
+            if isinstance(a, Symbol):
+                da = (((), Fraction(1)),) if a == s else ()
+            elif isinstance(a, FuncAtom):
+                outer = {"sin": cos(a.arg), "cos": Expr(ref_mul(const(-1), sin(a.arg))), "exp": exp(a.arg)}[a.fn]
+                da = ref_mul(outer, Expr(ref_diff(a.arg, s)))
+            else:
+                da = ref_diff(a.expr, s)
+            rest = mono[:i] + ((a, k - 1),) + mono[i + 1 :]
+            for m2, c2 in da:
+                m = _ref_mono(rest, m2)
+                acc[m] = acc.get(m, 0) + c * k * c2
+    return _ref_terms(acc)
+
+
+@st.composite
+def operands(draw):
+    """0, +-1, other rational constants, single-term monomials with negative
+    exponents, inverted-sum quotients and general expressions."""
+    kind = draw(st.sampled_from(["zero", "one", "minus_one", "rational", "monomial", "inverted", "expr"]))
+    if kind == "zero":
+        return const(0)
+    if kind == "one":
+        return const(1)
+    if kind == "minus_one":
+        return const(-1)
+    coeff = Fraction(draw(st.integers(-5, 5).filter(bool)), draw(st.integers(1, 4)))
+    if kind == "rational":
+        return const(coeff)
+    if kind == "monomial":
+        powers = [pow_(v, draw(st.integers(-3, 3))) for v in SYMS]
+        return mul(const(coeff), *powers)
+    if kind == "inverted":
+        den = add(draw(st.sampled_from([x, y * z, sin(y)])), mul(const(coeff), draw(st.sampled_from([y, z, const(1)]))))
+        return div_exact(add(draw(exprs()), z), den)
+    return draw(exprs())
+
+
+@given(operands(), operands(), operands(), st.sampled_from(SYMS))
+@settings(max_examples=200, deadline=None)
+def test_fast_paths_match_term_by_term_reference(a, b, c, v):
+    for e in (a, b, c):
+        assert canon(e).terms == e.terms
+    assert mul(a, b).terms == ref_mul(a, b)
+    assert mul(b, a).terms == ref_mul(b, a)
+    assert mul(a, b, c).terms == ref_mul(a, b, c)
+    assert add(a).terms == ref_add(a)
+    assert add(a, b).terms == ref_add(a, b)
+    assert add(a, b, c).terms == ref_add(a, b, c)
+    assert diff(a, v).terms == ref_diff(a, v.single_symbol)
+    assert diff(b, v).terms == ref_diff(b, v.single_symbol)
+
+
+class TestPassThrough:
+    OPERANDS = (x, x + y, const(3), pow_(x + y * z, -1) * sin(x), x**-2 * y)
+
+    def test_lone_or_unit_operand_is_returned(self):
+        for e in self.OPERANDS:
+            assert mul(e) is e
+            assert mul(ONE, e) is e
+            assert mul(e, const(1)) is e
+            assert add(e) is e
+            assert add(e, ZERO) is e
+            assert add(ZERO, e, const(0)) is e
+
+    def test_rational_factor_rescales_in_place_order(self):
+        e = x + y * z + pow_(x + y, -1)
+        for c in (Fraction(-1), Fraction(2), Fraction(-3, 4)):
+            want = tuple((m, k * c) for m, k in e.terms)
+            assert mul(const(c), e).terms == want
+            assert mul(e, const(c)).terms == want
+        assert mul(const(2), const(Fraction(1, 2))) == ONE
+        assert mul(x, const(0)) is ZERO and add() is ZERO and mul() == ONE
