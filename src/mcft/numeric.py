@@ -15,18 +15,25 @@ section with central differences; the dissipation-law residual
 is reported with max and L2 norms over interior points.  The action
 coordinate uses the gauge s^x = 0 and integrates ds^t/dt = L o psi by
 the trapezoid rule (implicitly in the affine s-coupling).
+
+Every array function works on a ``Trajectory`` window: consecutive time
+levels, of which the rows ``core`` are the window's own and the others a
+halo that its stencils read.  ``integrate_damped_wave`` returns the whole
+solution as one window; ``stream_damped_wave`` yields it as consecutive
+windows of one buffer of about BLOCK_CELLS cells, so that memory does not
+grow with the number of time steps.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping, Optional
+from typing import Callable, Iterator, Mapping, Optional
 
 import numpy as np
 
 from .charts import Chart
-from .expr import Expr, Symbol, diff, evaluate, free_symbols, substitute
+from .expr import EvalError, Expr, Symbol, diff, evaluate, free_symbols, substitute
 from .forms import Form
 
 __all__ = [
@@ -37,12 +44,17 @@ __all__ = [
     "make_grid",
     "Trajectory",
     "integrate_damped_wave",
+    "stream_damped_wave",
     "evaluate_current",
+    "ResidualNorms",
     "dissipation_residual",
+    "ActionCoordinate",
     "integrate_action_coordinate",
     "momentum_series",
     "energy_series",
     "decay_fit",
+    "DampedWave",
+    "damped_wave",
     "wave_params_from_system",
     "compile_expr",
 ]
@@ -63,6 +75,8 @@ class BlowupError(NumericError):
 
 
 BCS = ("periodic", "dirichlet-zero")
+BLOCK_CELLS = 1 << 16  # cells per streamed block: 512 KB per float64 array, near-cache sized
+HALO = 2  # levels a window reads beyond its core: the residual at n reads y_t and s_t at n+-1, which read y at n+-2
 
 
 @dataclass(frozen=True)
@@ -114,13 +128,16 @@ def make_grid(nx: int, lx: float, cfl: float, t_final: float, wave_speed: float,
     return Grid1p1(nx=nx, lx=lx, dt=dt, nt=nt, bc=bc, wave_speed=wave_speed)
 
 
-def _d2x(y: np.ndarray, bc: str, out: np.ndarray) -> np.ndarray:
-    """(y[i+1] - 2 y[i]) + y[i-1] of a row into ``out``, edges wrapped or zero."""
-    np.subtract(y[2:], np.multiply(y[1:-1], 2.0, out=out[1:-1]), out=out[1:-1])
+def _d2x(y: np.ndarray, bc: str, out: np.ndarray, twice: Optional[np.ndarray] = None) -> np.ndarray:
+    """(y[i+1] - 2 y[i]) + y[i-1] of a row into ``out``, edges wrapped or
+    zero; ``twice``, if given, holds 2 y (an exact product)."""
+    if twice is None:
+        twice = np.multiply(y, 2.0)
+    np.subtract(y[2:], twice[1:-1], out=out[1:-1])
     out[1:-1] += y[:-2]
     if bc == "periodic":
-        out[0] = y[1] - 2.0 * y[0] + y[-1]
-        out[-1] = y[0] - 2.0 * y[-1] + y[-2]
+        out[0] = y[1] - twice[0] + y[-1]
+        out[-1] = y[0] - twice[-1] + y[-2]
     else:
         out[0] = out[-1] = 0.0
     return out
@@ -128,14 +145,30 @@ def _d2x(y: np.ndarray, bc: str, out: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Trajectory:
-    """Discrete field solution with derived central-difference arrays;
-    ``y_t`` and ``y_x`` are computed once, and ``integrate_damped_wave``
-    returns ``y`` read-only so that they cannot go stale."""
+    """A window of consecutive time levels of a discrete field solution:
+    ``y[k]`` is level ``start + k``, and the rows ``core`` are the levels
+    the window reports; the rows around them are a halo that the
+    stencils read.  The whole solution is the window with ``start = 0``
+    and every row in its core.  The one-sided d/dt of its first and last
+    rows is exact only where they are levels 0 and nt, so a halo of HALO
+    rows keeps every core row exact.  ``y_t`` and ``y_x`` are computed
+    once, and ``y`` is read-only so that they cannot go stale."""
 
     grid: Grid1p1
     params: dict
-    y: np.ndarray  # shape (nt+1, nx)
+    y: np.ndarray  # shape (rows, nx)
     s_t: Optional[np.ndarray] = None  # gauge: s_x = 0
+    start: int = 0
+    core: Optional[slice] = None  # default: every row
+
+    def __post_init__(self):
+        if self.core is None:
+            self.core = slice(0, self.y.shape[0])
+
+    @property
+    def levels(self) -> slice:
+        """The levels of the core rows."""
+        return slice(self.start + self.core.start, self.start + self.core.stop)
 
     def d_dt(self, a: np.ndarray) -> np.ndarray:
         out = np.empty_like(a)
@@ -167,20 +200,19 @@ class Trajectory:
 
     @property
     def t(self) -> np.ndarray:
-        return self.grid.t
+        return np.arange(self.start, self.start + self.y.shape[0]) * self.grid.dt
 
     @property
     def x(self) -> np.ndarray:
         return self.grid.x
 
 
-def integrate_damped_wave(params: Mapping[str, float], y0: np.ndarray, v0: np.ndarray, grid: Grid1p1) -> Trajectory:
-    """Leapfrog for rho y_tt - tau y_xx = -gamma rho y_t; deterministic."""
+def _initial_state(params: Mapping[str, float], y0, v0, grid: Grid1p1):
+    """Checked wave coefficients and initial data."""
     rho, tau, gamma = float(params["rho"]), float(params["tau"]), float(params["gamma"])
     if rho <= 0 or tau <= 0:
         raise NumericError("need rho > 0 and tau > 0")
-    c2 = tau / rho
-    c = math.sqrt(c2)
+    c = math.sqrt(tau / rho)
     if c * grid.dt / grid.dx > 1.0 + 1e-12:
         raise CflError(f"CFL number {c * grid.dt / grid.dx:.3f} exceeds 1")
     y0 = np.asarray(y0, dtype=float).copy()
@@ -193,29 +225,91 @@ def integrate_damped_wave(params: Mapping[str, float], y0: np.ndarray, v0: np.nd
     if grid.bc == "dirichlet-zero":
         y0[0] = y0[-1] = 0.0
         v0[0] = v0[-1] = 0.0
+    return {"rho": rho, "tau": tau, "gamma": gamma}, y0, v0
+
+
+def _leapfrog(params: dict, y0: np.ndarray, v0: np.ndarray, grid: Grid1p1, levels: np.ndarray):
+    """Write the levels 0..nt of the leapfrog solution into consecutive
+    rows of ``levels``.  Whenever it is full, or level nt is written,
+    yield (level of row 0, rows written, whether level nt is among them);
+    once the caller has read them, the last 2*HALO rows move to the top
+    and the scheme continues below them."""
+    rho, tau, gamma = params["rho"], params["tau"], params["gamma"]
+    c2 = tau / rho
     dt, dx = grid.dt, grid.dx
     lam2 = c2 * dt * dt / (dx * dx)
-    y = np.empty((grid.nt + 1, grid.nx), dtype=float)
-    scratch = np.empty(grid.nx, dtype=float)
-    y[0] = y0
-    y[1] = y0 + dt * v0 + 0.5 * dt * dt * (c2 * _d2x(y0, grid.bc, scratch) / (dx * dx) - gamma * v0)
+    d2, damp = np.empty(grid.nx, dtype=float), np.empty(grid.nx, dtype=float)
+    levels[0] = y0
+    levels[1] = y0 + dt * v0 + 0.5 * dt * dt * (c2 * _d2x(y0, grid.bc, d2) / (dx * dx) - gamma * v0)
     if grid.bc == "dirichlet-zero":
-        y[1, 0] = y[1, -1] = 0.0
+        levels[1, 0] = levels[1, -1] = 0.0
     a_plus = 1.0 + 0.5 * gamma * dt
     a_minus = 1.0 - 0.5 * gamma * dt
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, grid.nt):
-            # y[n+1] = ((2 y[n] - a_minus y[n-1]) + lam2 D2 y[n]) / a_plus, in place
-            row = y[n + 1]
-            np.subtract(np.multiply(y[n], 2.0, out=row), np.multiply(y[n - 1], a_minus, out=scratch), out=row)
-            row += np.multiply(_d2x(y[n], grid.bc, scratch), lam2, out=scratch)
-            row /= a_plus
-            if grid.bc == "dirichlet-zero":
-                row[0] = row[-1] = 0.0
-            if not np.isfinite(row).all():
-                raise BlowupError(n + 1)
+    first, i, n = 0, 1, 1  # level of row 0, last row written, its level
+    while True:
+        fresh = i + 1 if first else 2  # level 1 is not checked
+        with np.errstate(over="ignore", invalid="ignore"):
+            while n < grid.nt and i + 1 < levels.shape[0]:
+                # y[n+1] = ((2 y[n] - a_minus y[n-1]) + lam2 D2 y[n]) / a_plus, in place
+                row = levels[i + 1]
+                np.multiply(levels[i], 2.0, out=row)
+                np.multiply(_d2x(levels[i], grid.bc, d2, twice=row), lam2, out=d2)
+                row -= np.multiply(levels[i - 1], a_minus, out=damp)
+                row += d2
+                row /= a_plus
+                if grid.bc == "dirichlet-zero":
+                    row[0] = row[-1] = 0.0
+                i, n = i + 1, n + 1
+        finite = np.isfinite(levels[fresh : i + 1]).all(axis=1)
+        if not finite.all():
+            raise BlowupError(first + fresh + int(np.argmin(finite)))
+        yield first, i + 1, n == grid.nt
+        if n == grid.nt:
+            return
+        keep = 2 * HALO
+        levels[:keep] = levels[i + 1 - keep : i + 1]
+        first, i = first + i + 1 - keep, keep - 1
+
+
+def integrate_damped_wave(params: Mapping[str, float], y0: np.ndarray, v0: np.ndarray, grid: Grid1p1) -> Trajectory:
+    """Leapfrog for rho y_tt - tau y_xx = -gamma rho y_t; deterministic.
+    Keeps every level: the whole solution as one window."""
+    params, y0, v0 = _initial_state(params, y0, v0, grid)
+    y = np.empty((grid.nt + 1, grid.nx), dtype=float)
+    for _ in _leapfrog(params, y0, v0, grid, y):
+        pass
     y.flags.writeable = False
-    return Trajectory(grid=grid, params={"rho": rho, "tau": tau, "gamma": gamma}, y=y)
+    return Trajectory(grid=grid, params=params, y=y)
+
+
+def stream_damped_wave(
+    params: Mapping[str, float], y0, v0, grid: Grid1p1, action: Optional["ActionCoordinate"] = None
+) -> Iterator[Trajectory]:
+    """The leapfrog solution of ``integrate_damped_wave`` as consecutive
+    windows whose cores cover the levels 0..nt in order, each core about
+    BLOCK_CELLS cells.  With ``action``, every window carries ``s_t``.
+    The windows share one buffer: finish with a window before taking the
+    next.  The parameters and initial data are checked at the call."""
+    params, y0, v0 = _initial_state(params, y0, v0, grid)
+    rows = min(grid.nt + 1, max(1, BLOCK_CELLS // grid.nx) + 2 * HALO)
+    levels = np.empty((rows, grid.nx), dtype=float)
+    s = None if action is None else np.zeros_like(levels)
+
+    def windows():
+        for first, filled, last in _leapfrog(params, y0, v0, grid, levels):
+            y = levels[:filled]
+            y.flags.writeable = False
+            core = slice(0 if first == 0 else HALO, filled if last else filled - HALO)
+            w = Trajectory(grid=grid, params=params, y=y, start=first, core=core)
+            if s is not None:
+                # s_t[n] needs y_t[n], exact up to the row before a non-final window's last
+                w.s_t = s[:filled]
+                action.fill(w, w.s_t, 1 if first == 0 else 2 * HALO - 1, filled if last else filled - 1)
+            yield w
+            if s is not None and not last:
+                s[: 2 * HALO] = s[filled - 2 * HALO : filled]
+
+    return windows()
 
 
 # ---------------------------------------------------------------------------
@@ -249,12 +343,15 @@ def compile_expr(e: Expr) -> Callable[[Mapping[str, object]], object]:
 
     def run(env):
         total = 0.0
-        for c, factors in compiled_terms:
-            v = c
-            for fa, k in factors:
-                base = fa(env)
-                v = v * (base ** k if k != 1 else base)
-            total = total + v
+        try:
+            for c, factors in compiled_terms:
+                v = c
+                for fa, k in factors:
+                    base = fa(env)
+                    v = v * (base ** k if k != 1 else base)
+                total = total + v
+        except ZeroDivisionError:  # a scalar zero, such as a parameter, to a negative power
+            raise NumericError("cannot evaluate the model at its parameter values: division by zero") from None
         return total
 
     return run
@@ -305,81 +402,221 @@ def evaluate_current(xi: Form, traj: Trajectory, bindings: Mapping[str, float]):
     }
     if traj.s_t is not None:
         dpsi["s_t"] = lambda: (traj.d_dt(traj.s_t), traj.d_dx(traj.s_t))
-    A = np.zeros(traj.y.shape)  # dt component
-    B = np.zeros(traj.y.shape)  # dx component
+    A, B = _Sum(traj.y.shape), _Sum(traj.y.shape)  # dt and dx components
     for (i,), coeff in xi.table.items():
         name = chart.coords[i].name
         if name not in dpsi:
             raise NumericError(f"current references {name!r}, absent from the trajectory")
         cval = compile_expr(coeff)(env)
         d_t, d_x = dpsi[name]()
-        A += cval * d_t
-        B += cval * d_x
-    return B, np.negative(A, out=A)
+        A.add(cval, d_t)
+        B.add(cval, d_x)
+    A = A.total()
+    return B.total(), np.negative(A, out=A)
+
+
+class _Sum:
+    """zeros(shape) + c1 d1 + c2 d2 + ..., bit for bit, without the passes
+    that cannot change it: a factor d = 1.0 is not applied, and a term
+    c * 0.0 is added only where c is not finite, since elsewhere it is a
+    signed zero and the sum, which starts at +0.0, is never -0.0."""
+
+    def __init__(self, shape):
+        self.shape = shape
+        self.value = None
+        self.poison = []  # c * 0.0 of the terms whose c is not finite
+
+    def add(self, c, d) -> None:
+        if isinstance(d, float) and d == 0.0:
+            if not np.isfinite(c).all():
+                self.poison.append(c * d)
+            return
+        term = c if isinstance(d, float) and d == 1.0 else c * d
+        if self.value is None:
+            self.value = np.add(np.broadcast_to(term, self.shape), 0.0)
+        else:
+            self.value += term
+
+    def total(self) -> np.ndarray:
+        out = np.zeros(self.shape) if self.value is None else self.value
+        for p in self.poison:
+            out += p
+        return out
+
+
+class ResidualNorms:
+    """Max and L2 norms of a residual whose interior rows arrive in order,
+    in blocks of whole rows.
+
+    The L2 sum is the one ``np.sum`` forms over the whole contiguous
+    interior: a pairwise tree whose shape depends on the length only (a
+    node of n > 128 elements splits at n//2 - (n//2) % 8, a smaller one
+    is a leaf).  A node whose squares arrive within one block is summed
+    by ``np.sum`` itself, the others from their two children as they
+    complete, so the norm equals the whole-interior one bit for bit."""
+
+    LEAF = 128
+
+    def __init__(self, grid: Grid1p1):
+        width = grid.nx if grid.bc == "periodic" else grid.nx - 2
+        self.size = (grid.nt - 1) * width
+        self._scale = math.sqrt(grid.dx * grid.dt)
+        self._max = 0.0
+        self._sum = None
+        self._added = 0
+        self._squares = np.empty(0)  # squares from index _first on, not yet in a finished leaf
+        self._first = 0
+        self._done = {}  # (first, length) -> sum of a finished node whose parent is unfinished
+
+    def add(self, interior: np.ndarray) -> None:
+        if not interior.size:
+            return
+        self._added += interior.size
+        if self._added > self.size:
+            raise NumericError("more residual rows than the interior holds")
+        self._max = np.maximum(self._max, np.max(np.abs(interior)))
+        kept = self._squares.size
+        squares = np.empty(kept + interior.size)
+        squares[:kept] = self._squares
+        np.multiply(interior, interior, out=squares[kept:].reshape(interior.shape))
+        self._squares = squares
+        self._sum = self._node(0, self.size)
+
+    def _node(self, first: int, n: int):
+        """Sum of the squares [first, first + n) as ``np.sum`` forms it,
+        or None while some have not arrived."""
+        done = self._done.pop((first, n), None)
+        if done is not None:
+            return done
+        end = self._first + self._squares.size
+        if first >= self._first and first + n <= end:
+            return np.sum(self._squares[first - self._first : first + n - self._first])
+        if n <= self.LEAF:  # the unfinished leaf: keep its squares for the next block
+            self._squares = self._squares[first - self._first :].copy()
+            self._first = first
+            return None
+        half = n // 2 - (n // 2) % 8
+        left = self._node(first, half)
+        if left is None:
+            return None
+        right = self._node(first + half, n - half)
+        if right is None:
+            self._done[(first, half)] = left
+            return None
+        return left + right
+
+    @property
+    def max_norm(self) -> float:
+        return float(self._max)
+
+    @property
+    def l2_norm(self) -> float:
+        if self._sum is None:
+            raise NumericError("residual norms read before every interior row arrived")
+        return float(np.sqrt(self._sum) * self._scale)
 
 
 @dataclass
 class ResidualReport:
-    residual: np.ndarray  # interior points
-    max_norm: float
-    l2_norm: float
+    residual: np.ndarray  # interior points of the window's core
+    norms: ResidualNorms
+
+    @property
+    def max_norm(self) -> float:
+        return self.norms.max_norm
+
+    @property
+    def l2_norm(self) -> float:
+        return self.norms.l2_norm
 
 
-def dissipation_residual(ft: np.ndarray, fx: np.ndarray, source_t, source_x, traj: Trajectory) -> ResidualReport:
+def dissipation_residual(
+    ft: np.ndarray, fx: np.ndarray, source_t, source_x, traj: Trajectory, norms: Optional[ResidualNorms] = None
+) -> ResidualReport:
     """Central-difference divergence of the current minus the dissipation
-    source (dL/ds^mu o psi) f^mu."""
+    source (dL/ds^mu o psi) f^mu on the interior points of the window's
+    core, folded into ``norms`` (by default, new norms of a window that
+    holds the whole trajectory)."""
     if ft.shape != traj.y.shape or fx.shape != traj.y.shape:
         raise NumericError("current arrays must match the trajectory shape")
     r = traj.d_dt(ft)
     r += traj.d_dx(fx)
     r -= source_t * ft + source_x * fx
-    interior = r[1:-1, :] if traj.grid.bc == "periodic" else r[1:-1, 1:-1]
-    scale = math.sqrt(traj.grid.dx * traj.grid.dt)
-    return ResidualReport(
-        residual=interior,
-        max_norm=float(np.max(np.abs(interior))) if interior.size else 0.0,
-        l2_norm=float(np.sqrt(np.sum(interior * interior)) * scale),
-    )
+    # the core rows of the interior levels 1..nt-1
+    rows = slice(max(traj.core.start, 1 - traj.start), min(traj.core.stop, traj.grid.nt - traj.start))
+    interior = r[rows, :] if traj.grid.bc == "periodic" else r[rows, 1:-1]
+    if norms is None:
+        norms = ResidualNorms(traj.grid)
+    norms.add(interior)
+    return ResidualReport(residual=interior, norms=norms)
+
+
+@dataclass(frozen=True)
+class ActionCoordinate:
+    """ds^t/dt = L o psi per column by the trapezoid rule, with
+    s^t(0, .) = 0 and the gauge s^x = 0, for L = L0 + c_t s_t affine in
+    s_t (handled implicitly)."""
+
+    chart: Chart
+    bindings: Mapping[str, float]
+    c_t: float  # dL/ds^t at the parameter values
+    gamma: float  # -c_t; 0.0 where L has no s_t
+    l0: Callable  # L at s = 0, compiled
+    names: frozenset  # the names l0 reads
+
+    @classmethod
+    def of(cls, L: Expr, chart: Chart, bindings: Mapping[str, float]) -> "ActionCoordinate":
+        st_sym = chart.symbol("s_t")
+        sx_sym = chart.symbol("s_x")
+        c_t = diff(L, st_sym)
+        if any(s.role != "param" for s in free_symbols(c_t)):
+            raise NumericError("only affine s_t-dependence is supported")
+        if diff(L, sx_sym).terms:
+            raise NumericError("gauge s_x = 0 needs L independent of s_x")
+        ct_val = _evaluated(c_t, bindings) if c_t.terms else 0.0
+        L0 = substitute(L, {st_sym: 0, sx_sym: 0})
+        return cls(
+            chart=chart,
+            bindings=bindings,
+            c_t=ct_val,
+            gamma=-ct_val if c_t.terms else 0.0,
+            l0=compile_expr(L0),
+            names=frozenset(s.name for s in free_symbols(L0)),
+        )
+
+    def fill(self, traj: Trajectory, s: np.ndarray, lo: int, hi: int) -> None:
+        """Rows lo..hi-1 of s^t on the window ``traj`` from row lo-1, in place."""
+        lvals = np.broadcast_to(self.l0(_traj_env(traj, self.chart, self.bindings, self.names)), traj.y.shape)
+        dt = traj.grid.dt
+        growth = 1.0 + 0.5 * dt * self.c_t
+        denom = 1.0 - 0.5 * dt * self.c_t
+        # s[n] = (s[n-1] growth + 0.5 dt (l[n] + l[n-1])) / denom; increments first
+        np.add(lvals[lo:hi], lvals[lo - 1 : hi - 1], out=s[lo:hi])
+        s[lo:hi] *= 0.5 * dt
+        for n in range(lo, hi):
+            s[n] += s[n - 1] * growth
+            s[n] /= denom
 
 
 def integrate_action_coordinate(traj: Trajectory, L: Expr, chart: Chart, bindings: Mapping[str, float]) -> np.ndarray:
-    """Integrate ds^t/dt = L o psi per column by the trapezoid rule with
-    s^t(0, .) = 0 and the gauge s^x = 0.  Affine s_t-dependence of L is
-    handled implicitly."""
-    st_sym = chart.symbol("s_t")
-    sx_sym = chart.symbol("s_x")
-    c_t = diff(L, st_sym)
-    if free_symbols(c_t) - {s for s in free_symbols(c_t) if s.role == "param"}:
-        raise NumericError("only affine s_t-dependence is supported")
-    if diff(L, sx_sym).terms:
-        raise NumericError("gauge s_x = 0 needs L independent of s_x")
-    ct_val = evaluate(c_t, bindings) if c_t.terms else 0.0
-    L0 = substitute(L, {st_sym: 0, sx_sym: 0})
-    names = {s.name for s in free_symbols(L0)}
-    env = _traj_env(traj, chart, bindings, names)
-    lvals = np.broadcast_to(compile_expr(L0)(env), traj.y.shape)
-    dt = traj.grid.dt
-    growth = 1.0 + 0.5 * dt * ct_val
-    denom = 1.0 - 0.5 * dt * ct_val
-    # s[n] = (s[n-1] growth + 0.5 dt (l[n] + l[n-1])) / denom; increments first
+    """s^t on every level of a whole trajectory (see ``ActionCoordinate``)."""
     s = np.zeros(traj.y.shape)
-    np.add(lvals[1:], lvals[:-1], out=s[1:])
-    s[1:] *= 0.5 * dt
-    for n in range(1, s.shape[0]):
-        s[n] += s[n - 1] * growth
-        s[n] /= denom
+    ActionCoordinate.of(L, chart, bindings).fill(traj, s, 1, s.shape[0])
     return s
 
 
-def momentum_series(traj: Trajectory) -> np.ndarray:
-    """P(t) = sum_i rho y_t dx."""
-    return traj.params["rho"] * np.sum(traj.y_t, axis=1) * traj.grid.dx
+def momentum_series(traj: Trajectory, magnitude: bool = False) -> np.ndarray:
+    """P(t) = sum_i rho y_t dx on the core levels; with ``magnitude``,
+    sum_i |rho y_t| dx, the scale of its round-off."""
+    y_t = traj.y_t[traj.core]
+    return traj.params["rho"] * np.sum(np.abs(y_t) if magnitude else y_t, axis=1) * traj.grid.dx
 
 
 def energy_series(traj: Trajectory) -> np.ndarray:
-    """E(t) = sum_i (rho y_t^2 + tau y_x^2)/2 dx."""
+    """E(t) = sum_i (rho y_t^2 + tau y_x^2)/2 dx on the core levels."""
     rho, tau = traj.params["rho"], traj.params["tau"]
-    return np.sum(0.5 * rho * traj.y_t ** 2 + 0.5 * tau * traj.y_x ** 2, axis=1) * traj.grid.dx
+    y_t, y_x = traj.y_t[traj.core], traj.y_x[traj.core]
+    return np.sum(0.5 * rho * y_t ** 2 + 0.5 * tau * y_x ** 2, axis=1) * traj.grid.dx
 
 
 def decay_fit(t: np.ndarray, p: np.ndarray) -> float:
@@ -396,9 +633,35 @@ def decay_fit(t: np.ndarray, p: np.ndarray) -> float:
     return float(-slope)
 
 
-def wave_params_from_system(lsys, bindings: Mapping[str, float]):
-    """Extract (rho, tau, gamma) from a Lagrangian of the damped-string
-    shape; reject anything the integrator does not model."""
+def _evaluated(e: Expr, bindings: Mapping[str, float]) -> float:
+    try:
+        return evaluate(e, bindings)
+    except EvalError as exc:
+        raise NumericError(f"cannot evaluate the model at its parameter values: {exc}") from None
+
+
+@dataclass(frozen=True)
+class DampedWave:
+    """A Lagrangian of the damped-string shape, rho y_t^2/2 - tau y_x^2/2
+    + c_t s_t + L_b(t, x), checked once and evaluated at its parameter
+    values."""
+
+    rho: float
+    tau: float
+    action: ActionCoordinate
+
+    @property
+    def gamma(self) -> float:
+        return self.action.gamma
+
+    @property
+    def params(self) -> dict:
+        return {"rho": self.rho, "tau": self.tau, "gamma": self.gamma}
+
+
+def damped_wave(lsys, bindings: Mapping[str, float]) -> DampedWave:
+    """The numeric model of a Lagrangian; reject anything the integrator
+    does not model, and map evaluation errors to NumericError."""
     chart = lsys.chart
     if chart.base_dim != 2 or len(chart.field_axes) != 1:
         raise NumericError("numeric integration supports one field over two base axes")
@@ -409,8 +672,8 @@ def wave_params_from_system(lsys, bindings: Mapping[str, float]):
                 raise NumericError("mixed velocity terms are not supported numerically")
             if i == j and not h[i][j].is_rational and free_symbols(h[i][j]) - {s for s in free_symbols(h[i][j]) if s.role == "param"}:
                 raise NumericError("velocity coefficients must be constants")
-    rho = evaluate(h[0][0], bindings)
-    tau = -evaluate(h[1][1], bindings)
+    rho = _evaluated(h[0][0], bindings)
+    tau = -_evaluated(h[1][1], bindings)
     vt = chart.symbols[chart.velocity_axis(0, 0)]
     vx = chart.symbols[chart.velocity_axis(0, 1)]
     lin_t = substitute(lsys.momenta[(0, 0)], {vt: 0, vx: 0})
@@ -419,19 +682,18 @@ def wave_params_from_system(lsys, bindings: Mapping[str, float]):
         raise NumericError("velocity-linear terms are not supported numerically")
     if diff(lsys.lagrangian, chart.symbols[chart.field_axes[0]]).terms:
         raise NumericError("y-dependent densities are not supported numerically")
-    st = chart.symbol("s_t")
-    sx = chart.symbol("s_x")
-    dst = diff(lsys.lagrangian, st)
-    if any(s.role != "param" for s in free_symbols(dst)):
-        raise NumericError("only affine s_t-dependence is supported")
-    if diff(lsys.lagrangian, sx).terms:
-        raise NumericError("s_x-dependent densities are not supported numerically")
+    action = ActionCoordinate.of(lsys.lagrangian, chart, bindings)
     base_syms = [chart.symbols[i] for i in chart.base_axes]
-    l_base = substitute(lsys.lagrangian, {vt: 0, vx: 0, st: 0, sx: 0})
+    l_base = substitute(lsys.lagrangian, {vt: 0, vx: 0, chart.symbol("s_t"): 0, chart.symbol("s_x"): 0})
     for s in free_symbols(l_base):
         if s.role != "param" and s not in base_syms:
             raise NumericError("unsupported density shape for numeric integration")
-    gamma = -evaluate(dst, bindings) if dst.terms else 0.0
     if rho <= 0 or tau <= 0:
         raise NumericError("need rho > 0 and tau > 0 for a real wave speed")
-    return float(rho), float(tau), float(gamma)
+    return DampedWave(rho=float(rho), tau=float(tau), action=action)
+
+
+def wave_params_from_system(lsys, bindings: Mapping[str, float]):
+    """(rho, tau, gamma) of ``damped_wave``."""
+    wave = damped_wave(lsys, bindings)
+    return wave.rho, wave.tau, wave.gamma

@@ -299,3 +299,57 @@ class TestPaperSign:
         _, out_paper, _ = run_cli("--paper-sign", "check-symmetry", str(p), "T")
         assert "t d/dy + d/dy_t" in out_flow
         assert "t d/dy - d/dy_t" in out_paper
+
+
+ZERO_PARAM = (
+    "coords t x\nfields y\nparams rho=1 tau=1 a=0\n"
+    "lagrangian 0.5*(rho*dy[t]^2 - tau*dy[x]^2) + {term}\nsymmetry Y: d/dy\nsymmetry T: t/a*d/dy\n"
+    "scenario main {{ bc periodic; grid cfl=0.5 lx=1 nx=16 t=1; init y0 = sin(2*pi*x); init v0 = 1; }}\n"
+)
+
+
+# at a = 0: dL/ds_t = 1/a, the action coordinate's t/a, the current's t/a
+@pytest.mark.parametrize(
+    "term, verb",
+    [
+        ("s[t]/a", ["simulate"]),
+        ("s[t]/a", ["verify-law", "Y"]),
+        ("t/a", ["simulate"]),
+        ("t", ["verify-law", "T"]),
+    ],
+    ids=["simulate-source", "verify-law-source", "simulate-action", "verify-law-current"],
+)
+def test_parameter_dividing_by_zero_exit_2(tmp_path, term, verb):
+    p = tmp_path / "a0.mcft"
+    p.write_text(ZERO_PARAM.format(term=term))
+    r = run_subprocess(verb[0], str(p), *verb[1:], "main")
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: cannot evaluate the model at its parameter values") and r.stderr.count("\n") == 1
+    assert "Traceback" not in r.stderr
+
+
+def test_blowup_in_simulate_leaves_no_csv(tmp_path):
+    p = tmp_path / "grow.mcft"
+    p.write_text(ONE_STEP.replace("gamma=0.1", "gamma=-50").replace("t=0.01", "t=60"))
+    csv = tmp_path / "traj.csv"
+    code, _, err = run_cli("simulate", str(p), "one", "--csv", str(csv))
+    assert code == 2 and err.startswith("error: non-finite values at step ")
+    assert not csv.exists()
+
+
+@pytest.mark.parametrize(
+    "argv", [["derive"], ["check-symmetry", "Y"], ["current", "Y"], ["sopde"]], ids=lambda a: a[0]
+)
+def test_symbolic_verbs_do_not_import_numpy(argv):
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "import contextlib, io, sys\n"
+        "from mcft.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main(['--json', {argv[0]!r}, {MODEL!r}, *{argv[1:]!r}]) == 0\n"
+        "print(sorted(m for m in ('numpy', 'mcft.numeric') if m in sys.modules))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"

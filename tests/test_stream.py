@@ -1,0 +1,264 @@
+"""The streamed numeric pipeline against the whole-trajectory one: the
+windows of ``stream_damped_wave`` give the residual norms, the momentum
+and energy series and the action coordinate of ``integrate_damped_wave``
+bit for bit, in memory that does not grow with the number of steps."""
+import contextlib
+import io
+import json
+import math
+import tracemalloc
+from fractions import Fraction
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+
+from mcft import numeric
+from mcft.charts import jet_chart
+from mcft.cli import _momentum_gate, main
+from mcft.expr import add, const, mul
+from mcft.forms import Form
+from mcft.numeric import (
+    BCS,
+    ActionCoordinate,
+    Grid1p1,
+    ResidualNorms,
+    _d2x,
+    compile_expr,
+    dissipation_residual,
+    energy_series,
+    evaluate_current,
+    integrate_action_coordinate,
+    integrate_damped_wave,
+    make_grid,
+    momentum_series,
+    stream_damped_wave,
+)
+
+CHART = jet_chart(["t", "x"], ["y"])
+COORDS = ["t", "x", "y", "y_t", "y_x", "s_t", "s_x"]
+FACTORS = ["y", "y_t", "y_x", "s_t", "t", "x"]
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+def lagrangian(gamma):
+    c = CHART.coord
+    return Fraction(1, 2) * (c("y_t") ** 2 - c("y_x") ** 2) - gamma * c("s_t") + Fraction(1, 3) * c("t") * c("x")
+
+
+terms = st.tuples(st.integers(-3, 3).filter(bool), st.lists(st.sampled_from(FACTORS), max_size=2))
+currents = st.dictionaries(st.sampled_from(COORDS), st.lists(terms, min_size=1, max_size=2), min_size=1, max_size=4)
+
+
+def current_form(table):
+    out = {}
+    for name, monomials in table.items():
+        coeff = add(*[mul(const(k), *[CHART.coord(f) for f in factors]) for k, factors in monomials])
+        out[(CHART.axis(name),)] = coeff
+    return Form(CHART, 1, out)
+
+
+def reference_current(xi, traj):
+    """The accumulation ``evaluate_current`` replaced: zeros, then
+    A += c * d_t and B += c * d_x for every component."""
+    env = numeric._traj_env(traj, CHART, {}, {"t", "x"})
+    dpsi = {
+        "t": (1.0, 0.0),
+        "x": (0.0, 1.0),
+        "y": (traj.y_t, traj.y_x),
+        "y_t": (traj.d_dt(traj.y_t), traj.d_dx(traj.y_t)),
+        "y_x": (traj.d_dt(traj.y_x), traj.d_dx(traj.y_x)),
+        "s_t": (traj.d_dt(traj.s_t), traj.d_dx(traj.s_t)),
+        "s_x": (0.0, 0.0),
+    }
+    A, B = np.zeros(traj.y.shape), np.zeros(traj.y.shape)
+    for (i,), coeff in xi.table.items():
+        cval = compile_expr(coeff)(env)
+        d_t, d_x = dpsi[CHART.coords[i].name]
+        A += cval * d_t
+        B += cval * d_x
+    return B, -A
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    nx=st.integers(8, 40),
+    nt=st.integers(2, 60),
+    bc=st.sampled_from(BCS),
+    block_rows=st.integers(1, 9),
+    spare=st.integers(0, 7),
+    gamma=st.sampled_from([Fraction(0), Fraction(3, 10)]),
+    table=currents,
+)
+def test_stream_matches_whole_trajectory(nx, nt, bc, block_rows, spare, gamma, table):
+    # blocks of a few rows, so that windows, their halos and the pairwise
+    # tree's nodes all cut across one another
+    grid = Grid1p1(nx=nx, lx=1.0, dt=0.5 / nx, nt=nt, bc=bc)
+    params = {"rho": 1.0, "tau": 1.0, "gamma": float(gamma)}
+    y0 = np.sin(2 * math.pi * grid.x) + 0.3 * np.cos(6 * math.pi * grid.x)
+    v0 = 0.7 + 0.2 * np.sin(4 * math.pi * grid.x)
+    L = lagrangian(gamma)
+    action = ActionCoordinate.of(L, CHART, {})
+    xi = current_form(table)
+
+    whole = integrate_damped_wave(params, y0, v0, grid)
+    whole.s_t = integrate_action_coordinate(whole, L, CHART, {})
+    ft, fx = evaluate_current(xi, whole, {})
+    ref_ft, ref_fx = reference_current(xi, whole)
+    assert np.array_equal(bits(ft), bits(ref_ft)) and np.array_equal(bits(fx), bits(ref_fx))
+    rep = dissipation_residual(ft, fx, action.c_t, 0.0, whole)
+    interior = rep.residual
+    l2 = float(np.sqrt(np.sum(interior * interior)) * math.sqrt(grid.dx * grid.dt))
+    assert rep.l2_norm == l2 and rep.max_norm == float(np.max(np.abs(interior)))
+
+    norms = ResidualNorms(grid)
+    P, E = np.full(nt + 1, np.nan), np.full(nt + 1, np.nan)
+    s_t = np.full((nt + 1, nx), np.nan)
+    covered = []
+    with mock.patch.object(numeric, "BLOCK_CELLS", block_rows * nx + spare % nx):
+        for w in stream_damped_wave(params, y0, v0, grid, action):
+            covered += range(w.levels.start, w.levels.stop)
+            wft, wfx = evaluate_current(xi, w, {})
+            assert np.array_equal(bits(wft[w.core]), bits(ft[w.levels]))
+            assert np.array_equal(bits(wfx[w.core]), bits(fx[w.levels]))
+            dissipation_residual(wft, wfx, action.c_t, 0.0, w, norms)
+            P[w.levels] = momentum_series(w)
+            E[w.levels] = energy_series(w)
+            s_t[w.levels] = w.s_t[w.core]
+            assert np.array_equal(w.y[w.core], whole.y[w.levels])
+    assert covered == list(range(nt + 1))
+    assert norms.l2_norm == rep.l2_norm and norms.max_norm == rep.max_norm
+    assert np.array_equal(bits(P), bits(momentum_series(whole)))
+    assert np.array_equal(bits(E), bits(energy_series(whole)))
+    assert np.array_equal(bits(s_t), bits(whole.s_t))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    a=arrays(np.float64, st.tuples(st.integers(1, 30), st.integers(8, 70)), elements=st.floats(-1e3, 1e3)),
+    cuts=st.lists(st.integers(1, 29), max_size=6),
+)
+def test_residual_norms_fold_blocks_as_np_sum(a, cuts):
+    # any split into blocks of whole rows: the L2 sum is np.sum's own
+    rows, width = a.shape
+    grid = Grid1p1(nx=width, lx=1.0, dt=0.5 / width, nt=rows + 1, bc="periodic")
+    norms = ResidualNorms(grid)
+    edges = sorted({0, rows, *[c for c in cuts if c < rows]})
+    for lo, hi in zip(edges, edges[1:]):
+        norms.add(a[lo:hi])
+    assert norms.l2_norm == float(np.sqrt(np.sum(a * a)) * math.sqrt(grid.dx * grid.dt))
+    assert norms.max_norm == float(np.max(np.abs(a)))
+
+
+def test_non_finite_coefficients_poison_like_the_reference():
+    # c * 0.0 is NaN where c is inf: the skipped zero terms must still say so
+    grid = make_grid(16, 1.0, 0.5, 0.3, 1.0)
+    traj = integrate_damped_wave({"rho": 1.0, "tau": 1.0, "gamma": 0.0}, np.sin(2 * math.pi * grid.x), np.zeros(16), grid)
+    traj.s_t = np.zeros(traj.y.shape)
+    c = CHART.coord
+    xi = Form(CHART, 1, {(CHART.axis("t"),): c("y_t") ** -1, (CHART.axis("y"),): c("y_x")})
+    with np.errstate(all="ignore"):
+        ft, fx = evaluate_current(xi, traj, {})
+        ref_ft, ref_fx = reference_current(xi, traj)
+    assert np.isnan(ft).any() and np.isinf(fx).any()
+    assert np.array_equal(bits(ft), bits(ref_ft)) and np.array_equal(bits(fx), bits(ref_fx))
+
+
+@settings(max_examples=40, deadline=None)
+@given(nx=st.integers(8, 40), nt=st.integers(2, 50), bc=st.sampled_from(BCS), gamma=st.sampled_from([0.0, 0.1, 0.7]))
+def test_leapfrog_matches_plain_loop(nx, nt, bc, gamma):
+    # the scheme written out row by row, with the stencil of the original
+    grid = Grid1p1(nx=nx, lx=1.0, dt=0.5 / nx, nt=nt, bc=bc)
+    y0 = np.sin(2 * math.pi * grid.x) + 0.1
+    v0 = np.cos(2 * math.pi * grid.x)
+    if bc == "dirichlet-zero":
+        y0[0] = y0[-1] = v0[0] = v0[-1] = 0.0
+    dt, dx = grid.dt, grid.dx
+    lam2 = dt * dt / (dx * dx)
+    a_plus, a_minus = 1.0 + 0.5 * gamma * dt, 1.0 - 0.5 * gamma * dt
+
+    def d2(y):
+        if bc == "periodic":
+            return np.roll(y, -1) - 2.0 * y + np.roll(y, 1)
+        out = np.zeros_like(y)
+        out[1:-1] = y[2:] - 2.0 * y[1:-1] + y[:-2]
+        return out
+
+    rows = [y0, y0 + dt * v0 + 0.5 * dt * dt * (d2(y0) / (dx * dx) - gamma * v0)]
+    for _ in range(nt - 1):
+        rows.append(((2.0 * rows[-1] - a_minus * rows[-2]) + lam2 * d2(rows[-1])) / a_plus)
+        if bc == "dirichlet-zero":
+            rows[-1][0] = rows[-1][-1] = 0.0
+    traj = integrate_damped_wave({"rho": 1.0, "tau": 1.0, "gamma": gamma}, y0, v0, grid)
+    assert np.array_equal(bits(traj.y), bits(np.array(rows)))
+    row = traj.y[-1]
+    assert np.array_equal(_d2x(row, bc, np.empty_like(row)), _d2x(row, bc, np.empty_like(row), twice=2.0 * row))
+
+
+MOMENTUM = (
+    "coords t x\nfields y\nparams rho=1 tau=1 gamma=0.1\n"
+    "lagrangian 0.5*(rho*dy[t]^2 - tau*dy[x]^2) - gamma*s[t]\nsymmetry Y: d/dy\n"
+    "scenario standing { bc periodic; grid cfl=0.5 lx=1 nx=32 t=1; init y0 = sin(2*pi*x); init v0 = 0; }\n"
+    "scenario drift { bc periodic; grid cfl=0.5 lx=1 nx=32 t=1; init y0 = sin(2*pi*x); init v0 = 0.000001; }\n"
+)
+
+
+def verify_law_outputs(tmp_path, scenario):
+    p = tmp_path / "momentum.mcft"
+    p.write_text(MOMENTUM)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["--json", "verify-law", str(p), "Y", scenario])
+    return code, json.loads(out.getvalue())["outputs"]
+
+
+def test_roundoff_momentum_is_not_fitted(tmp_path):
+    # a standing wave has zero momentum; its computed P is round-off that
+    # changes sign, and no decay exponent applies to it
+    code, out = verify_law_outputs(tmp_path, "standing")
+    assert code == 0 and out["passed"] is True
+    assert out["decay_fit"] is None and out["decay_fit_reason"].startswith("momentum within round-off")
+    for r in out["convergence_ratios"]:
+        assert 3.2 <= r <= 4.8
+
+
+def test_small_real_momentum_is_fitted_and_gated(tmp_path):
+    code, out = verify_law_outputs(tmp_path, "drift")
+    assert code == 0 and out["passed"] is True
+    assert out["decay_fit_reason"] is None and abs(out["decay_fit"] - 0.1) <= 1e-3
+    # the same series against a wrong gamma fails; the round-off one cannot
+    grid = make_grid(128, 1.0, 0.5, 1.0, 1.0)
+    for v0, fitted in ((1e-6, True), (0.0, False)):
+        traj = integrate_damped_wave({"rho": 1.0, "tau": 1.0, "gamma": 0.1}, np.sin(2 * math.pi * grid.x), np.full(128, v0), grid)
+        P, P_abs = momentum_series(traj), momentum_series(traj, magnitude=True)
+        fit, _drift, reason, passed = _momentum_gate(traj.t, P, P_abs, grid.nx, 0.1)
+        assert passed and (fit is not None) == fitted and (reason is None) == fitted
+        assert _momentum_gate(traj.t, P, P_abs, grid.nx, 0.11)[3] == (not fitted)
+
+
+def traced_peak(path, scenario):
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["--json", "verify-law", str(path), "Y", scenario]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_verify_law_memory_is_flat_in_time(tmp_path):
+    p = tmp_path / "long.mcft"
+    p.write_text(
+        MOMENTUM.split("scenario")[0]
+        + "".join(
+            f"scenario t{t} {{ bc periodic; grid cfl=0.5 lx=1 nx=128 t={t}; init y0 = sin(2*pi*x); init v0 = 1; }}\n"
+            for t in (2, 8)
+        )
+    )
+    short, long = traced_peak(p, "t2"), traced_peak(p, "t8")
+    # the whole history at t=8 would be four times that at t=2
+    assert long <= 1.25 * short, (short, long)
