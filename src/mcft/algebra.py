@@ -3,9 +3,19 @@
 Used for solving the contraction equations of semi-holonomic multivector
 ansatze, inverting Legendre relations, and Hessian determinant tests.
 Systems are affine in the unknown symbols; coefficients are arbitrary
-expressions.  Elimination follows the declared unknown order, so the
-earliest unknowns become the dependent ones and later unknowns stay
-free, which pins the parametrization of solution families.
+expressions.  ``solve_affine`` and ``det`` share one fraction-free
+(Bareiss) Gauss-Jordan elimination, ``_eliminate`` (E. H. Bareiss, Math.
+Comp. 22, 1968).  Each row is first multiplied by the monomial that
+clears the negative exponents of its coefficients, so that they are
+polynomials; an equation's constant part rides along as it is.  Columns
+follow the declared unknown order, so the earliest unknowns become the
+dependent ones and later unknowns stay free, which pins the
+parametrization of solution families.  A column's pivot row is the
+unused one whose entry is rational, else has the fewest terms, else
+comes first.  Every other row becomes (p*row - f*pivot_row)/prev, an
+exact division by the previous pivot.  A solved unknown thus takes one
+division, -(constant + free part)/pivot, and a Legendre inverse is an
+adjugate row over the Hessian determinant, not a nest of inverted sums.
 """
 from __future__ import annotations
 
@@ -17,13 +27,17 @@ from .expr import (
     ExprError,
     Symbol,
     add,
+    clear_denominators,
     const,
     div_exact,
     mul,
     free_symbols,
+    pow_,
 )
 
 ZERO = const(0)
+ONE = const(1)
+MINUS_ONE = const(-1)
 
 
 class NonlinearSystemError(ExprError):
@@ -36,116 +50,87 @@ class InconsistentSystemError(ExprError):
         super().__init__(f"inconsistent linear system; leftover equations: {[str(r) for r in residuals]}")
 
 
-def decompose_affine(e: Expr, unknowns: Sequence[Symbol]):
-    """Split ``e`` into (coefficient map unknown -> Expr, constant Expr).
+def _affine_row(e: Expr, column: dict) -> list:
+    """The coefficients of ``e`` in the unknowns (``column`` maps each to
+    its index), then its constant part.
 
     Raises NonlinearSystemError if any term is quadratic or higher in the
     unknowns.
     """
-    uset = {u for u in unknowns}
-    coeffs: dict = {u: ZERO for u in unknowns}
-    const_terms = []
+    parts = [[] for _ in range(len(column) + 1)]
     for mono, c in e.terms:
-        hit = None
-        rest = []
-        for a, k in mono:
-            if isinstance(a, Symbol) and a in uset:
-                if hit is not None or k != 1:
-                    raise NonlinearSystemError(f"nonlinear in unknowns: {e}")
-                hit = a
-            else:
-                rest.append((a, k))
-        piece = Expr(((tuple(rest), c),))
-        if free_symbols(piece) & uset:
+        hits = [(a, k) for a, k in mono if a in column]
+        if len(hits) > 1 or (hits and hits[0][1] != 1):
+            raise NonlinearSystemError(f"nonlinear in unknowns: {e}")
+        piece = Expr(((tuple(ak for ak in mono if ak[0] not in column), c),))
+        if free_symbols(piece) & column.keys():
             # an unknown buried inside a function or inverted-sum atom
             raise NonlinearSystemError(f"nonlinear in unknowns: {e}")
-        if hit is None:
-            const_terms.append(piece)
-        else:
-            coeffs[hit] = add(coeffs[hit], piece)
-    return coeffs, (add(*const_terms) if const_terms else ZERO)
+        parts[column[hits[0][0]] if hits else -1].append(piece)
+    return [add(*p) for p in parts]
 
 
 @dataclass
 class AffineSolution:
     solved: dict  # Symbol -> Expr over the free unknowns and other symbols
     free: list  # Symbols left free
-    unknowns: list
 
 
-def _pivot_quality(c: Expr) -> tuple:
-    # prefer rational constants, then single-term monomials, then anything
-    if c.is_rational:
-        return (0, len(c.terms))
-    if len(c.terms) == 1:
-        return (1, 1)
-    return (2, len(c.terms))
+def _eliminate(rows: list, ncols: int):
+    """Eliminate ``rows`` in place over their first ``ncols`` columns, whose
+    entries are polynomials.  Returns the (column, row) pivots in order and the last pivot,
+    which every pivot row then holds in its own column."""
+    pivots, taken, prev = [], set(), ONE
+    for c in range(ncols):
+        live = [i for i, row in enumerate(rows) if i not in taken and row[c].terms]
+        if not live:
+            continue
+        r = min(live, key=lambda i: (not rows[i][c].is_rational, len(rows[i][c].terms), i))
+        top, p = rows[r], rows[r][c]
+        # a monomial prev divides p and f once, a sum every new entry
+        by_sum = len(prev.terms) > 1
+        inv = ONE if by_sum else pow_(prev, -1)
+        a, same = mul(p, inv), p.terms == prev.terms
+        for j, row in enumerate(rows):
+            if j == r or (same and not row[c].terms):
+                continue
+            b = mul(MINUS_ONE, row[c], inv)
+            new = [add(mul(a, x), mul(b, y)) if x.terms or y.terms else x for x, y in zip(row, top)]
+            new[c] = ZERO
+            rows[j] = [div_exact(e, prev) for e in new] if by_sum else new
+        pivots.append((c, r))
+        taken.add(r)
+        prev = p
+    return pivots, prev
 
 
 def solve_affine(equations: Sequence[Expr], unknowns: Sequence[Symbol]) -> AffineSolution:
-    """Gauss-Jordan elimination of ``equations == 0`` over the unknowns."""
+    """Solve ``equations == 0`` for the unknowns by ``_eliminate``."""
     unknowns = list(unknowns)
-    rows = []
-    for e in equations:
-        coeffs, konst = decompose_affine(e, unknowns)
-        if any(coeffs[u].terms for u in unknowns) or konst.terms:
-            rows.append((coeffs, konst))
-    pivots: dict = {}  # unknown -> row index
-    used = set()
-    for u in unknowns:
-        candidates = [i for i, (cf, _) in enumerate(rows) if i not in used and cf[u].terms]
-        if not candidates:
-            continue
-        i = min(candidates, key=lambda i: (_pivot_quality(rows[i][0][u]), i))
-        cf, konst = rows[i]
-        p = cf[u]
-        ncf = {v: (const(1) if v is u else div_exact(c, p)) for v, c in cf.items()}
-        nk = div_exact(konst, p)
-        rows[i] = (ncf, nk)
-        for j, (cf2, k2) in enumerate(rows):
-            if j == i or not cf2[u].terms:
-                continue
-            f = cf2[u]
-            cf3 = {v: add(c, mul(const(-1), f, ncf[v])) for v, c in cf2.items()}
-            k3 = add(k2, mul(const(-1), f, nk))
-            rows[j] = (cf3, k3)
-        pivots[u] = i
-        used.add(i)
-    residuals = []
-    for j, (cf, k) in enumerate(rows):
-        if j in used:
-            continue
-        if any(cf[u].terms for u in unknowns):
-            # unknown with no usable pivot left in an unreduced row: should
-            # not happen after a full sweep
-            raise InconsistentSystemError([k])
-        if k.terms:
-            residuals.append(k)
+    column = {u: i for i, u in enumerate(unknowns)}
+    rows = [_affine_row(e, column) for e in equations]
+    rows = [clear_denominators(row[:-1], row[-1:])[0] for row in rows if any(x.terms for x in row)]
+    pivots, _ = _eliminate(rows, len(unknowns))
+    used = {r for _, r in pivots}
+    residuals = [row[-1] for i, row in enumerate(rows) if i not in used and row[-1].terms]
     if residuals:
         raise InconsistentSystemError(residuals)
-    free = [u for u in unknowns if u not in pivots]
+    solved_cols = {c for c, _ in pivots}
+    free = [(c, u) for c, u in enumerate(unknowns) if c not in solved_cols]
     solved = {}
-    for u, i in pivots.items():
-        cf, k = rows[i]
-        expr = mul(const(-1), k)
-        for v in free:
-            if cf[v].terms:
-                expr = add(expr, mul(const(-1), cf[v], v))
-        solved[u] = expr
-    return AffineSolution(solved=solved, free=free, unknowns=unknowns)
+    for c, r in pivots:
+        rest = add(rows[r][-1], *(mul(rows[r][f], u) for f, u in free))
+        solved[unknowns[c]] = mul(MINUS_ONE, div_exact(rest, rows[r][c]))
+    return AffineSolution(solved=solved, free=[u for _, u in free])
 
 
 def det(matrix: Sequence[Sequence[Expr]]) -> Expr:
-    n = len(matrix)
-    if n == 0:
-        return const(1)
-    if n == 1:
-        return matrix[0][0]
-    parts = []
-    for j in range(n):
-        c = matrix[0][j]
-        if not c.terms:
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in matrix[1:]]
-        parts.append(mul(const((-1) ** j), c, det(minor)))
-    return add(*parts) if parts else ZERO
+    """The last pivot of ``_eliminate``, signed by the order of the pivot
+    rows and divided by the monomials that cleared the rows."""
+    cleared = [clear_denominators(row) for row in matrix]
+    pivots, last = _eliminate([row for row, _ in cleared], len(matrix))
+    if len(pivots) < len(matrix):
+        return ZERO
+    order = [r for _, r in pivots]
+    swaps = sum(a > b for i, a in enumerate(order) for b in order[i + 1 :])
+    return mul(const((-1) ** swaps), last, *(inverse for _, inverse in cleared))

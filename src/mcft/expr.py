@@ -62,6 +62,7 @@ __all__ = [
     "is_zero",
     "free_symbols",
     "div_exact",
+    "clear_denominators",
     "to_text",
 ]
 
@@ -687,6 +688,25 @@ def div_exact(num, den) -> Expr:
     if quo is not None:
         return quo
     return mul(num, _sum_atom_pow(den, -1))
+
+
+def clear_denominators(exprs, rest=()):
+    """Multiply ``exprs`` and then ``rest`` by the least monomial that
+    leaves no negative exponent in ``exprs``, nor in the inverted sums it
+    expands; return the products and the inverse of that monomial."""
+    exprs, inverse, n = list(exprs) + list(rest), ONE, len(exprs)
+    while True:
+        need: dict = {}
+        for e in exprs[:n]:
+            for mono, _ in e.terms:
+                for a, k in mono:
+                    if k < -need.get(a, 0):
+                        need[a] = -k
+        if not need:
+            return exprs, inverse
+        clear = tuple(need.items())
+        exprs = [add(*(_expr_from_factors(c, _merge_factors(m, clear)) for m, c in e.terms)) for e in exprs]
+        inverse = mul(inverse, _expr_from_factors(Fraction(1), {a: -k for a, k in clear}))
 
 
 def _mono_divides(da: Monomial, na: Monomial) -> bool:

@@ -45,6 +45,7 @@ __all__ = [
     "Trajectory",
     "integrate_damped_wave",
     "stream_damped_wave",
+    "current_names",
     "evaluate_current",
     "ResidualNorms",
     "dissipation_residual",
@@ -55,7 +56,6 @@ __all__ = [
     "decay_fit",
     "DampedWave",
     "damped_wave",
-    "wave_params_from_system",
     "compile_expr",
 ]
 
@@ -376,6 +376,11 @@ def _traj_env(traj: Trajectory, chart: Chart, bindings: Mapping[str, float], nam
     return env
 
 
+def current_names(xi: Form) -> set:
+    """Names of the symbols and coordinates that evaluating ``xi`` reads."""
+    return {s.name for c in xi.table.values() for s in free_symbols(c)} | {xi.chart.coords[i].name for (i,) in xi.table}
+
+
 def evaluate_current(xi: Form, traj: Trajectory, bindings: Mapping[str, float]):
     """Components f^t, f^x of the pulled-back current psi* xi = f^t dx - f^x dt."""
     chart = xi.chart
@@ -383,9 +388,7 @@ def evaluate_current(xi: Form, traj: Trajectory, bindings: Mapping[str, float]):
         raise NumericError("current evaluation needs a 1-form (base dimension 2)")
     if len(chart.field_axes) != 1 or chart.base_dim != 2:
         raise NumericError("trajectory currents support one field over two base axes")
-    names = {s.name for c in xi.table.values() for s in free_symbols(c)} | {
-        chart.coords[i].name for (i,) in xi.table.keys()
-    }
+    names = current_names(xi)
     if "s_t" in names and traj.s_t is None:
         raise NumericError("current references s_t but the trajectory carries no action coordinate")
     env = _traj_env(traj, chart, bindings, names)
@@ -691,9 +694,3 @@ def damped_wave(lsys, bindings: Mapping[str, float]) -> DampedWave:
     if rho <= 0 or tau <= 0:
         raise NumericError("need rho > 0 and tau > 0 for a real wave speed")
     return DampedWave(rho=float(rho), tau=float(tau), action=action)
-
-
-def wave_params_from_system(lsys, bindings: Mapping[str, float]):
-    """(rho, tau, gamma) of ``damped_wave``."""
-    wave = damped_wave(lsys, bindings)
-    return wave.rho, wave.tau, wave.gamma

@@ -1,0 +1,153 @@
+"""Exact linear algebra: ``det`` against a Laplace cofactor reference and
+``solve_affine`` against Cramer's rule, over rational, monomial, Laurent
+and multi-term entries."""
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from mcft.algebra import InconsistentSystemError, det, solve_affine
+from mcft.dsl import parse
+from mcft.expr import ExprError, add, const, mul, pow_, substitute, sym, var
+from mcft.lagrangian import Regularity
+
+SYMS = [var(n, "param") for n in ("a", "b", "c")]
+UNKNOWNS = [sym(n, "aux") for n in ("A1", "A2", "A3")]
+
+
+def cofactor_det(matrix):
+    """Laplace expansion along the first row: the reference for ``det``."""
+    if not matrix:
+        return const(1)
+    parts = []
+    for j, c in enumerate(matrix[0]):
+        if c.terms:
+            minor = [row[:j] + row[j + 1 :] for row in matrix[1:]]
+            parts.append(mul(const((-1) ** j), c, cofactor_det(minor)))
+    return add(*parts)
+
+
+rationals = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)).map(const)
+monomials = st.builds(
+    lambda c, s, k: mul(c, pow_(s, k)), rationals.filter(bool), st.sampled_from(SYMS), st.integers(1, 2)
+)
+laurents = st.builds(  # e.g. a + 1/b
+    lambda c, s, d, t: add(mul(c, s), mul(d, pow_(t, -1))),
+    rationals.filter(bool),
+    st.sampled_from(SYMS),
+    rationals.filter(bool),
+    st.sampled_from(SYMS),
+)
+sums = st.lists(monomials | rationals, min_size=2, max_size=3).map(lambda xs: add(*xs))
+entries = st.one_of(rationals, monomials, laurents, sums)
+
+
+@st.composite
+def matrices(draw):
+    n = draw(st.integers(1, 4))
+    m = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        # a row that depends on the rows above it, with a symbolic weight
+        k, w = draw(st.integers(1, n - 1)), draw(entries)
+        m[k] = [mul(w, x) for x in m[0]] if k == 1 else [x + w * y for x, y in zip(m[0], m[k - 1])]
+    return m
+
+
+@given(matrices())
+@settings(max_examples=300, deadline=None)
+def test_det_matches_cofactor_expansion(m):
+    # Laurent entries keep canonical forms unique, so equality is structural
+    assert det(m) == cofactor_det(m)
+
+
+def test_det_mixes_rational_and_symbolic_pivots():
+    a, b, c = SYMS
+    m = [
+        [a, const(1), b],
+        [const(2), a + pow_(b, -1), const(0)],
+        [c, const(3), mul(a, c) - 1],
+    ]
+    assert det(m) == cofactor_det(m)
+    assert det([]) == const(1)
+    assert det([[const(0), a], [const(0), b]]) == const(0)
+
+
+@st.composite
+def systems(draw):
+    n = draw(st.integers(1, 3))
+    m = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    rhs = [draw(entries) for _ in range(n)]
+    return m, rhs
+
+
+# three rational points of (a, b, c, A1, A2, A3)
+POINTS = [
+    dict(zip(("a", "b", "c", "A1", "A2", "A3"), map(Fraction, p.split())))
+    for p in ("2/3 -5/7 3/2 1/5 -2 7/3", "-3/2 1/4 5/3 3 1/6 -4/5", "7/5 9/2 -1/3 -1/2 5 2/9")
+]
+
+
+def value(e, point):
+    """The exact value of ``e`` at a rational point; None where a
+    denominator vanishes there."""
+    try:
+        return substitute(e, {sym(n): const(v) for n, v in point.items()}).as_rational()
+    except ExprError:
+        return None
+
+
+@given(systems())
+@settings(max_examples=100, deadline=None)
+def test_solve_affine_matches_cramer(system):
+    m, rhs = system
+    n = len(m)
+    d = cofactor_det(m)
+    unknowns = UNKNOWNS[:n]
+    eqs = [add(*(mul(c, var(u.name, "aux")) for c, u in zip(row, unknowns)), -r) for row, r in zip(m, rhs)]
+    if not d.terms:
+        try:
+            sol = solve_affine(eqs, unknowns)
+        except InconsistentSystemError:
+            return
+        # consistent but underdetermined: unknowns stay free, and it solves
+        assert sol.free
+        for e in eqs:
+            assert all(value(substitute(e, sol.solved), pt) in (0, None) for pt in POINTS)
+        return
+    sol = solve_affine(eqs, unknowns)
+    assert not sol.free
+    for i, u in enumerate(unknowns):
+        mi = [row[:i] + [r] + row[i + 1 :] for row, r in zip(m, rhs)]
+        for pt in POINTS:
+            dv, nv, got = value(d, pt), value(cofactor_det(mi), pt), value(sol.solved[u], pt)
+            if dv and nv is not None and got is not None:
+                assert got == nv / dv
+
+
+def test_solve_affine_keeps_later_unknowns_free():
+    a, b, _ = SYMS
+    A1, A2, A3 = (var(u.name, "aux") for u in UNKNOWNS)
+    eqs = [A1 + a * A3 - b, (a + pow_(b, -1)) * A2 - A3 - 1]
+    sol = solve_affine(eqs, UNKNOWNS)
+    assert sol.free == UNKNOWNS[2:]
+    assert sol.solved[UNKNOWNS[0]] == b - a * A3
+    assert sol.solved[UNKNOWNS[1]] == b * (A3 + 1) / (a * b + 1)
+    with pytest.raises(InconsistentSystemError):
+        solve_affine(eqs + [A1 + a * A3 - b + 1], UNKNOWNS)
+
+
+SINGULAR_LAURENT = {
+    # Hessian [[1/b, 1], [1, b]]
+    "monomial": "1/2/b*du[t]^2 + du[t]*du[x] + 1/2*b*du[x]^2",
+    # Hessian [[a + 1/b, 1], [1, b/(a*b + 1)]]: the product of the diagonal
+    # is 1 only once the inverted sum a*b + 1 cancels
+    "inverted-sum": "1/2*(a + 1/b)*du[t]^2 + du[t]*du[x] + 1/2*b/(a*b + 1)*du[x]^2",
+}
+
+
+@pytest.mark.parametrize("case", sorted(SINGULAR_LAURENT))
+def test_singular_laurent_hessian_reads_singular(case):
+    model = parse(f"coords t x\nfields u\nparams a b\nlagrangian {SINGULAR_LAURENT[case]}\n")
+    sys_ = model.system()
+    assert sys_.hessian_det == const(0)
+    assert sys_.regularity is Regularity.SINGULAR

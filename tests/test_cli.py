@@ -7,8 +7,9 @@ import sys
 import numpy as np
 import pytest
 
-from mcft.cli import _integrate, main
+from mcft.cli import _mesh, main
 from mcft.dsl import parse
+from mcft.numeric import damped_wave, integrate_damped_wave
 
 MODEL = str(pathlib.Path(__file__).resolve().parents[1] / "models" / "string.mcft")
 
@@ -182,7 +183,10 @@ class TestSimulate:
         assert lines[0] == "t,x,value"
         model = parse(pathlib.Path(MODEL).read_text(encoding="utf-8"))
         scenario = model.scenarios["main"]
-        traj, _gamma = _integrate(model.system(), scenario, model.param_defaults(), scenario.nx)
+        bindings = model.param_defaults()
+        wave = damped_wave(model.system(), bindings)
+        grid, y0, v0 = _mesh(wave, scenario, bindings, scenario.nx)
+        traj = integrate_damped_wave(wave.params, y0, v0, grid)
         nt, nx = traj.y.shape
         assert nt == rep["outputs"]["grid"]["nt"] + 1
         assert len(lines) == nt * nx + 1
@@ -228,6 +232,19 @@ def test_one_step_scenario_exit_2(tmp_path, verb):
     assert r.returncode == 2
     assert r.stderr.startswith("error:") and "two time steps" in r.stderr
     assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("name, generator", [("T", "d/dt"), ("X", "d/dx")])
+def test_verify_law_current_with_action_coordinate(tmp_path, name, generator):
+    # the translations' currents carry s_t, so the stream must integrate it
+    p = tmp_path / "translations.mcft"
+    p.write_text(pathlib.Path(MODEL).read_text(encoding="utf-8") + f"symmetry {name}: {generator}\n")
+    r = run_subprocess("--json", "verify-law", str(p), name, "main")
+    assert r.returncode == 0, r.stderr
+    out = json.loads(r.stdout)["outputs"]
+    assert "s_t" in out["current"]
+    assert out["passed"]
+    assert out["decay_fit"] == pytest.approx(out["gamma"], rel=1e-3)
 
 
 def test_division_by_zero_in_model_exit_2(tmp_path):

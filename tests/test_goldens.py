@@ -8,7 +8,10 @@ equality of the numeric verbs' figures with ``string_mesh.json``.
 Hessian parameter whose Legendre inverse and Hamiltonian carry
 inverted-sum atoms.  They were captured before the kernel's per-atom
 hash, derivative and text caches existed, so they pin those caches to
-the uncached results."""
+the uncached results.  ``derive-hamiltonian.json`` was captured again
+when ``det`` and ``solve_affine`` moved to fraction-free elimination,
+which puts the Hamiltonian over the single denominator (1 - 9*a/2)^2;
+sympy showed each changed value equal to the one before."""
 import contextlib
 import io
 import json

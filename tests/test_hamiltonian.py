@@ -1,10 +1,12 @@
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from mcft.charts import jet_chart
-from mcft.expr import const, substitute, var
+from mcft.charts import jet_chart, momentum_name
+from mcft.dsl import parse
+from mcft.expr import ZeroCheck, const, free_symbols, substitute, sym, to_text, var
 from mcft.forms import Form, Multivector, contract, one_form, pullback_along, volume_form, wedge
 from mcft.hamiltonian import (
     HamiltonianSystem,
@@ -14,6 +16,7 @@ from mcft.hamiltonian import (
     legendre,
 )
 from mcft.lagrangian import build_lagrangian_system, herglotz_el_residuals
+from mcft.symmetry import check_dissipative, classify, hamiltonian_lift
 
 
 @pytest.fixture(scope="module")
@@ -173,3 +176,82 @@ class TestHdw:
             X = fam.multivector()
             assert contract(X, hs.theta).is_structurally_zero()
             assert contract(X, hs.bar_d_theta()).is_structurally_zero()
+
+
+# ---------------------------------------------------------------------------
+# Symbolic-parameter Legendre transforms against sympy.
+
+GOLDENS = pathlib.Path(__file__).resolve().parent / "goldens"
+PARAMETRIC_MODELS = [GOLDENS / "parametric_n2.mcft", GOLDENS / "coupled_n3.mcft"]
+
+
+def _sympy(e):
+    sp = pytest.importorskip("sympy")
+    names = {s.name: sp.Symbol(s.name) for s in free_symbols(e)}
+    return sp.parse_expr(to_text(e).replace("^", "**"), local_dict=names)
+
+
+def _names(sys_, a, mu):
+    ch = sys_.chart
+    bases = [ch.coords[i].name for i in ch.base_axes]
+    fields = [ch.coords[i].name for i in ch.field_axes]
+    return ch.symbols[ch.velocity_axis(a, mu)], momentum_name(bases, fields, a, mu)
+
+
+def _integer_points(model, sys_, count=3):
+    """``count`` random integer parameter values where the Hessian is invertible."""
+    sp = pytest.importorskip("sympy")
+    rng = random.Random(7)
+    points = []
+    while len(points) < count:
+        at = {sym(n): const(rng.randint(-6, 6)) for n, _ in model.params}
+        if sp.Matrix([[_sympy(substitute(k, at)) for k in row] for row in sys_.hessian]).det() != 0:
+            points.append(at)
+    return points
+
+
+@pytest.fixture(scope="module", params=PARAMETRIC_MODELS, ids=[p.stem for p in PARAMETRIC_MODELS])
+def parametric_legendre(request):
+    model = parse(request.param.read_text(encoding="utf-8"))
+    sys_ = model.system()
+    return sys_, legendre(sys_), _integer_points(model, sys_)
+
+
+def test_legendre_inverse_solves_momentum_relations(parametric_legendre):
+    # the momenta are K v + b with K the Hessian: the inverse must solve K v = p - b
+    sp = pytest.importorskip("sympy")
+    sys_, lt, points = parametric_legendre
+    keys = [(a, mu) for a in range(sys_.n) for mu in range(sys_.m)]
+    vel = [_names(sys_, a, mu)[0] for a, mu in keys]
+    for at in points:
+        v = [_sympy(substitute(lt.inverse[s.name], at)) for s in vel]
+        for row, (a, mu) in zip(sys_.hessian, keys):
+            b = substitute(sys_.momenta[(a, mu)], {**at, **{s: 0 for s in vel}})
+            kv = sum(_sympy(substitute(k, at)) * vj for k, vj in zip(row, v))
+            assert sp.expand(kv - sp.Symbol(_names(sys_, a, mu)[1]) + _sympy(b)) == 0
+
+
+def test_hamiltonian_matches_sympy_at_integer_parameters(parametric_legendre):
+    # H = p.v - L with v solved from p = dL/dv by sympy
+    sp = pytest.importorskip("sympy")
+    sys_, lt, points = parametric_legendre
+    names = [_names(sys_, a, mu) for a in range(sys_.n) for mu in range(sys_.m)]
+    v = [sp.Symbol(s.name) for s, _ in names]
+    p = [sp.Symbol(n) for _, n in names]
+    for at in points:
+        L = _sympy(substitute(sys_.lagrangian, at))
+        K, rhs = sp.linear_eq_to_matrix([sp.diff(L, vj) - pj for vj, pj in zip(v, p)], v)
+        sol = dict(zip(v, K.LUsolve(rhs)))
+        want = sum(pj * sol[vj] for vj, pj in zip(v, p)) - L.subs(sol)
+        assert sp.expand(_sympy(substitute(lt.hamiltonian_system.hamiltonian, at)) - want) == 0
+
+
+def test_time_translation_law_is_decided_exactly():
+    # the family's coefficients carry no denominator, so its solved
+    # components keep H's inverted sums as they are and the law cancels
+    # structurally instead of by probing
+    model = parse(PARAMETRIC_MODELS[0].read_text(encoding="utf-8") + "symmetry T: d/dt\n")
+    hs = legendre(model.system()).hamiltonian_system
+    rep = classify(hamiltonian_lift(model.candidate("T", hs.chart)), hs)
+    law = check_dissipative(rep.current, hdw_multivector(hs), hs.sigma)
+    assert law.holds and law.certainty is ZeroCheck.ZERO

@@ -20,6 +20,7 @@ from mcft.numeric import (
     _d2x,
     NumericError,
     compile_expr,
+    damped_wave,
     decay_fit,
     dissipation_residual,
     energy_series,
@@ -28,7 +29,6 @@ from mcft.numeric import (
     integrate_damped_wave,
     make_grid,
     momentum_series,
-    wave_params_from_system,
 )
 from mcft.symmetry import noether_current
 
@@ -318,19 +318,20 @@ class TestActionCoordinate:
 
 class TestWaveParams:
     def test_string_extraction(self, string_system):
-        assert wave_params_from_system(string_system, BINDINGS) == (1.0, 1.0, 0.1)
+        wave = damped_wave(string_system, BINDINGS)
+        assert (wave.rho, wave.tau, wave.gamma) == (1.0, 1.0, 0.1)
 
     def test_rejects_y_dependence(self, string_chart, params):
         L = Fraction(1, 2) * (string_chart.coord("y_t") ** 2 - string_chart.coord("y_x") ** 2) - string_chart.coord("y") ** 2
         sys_ = build_lagrangian_system(string_chart, L)
         with pytest.raises(NumericError):
-            wave_params_from_system(sys_, BINDINGS)
+            damped_wave(sys_, BINDINGS)
 
     def test_rejects_mixed_velocities(self, string_chart):
         L = string_chart.coord("y_t") * string_chart.coord("y_x")
         sys_ = build_lagrangian_system(string_chart, L)
         with pytest.raises(NumericError):
-            wave_params_from_system(sys_, BINDINGS)
+            damped_wave(sys_, BINDINGS)
 
 
 class TestCompile:
