@@ -19,16 +19,20 @@ the trapezoid rule (implicitly in the affine s-coupling).
 Every array function works on a ``Trajectory`` window: consecutive time
 levels, of which the rows ``core`` are the window's own and the others a
 halo that its stencils read.  ``integrate_damped_wave`` returns the whole
-solution as one window; ``stream_damped_wave`` yields it as consecutive
-windows of one buffer of about BLOCK_CELLS cells, so that memory does not
-grow with the number of time steps.
+solution as one window, and the functions return new arrays for it.
+``stream_damped_wave`` yields the solution as consecutive windows of one
+buffer of about BLOCK_CELLS cells, with one ``Workspace`` per stream: the
+functions write each window's derivatives, coefficients, currents,
+residual and series into the same few buffers of that size, allocated
+once, so that memory stays O(block * nx) and no window allocates an
+array of that size.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -143,6 +147,43 @@ def _d2x(y: np.ndarray, bc: str, out: np.ndarray, twice: Optional[np.ndarray] = 
     return out
 
 
+class Workspace:
+    """What one stream reuses for every window: a (rows, nx) buffer per
+    name, allocated when first asked for, and each expression compiled
+    once.  A window's results (y_t, y_x, the current, the residual) are
+    valid until the next window or the next computation of the same
+    quantity; the scratch buffers only within the call that fills them."""
+
+    def __init__(self, shape):
+        self.shape = shape
+        self._arrays: dict = {}
+        self._compiled: dict = {}
+
+    def array(self, name: str, rows: int) -> np.ndarray:
+        a = self._arrays.get(name)
+        if a is None:
+            a = self._arrays[name] = np.empty(self.shape)
+        return a[:rows]
+
+    def compiled(self, e: Expr) -> "CompiledExpr":
+        f = self._compiled.get(e)
+        if f is None:
+            f = self._compiled[e] = compile_expr(e)
+        return f
+
+
+def _one_sided(out: np.ndarray, a: np.ndarray) -> None:
+    """(-3 a[0] + 4 a[1]) - a[2] and (3 a[-1] - 4 a[-2]) + a[-3] along the
+    leading axis into out[0] and out[-1], rounded as Python evaluates
+    them; out[1] and out[-2] serve as scratch."""
+    np.multiply(a[:1], -3.0, out=out[:1])
+    out[:1] += np.multiply(a[1:2], 4.0, out=out[1:2])
+    out[:1] -= a[2:3]
+    np.multiply(a[-1:], 3.0, out=out[-1:])
+    out[-1:] -= np.multiply(a[-2:-1], 4.0, out=out[-2:-1])
+    out[-1:] += a[-3:-2]
+
+
 @dataclass
 class Trajectory:
     """A window of consecutive time levels of a discrete field solution:
@@ -152,7 +193,9 @@ class Trajectory:
     and every row in its core.  The one-sided d/dt of its first and last
     rows is exact only where they are levels 0 and nt, so a halo of HALO
     rows keeps every core row exact.  ``y_t`` and ``y_x`` are computed
-    once, and ``y`` is read-only so that they cannot go stale."""
+    once, and ``y`` is read-only so that they cannot go stale.  A
+    streamed window computes into its stream's ``work``; without one,
+    every array is new."""
 
     grid: Grid1p1
     params: dict
@@ -160,6 +203,7 @@ class Trajectory:
     s_t: Optional[np.ndarray] = None  # gauge: s_x = 0
     start: int = 0
     core: Optional[slice] = None  # default: every row
+    work: Optional[Workspace] = None
 
     def __post_init__(self):
         if self.core is None:
@@ -170,33 +214,45 @@ class Trajectory:
         """The levels of the core rows."""
         return slice(self.start + self.core.start, self.start + self.core.stop)
 
-    def d_dt(self, a: np.ndarray) -> np.ndarray:
-        out = np.empty_like(a)
+    def buffer(self, name: str, rows: Optional[int] = None) -> np.ndarray:
+        """A (rows, nx) array for ``name``, by default one row per level:
+        the workspace's, or a new one."""
+        rows = self.y.shape[0] if rows is None else rows
+        return np.empty((rows, self.y.shape[1])) if self.work is None else self.work.array(name, rows)
+
+    def scratch(self, k: int, rows: Optional[int] = None) -> np.ndarray:
+        """Scratch buffer ``k``: what a call puts there is used up before
+        it returns, so every call shares the same few."""
+        return self.buffer(f"scratch {k}", rows)
+
+    def compiled(self, e: Expr) -> "CompiledExpr":
+        return compile_expr(e) if self.work is None else self.work.compiled(e)
+
+    def d_dt(self, a: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        out = np.empty_like(a) if out is None else out
+        _one_sided(out, a)  # before the rows it borrows are written
         np.subtract(a[2:], a[:-2], out=out[1:-1])
-        out[0] = -3.0 * a[0] + 4.0 * a[1] - a[2]
-        out[-1] = 3.0 * a[-1] - 4.0 * a[-2] + a[-3]
         out /= 2.0 * self.grid.dt
         return out
 
-    def d_dx(self, a: np.ndarray) -> np.ndarray:
-        out = np.empty_like(a)
-        np.subtract(a[..., 2:], a[..., :-2], out=out[..., 1:-1])
+    def d_dx(self, a: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        out = np.empty_like(a) if out is None else out
         if self.grid.bc == "periodic":
-            out[..., 0] = a[..., 1] - a[..., -1]
-            out[..., -1] = a[..., 0] - a[..., -2]
+            np.subtract(a[..., 1], a[..., -1], out=out[..., 0])
+            np.subtract(a[..., 0], a[..., -2], out=out[..., -1])
         else:
-            out[..., 0] = -3.0 * a[..., 0] + 4.0 * a[..., 1] - a[..., 2]
-            out[..., -1] = 3.0 * a[..., -1] - 4.0 * a[..., -2] + a[..., -3]
+            _one_sided(np.moveaxis(out, -1, 0), np.moveaxis(a, -1, 0))
+        np.subtract(a[..., 2:], a[..., :-2], out=out[..., 1:-1])
         out /= 2.0 * self.grid.dx
         return out
 
     @cached_property
     def y_t(self) -> np.ndarray:
-        return self.d_dt(self.y)
+        return self.d_dt(self.y, self.buffer("y_t"))
 
     @cached_property
     def y_x(self) -> np.ndarray:
-        return self.d_dx(self.y)
+        return self.d_dx(self.y, self.buffer("y_x"))
 
     @property
     def t(self) -> np.ndarray:
@@ -238,37 +294,57 @@ def _leapfrog(params: dict, y0: np.ndarray, v0: np.ndarray, grid: Grid1p1, level
     c2 = tau / rho
     dt, dx = grid.dt, grid.dx
     lam2 = c2 * dt * dt / (dx * dx)
+    nt, size, dirichlet = grid.nt, levels.shape[0], grid.bc == "dirichlet-zero"
     d2, damp = np.empty(grid.nx, dtype=float), np.empty(grid.nx, dtype=float)
     levels[0] = y0
     levels[1] = y0 + dt * v0 + 0.5 * dt * dt * (c2 * _d2x(y0, grid.bc, d2) / (dx * dx) - gamma * v0)
-    if grid.bc == "dirichlet-zero":
+    if dirichlet:
         levels[1, 0] = levels[1, -1] = 0.0
     a_plus = 1.0 + 0.5 * gamma * dt
     a_minus = 1.0 - 0.5 * gamma * dt
+    # the same doubles as 0-d arrays, which numpy takes without converting them every level
+    two, lam2, a_plus, a_minus = (np.array(v) for v in (2.0, lam2, a_plus, a_minus))
+    multiply, subtract, add, divide = np.multiply, np.subtract, np.add, np.true_divide
+    # y[n] between two ghost cells that hold its periodic wrap, so that the
+    # second difference is two whole-row operations; at Dirichlet walls the
+    # edge values it gives are overwritten by 0, and the ghosts are not kept
+    ghost = np.empty(grid.nx + 2, dtype=float)
+    inner, right, left = ghost[1:-1], ghost[2:], ghost[:-2]
+    finite = np.empty(levels.shape, dtype=bool)
     first, i, n = 0, 1, 1  # level of row 0, last row written, its level
+    prev, cur = levels[0], levels[1]
+    inner[...] = cur
+    ghost[0], ghost[-1] = cur[-1], cur[0]
     while True:
         fresh = i + 1 if first else 2  # level 1 is not checked
         with np.errstate(over="ignore", invalid="ignore"):
-            while n < grid.nt and i + 1 < levels.shape[0]:
+            while n < nt and i + 1 < size:
                 # y[n+1] = ((2 y[n] - a_minus y[n-1]) + lam2 D2 y[n]) / a_plus, in place
                 row = levels[i + 1]
-                np.multiply(levels[i], 2.0, out=row)
-                np.multiply(_d2x(levels[i], grid.bc, d2, twice=row), lam2, out=d2)
-                row -= np.multiply(levels[i - 1], a_minus, out=damp)
-                row += d2
-                row /= a_plus
-                if grid.bc == "dirichlet-zero":
+                multiply(cur, two, row)
+                subtract(right, row, d2)
+                add(d2, left, d2)
+                multiply(d2, lam2, d2)
+                subtract(row, multiply(prev, a_minus, damp), row)
+                add(row, d2, row)
+                divide(row, a_plus, row)
+                if dirichlet:
                     row[0] = row[-1] = 0.0
+                else:
+                    ghost[0], ghost[-1] = row[-1], row[0]
+                inner[...] = row
+                prev, cur = cur, row
                 i, n = i + 1, n + 1
-        finite = np.isfinite(levels[fresh : i + 1]).all(axis=1)
-        if not finite.all():
-            raise BlowupError(first + fresh + int(np.argmin(finite)))
-        yield first, i + 1, n == grid.nt
-        if n == grid.nt:
+        ok = np.isfinite(levels[fresh : i + 1], out=finite[fresh : i + 1]).all(axis=1)
+        if not ok.all():
+            raise BlowupError(first + fresh + int(np.argmin(ok)))
+        yield first, i + 1, n == nt
+        if n == nt:
             return
         keep = 2 * HALO
         levels[:keep] = levels[i + 1 - keep : i + 1]
         first, i = first + i + 1 - keep, keep - 1
+        prev, cur = levels[i - 1], levels[i]
 
 
 def integrate_damped_wave(params: Mapping[str, float], y0: np.ndarray, v0: np.ndarray, grid: Grid1p1) -> Trajectory:
@@ -288,11 +364,13 @@ def stream_damped_wave(
     """The leapfrog solution of ``integrate_damped_wave`` as consecutive
     windows whose cores cover the levels 0..nt in order, each core about
     BLOCK_CELLS cells.  With ``action``, every window carries ``s_t``.
-    The windows share one buffer: finish with a window before taking the
-    next.  The parameters and initial data are checked at the call."""
+    The windows share one buffer and one ``Workspace``: finish with a
+    window, and with what was computed from it, before taking the next.
+    The parameters and initial data are checked at the call."""
     params, y0, v0 = _initial_state(params, y0, v0, grid)
     rows = min(grid.nt + 1, max(1, BLOCK_CELLS // grid.nx) + 2 * HALO)
     levels = np.empty((rows, grid.nx), dtype=float)
+    work = Workspace(levels.shape)
     s = None if action is None else np.zeros_like(levels)
 
     def windows():
@@ -300,7 +378,7 @@ def stream_damped_wave(
             y = levels[:filled]
             y.flags.writeable = False
             core = slice(0 if first == 0 else HALO, filled if last else filled - HALO)
-            w = Trajectory(grid=grid, params=params, y=y, start=first, core=core)
+            w = Trajectory(grid=grid, params=params, y=y, start=first, core=core, work=work)
             if s is not None:
                 # s_t[n] needs y_t[n], exact up to the row before a non-final window's last
                 w.s_t = s[:filled]
@@ -316,45 +394,85 @@ def stream_damped_wave(
 # Expression compilation onto grid arrays.
 
 
-def compile_expr(e: Expr) -> Callable[[Mapping[str, object]], object]:
-    """Compile a canonical expression into a vectorized numpy evaluator."""
-    from .expr import FuncAtom
+_POWER = {2: np.square, -1: np.reciprocal}  # the ufuncs that ndarray ** k calls for these k
 
-    np_fn = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
 
-    def compile_atom(a):
-        if isinstance(a, Symbol):
-            def f(env, name=a.name):
-                try:
-                    return env[name]
-                except KeyError:
-                    raise NumericError(f"expression references {name!r}, absent from the trajectory") from None
-            return f
-        if isinstance(a, FuncAtom):
-            inner = compile_expr(a.arg)
-            fn = np_fn[a.fn]
-            return lambda env: fn(inner(env))
-        return compile_expr(a.expr)
+def _power(base: np.ndarray, k: int, out: Optional[np.ndarray]) -> np.ndarray:
+    f = _POWER.get(k)
+    return f(base, out=out) if f is not None else np.power(base, k, out=out)
 
-    compiled_terms = []
-    for mono, c in e.terms:
-        factors = [(compile_atom(a), k) for a, k in mono]
-        compiled_terms.append((float(c), factors))
 
-    def run(env):
-        total = 0.0
+class CompiledExpr:
+    """A canonical expression compiled onto numpy: the sum of its terms
+    c * base^k * ..., each product and sum rounded as Python evaluates
+    them left to right."""
+
+    def __init__(self, e: Expr):
+        from .expr import FuncAtom
+
+        np_fn = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
+
+        def compile_atom(a):
+            if isinstance(a, Symbol):
+                def f(env, name=a.name):
+                    try:
+                        return env[name]
+                    except KeyError:
+                        raise NumericError(f"expression references {name!r}, absent from the trajectory") from None
+                return f
+            if isinstance(a, FuncAtom):
+                inner = compile_expr(a.arg)
+                fn = np_fn[a.fn]
+                return lambda env: fn(inner(env))
+            return compile_expr(a.expr)
+
+        self.terms = [(float(c), [(compile_atom(a), k) for a, k in mono]) for mono, c in e.terms]
+
+    def __call__(self, env, out=None, term=None, power=None):
+        """0.0 + the terms: ``sum_terms`` turned from -0.0 to +0.0."""
+        total = self.sum_terms(env, out, term, power)
+        if isinstance(total, np.ndarray):
+            total += 0.0
+            return total
+        return 0.0 + total
+
+    def sum_terms(self, env, out=None, term=None, power=None):
+        """The first term + the second + ..., a float, or an array in
+        ``out``; an array term after the first is formed in ``term``, and
+        each array power in ``power``.  A buffer left None is allocated.
+        Beside ``__call__`` it lacks only the 0.0 + that turns -0.0 into
+        +0.0."""
+        total = None
         try:
-            for c, factors in compiled_terms:
+            for c, factors in self.terms:
+                buf = out if total is None else term
                 v = c
                 for fa, k in factors:
                     base = fa(env)
-                    v = v * (base ** k if k != 1 else base)
-                total = total + v
+                    if k != 1:
+                        base = _power(base, k, power) if isinstance(base, np.ndarray) else base ** k
+                    if isinstance(v, np.ndarray):  # v is buf
+                        v *= base
+                    elif isinstance(base, np.ndarray):
+                        v = np.multiply(v, base, out=buf)
+                    else:
+                        v = v * base
+                if total is None:
+                    total = v
+                elif isinstance(total, np.ndarray):
+                    total += v
+                elif isinstance(v, np.ndarray):
+                    total = np.add(total, v, out=out)
+                else:
+                    total = total + v
         except ZeroDivisionError:  # a scalar zero, such as a parameter, to a negative power
             raise NumericError("cannot evaluate the model at its parameter values: division by zero") from None
-        return total
+        return 0.0 if total is None else total
 
-    return run
+
+def compile_expr(e: Expr) -> CompiledExpr:
+    """Compile a canonical expression into a vectorized numpy evaluator."""
+    return CompiledExpr(e)
 
 
 def _traj_env(traj: Trajectory, chart: Chart, bindings: Mapping[str, float], names: set) -> dict:
@@ -393,24 +511,30 @@ def evaluate_current(xi: Form, traj: Trajectory, bindings: Mapping[str, float]):
         raise NumericError("current references s_t but the trajectory carries no action coordinate")
     env = _traj_env(traj, chart, bindings, names)
     fname = chart.coords[chart.field_axes[0]].name
+
+    def along(a: np.ndarray):
+        return traj.d_dt(a, traj.scratch(3)), traj.d_dx(a, traj.scratch(4))
+
     # differential of each coordinate along the section, (d/dt, d/dx) parts,
     # computed only for the coordinates the current carries
     dpsi = {
         "t": lambda: (1.0, 0.0),
         "x": lambda: (0.0, 1.0),
         fname: lambda: (traj.y_t, traj.y_x),
-        f"{fname}_t": lambda: (traj.d_dt(traj.y_t), traj.d_dx(traj.y_t)),
-        f"{fname}_x": lambda: (traj.d_dt(traj.y_x), traj.d_dx(traj.y_x)),
+        f"{fname}_t": lambda: along(traj.y_t),
+        f"{fname}_x": lambda: along(traj.y_x),
         "s_x": lambda: (0.0, 0.0),
     }
     if traj.s_t is not None:
-        dpsi["s_t"] = lambda: (traj.d_dt(traj.s_t), traj.d_dx(traj.s_t))
-    A, B = _Sum(traj.y.shape), _Sum(traj.y.shape)  # dt and dx components
+        dpsi["s_t"] = lambda: along(traj.s_t)
+    coefficient, term, power = (traj.scratch(k) for k in range(3))
+    A, B = _Sum(traj.buffer("f^x"), term), _Sum(traj.buffer("f^t"), term)  # dt and dx components
     for (i,), coeff in xi.table.items():
         name = chart.coords[i].name
         if name not in dpsi:
             raise NumericError(f"current references {name!r}, absent from the trajectory")
-        cval = compile_expr(coeff)(env)
+        # without __call__'s 0.0 +: the sums start from +0.0 themselves
+        cval = traj.compiled(coeff).sum_terms(env, coefficient, term, power)
         d_t, d_x = dpsi[name]()
         A.add(cval, d_t)
         B.add(cval, d_x)
@@ -419,32 +543,38 @@ def evaluate_current(xi: Form, traj: Trajectory, bindings: Mapping[str, float]):
 
 
 class _Sum:
-    """zeros(shape) + c1 d1 + c2 d2 + ..., bit for bit, without the passes
-    that cannot change it: a factor d = 1.0 is not applied, and a term
-    c * 0.0 is added only where c is not finite, since elsewhere it is a
-    signed zero and the sum, which starts at +0.0, is never -0.0."""
+    """zeros + c1 d1 + c2 d2 + ... into ``out``, bit for bit, without the
+    passes that cannot change it: a factor d = 1.0 is not applied, and a
+    term c * 0.0 is added only where c is not finite, since elsewhere it
+    is a signed zero and the sum, which starts at +0.0, is never -0.0.
+    For the same reason the sign of a zero c does not matter.  A product
+    c * d is formed in ``scratch``."""
 
-    def __init__(self, shape):
-        self.shape = shape
-        self.value = None
+    def __init__(self, out: np.ndarray, scratch: np.ndarray):
+        self.out = out
+        self.scratch = scratch
+        self.started = False
         self.poison = []  # c * 0.0 of the terms whose c is not finite
 
     def add(self, c, d) -> None:
         if isinstance(d, float) and d == 0.0:
-            if not np.isfinite(c).all():
+            # a sum that overflows only adds a poison term that changes nothing
+            if not np.isfinite(np.sum(c)):
                 self.poison.append(c * d)
             return
-        term = c if isinstance(d, float) and d == 1.0 else c * d
-        if self.value is None:
-            self.value = np.add(np.broadcast_to(term, self.shape), 0.0)
+        term = c if isinstance(d, float) and d == 1.0 else np.multiply(c, d, out=self.scratch)
+        if self.started:
+            self.out += term
         else:
-            self.value += term
+            np.add(term, 0.0, out=self.out)
+            self.started = True
 
     def total(self) -> np.ndarray:
-        out = np.zeros(self.shape) if self.value is None else self.value
+        if not self.started:
+            self.out.fill(0.0)
         for p in self.poison:
-            out += p
-        return out
+            self.out += p
+        return self.out
 
 
 class ResidualNorms:
@@ -456,7 +586,8 @@ class ResidualNorms:
     node of n > 128 elements splits at n//2 - (n//2) % 8, a smaller one
     is a leaf).  A node whose squares arrive within one block is summed
     by ``np.sum`` itself, the others from their two children as they
-    complete, so the norm equals the whole-interior one bit for bit."""
+    complete, so the norm equals the whole-interior one bit for bit.
+    The squares go into one buffer, allocated for the first block."""
 
     LEAF = 128
 
@@ -467,7 +598,8 @@ class ResidualNorms:
         self._max = 0.0
         self._sum = None
         self._added = 0
-        self._squares = np.empty(0)  # squares from index _first on, not yet in a finished leaf
+        self._buffer = np.empty(0)  # the squares of an unfinished leaf, then the next block's
+        self._squares = self._buffer  # squares from index _first on
         self._first = 0
         self._done = {}  # (first, length) -> sum of a finished node whose parent is unfinished
 
@@ -477,12 +609,15 @@ class ResidualNorms:
         self._added += interior.size
         if self._added > self.size:
             raise NumericError("more residual rows than the interior holds")
-        self._max = np.maximum(self._max, np.max(np.abs(interior)))
         kept = self._squares.size
-        squares = np.empty(kept + interior.size)
-        squares[:kept] = self._squares
-        np.multiply(interior, interior, out=squares[kept:].reshape(interior.shape))
-        self._squares = squares
+        if self._buffer.size < kept + interior.size:
+            grown = np.empty(self.LEAF + interior.size)  # later blocks are no larger
+            grown[:kept] = self._squares
+            self._buffer = grown
+        block = self._buffer[kept : kept + interior.size].reshape(interior.shape)
+        self._max = np.maximum(self._max, np.max(np.abs(interior, out=block)))
+        np.multiply(interior, interior, out=block)
+        self._squares = self._buffer[: kept + interior.size]
         self._sum = self._node(0, self.size)
 
     def _node(self, first: int, n: int):
@@ -493,9 +628,11 @@ class ResidualNorms:
             return done
         end = self._first + self._squares.size
         if first >= self._first and first + n <= end:
-            return np.sum(self._squares[first - self._first : first + n - self._first])
-        if n <= self.LEAF:  # the unfinished leaf: keep its squares for the next block
-            self._squares = self._squares[first - self._first :].copy()
+            return np.add.reduce(self._squares[first - self._first : first + n - self._first])
+        if n <= self.LEAF:  # the unfinished leaf: keep its squares at the front for the next block
+            kept = end - first
+            self._buffer[:kept] = self._squares[first - self._first :]
+            self._squares = self._buffer[:kept]
             self._first = first
             return None
         half = n // 2 - (n // 2) % 8
@@ -542,9 +679,11 @@ def dissipation_residual(
     holds the whole trajectory)."""
     if ft.shape != traj.y.shape or fx.shape != traj.y.shape:
         raise NumericError("current arrays must match the trajectory shape")
-    r = traj.d_dt(ft)
-    r += traj.d_dx(fx)
-    r -= source_t * ft + source_x * fx
+    r = traj.d_dt(ft, traj.buffer("residual"))
+    r += traj.d_dx(fx, traj.scratch(0))
+    source = np.multiply(source_t, ft, out=traj.scratch(0))
+    source += np.multiply(source_x, fx, out=traj.scratch(1))
+    r -= source
     # the core rows of the interior levels 1..nt-1
     rows = slice(max(traj.core.start, 1 - traj.start), min(traj.core.stop, traj.grid.nt - traj.start))
     interior = r[rows, :] if traj.grid.bc == "periodic" else r[rows, 1:-1]
@@ -564,7 +703,7 @@ class ActionCoordinate:
     bindings: Mapping[str, float]
     c_t: float  # dL/ds^t at the parameter values
     gamma: float  # -c_t; 0.0 where L has no s_t
-    l0: Callable  # L at s = 0, compiled
+    l0: CompiledExpr  # L at s = 0
     names: frozenset  # the names l0 reads
 
     @classmethod
@@ -589,16 +728,22 @@ class ActionCoordinate:
 
     def fill(self, traj: Trajectory, s: np.ndarray, lo: int, hi: int) -> None:
         """Rows lo..hi-1 of s^t on the window ``traj`` from row lo-1, in place."""
-        lvals = np.broadcast_to(self.l0(_traj_env(traj, self.chart, self.bindings, self.names)), traj.y.shape)
+        env = _traj_env(traj, self.chart, self.bindings, self.names)
+        lvals = self.l0(env, *(traj.scratch(k) for k in range(3)))
+        lvals = np.broadcast_to(lvals, traj.y.shape)
         dt = traj.grid.dt
-        growth = 1.0 + 0.5 * dt * self.c_t
-        denom = 1.0 - 0.5 * dt * self.c_t
+        # as 0-d arrays, which numpy takes without converting them every row
+        growth = np.array(1.0 + 0.5 * dt * self.c_t)
+        denom = np.array(1.0 - 0.5 * dt * self.c_t)
         # s[n] = (s[n-1] growth + 0.5 dt (l[n] + l[n-1])) / denom; increments first
         np.add(lvals[lo:hi], lvals[lo - 1 : hi - 1], out=s[lo:hi])
         s[lo:hi] *= 0.5 * dt
-        for n in range(lo, hi):
-            s[n] += s[n - 1] * growth
-            s[n] /= denom
+        step = traj.scratch(3, 1)[0]
+        prev = s[lo - 1]
+        for row in s[lo:hi]:
+            np.add(row, np.multiply(prev, growth, step), row)
+            np.true_divide(row, denom, row)
+            prev = row
 
 
 def integrate_action_coordinate(traj: Trajectory, L: Expr, chart: Chart, bindings: Mapping[str, float]) -> np.ndarray:
@@ -612,14 +757,21 @@ def momentum_series(traj: Trajectory, magnitude: bool = False) -> np.ndarray:
     """P(t) = sum_i rho y_t dx on the core levels; with ``magnitude``,
     sum_i |rho y_t| dx, the scale of its round-off."""
     y_t = traj.y_t[traj.core]
-    return traj.params["rho"] * np.sum(np.abs(y_t) if magnitude else y_t, axis=1) * traj.grid.dx
+    if magnitude:
+        y_t = np.abs(y_t, out=traj.scratch(0, y_t.shape[0]))
+    return traj.params["rho"] * np.sum(y_t, axis=1) * traj.grid.dx
 
 
 def energy_series(traj: Trajectory) -> np.ndarray:
     """E(t) = sum_i (rho y_t^2 + tau y_x^2)/2 dx on the core levels."""
     rho, tau = traj.params["rho"], traj.params["tau"]
     y_t, y_x = traj.y_t[traj.core], traj.y_x[traj.core]
-    return np.sum(0.5 * rho * y_t ** 2 + 0.5 * tau * y_x ** 2, axis=1) * traj.grid.dx
+    density = np.square(y_t, out=traj.scratch(0, y_t.shape[0]))
+    density *= 0.5 * rho
+    term = np.square(y_x, out=traj.scratch(1, y_x.shape[0]))
+    term *= 0.5 * tau
+    density += term
+    return np.sum(density, axis=1) * traj.grid.dx
 
 
 def decay_fit(t: np.ndarray, p: np.ndarray) -> float:

@@ -24,6 +24,7 @@ from mcft.numeric import (
     ActionCoordinate,
     Grid1p1,
     ResidualNorms,
+    Trajectory,
     _d2x,
     compile_expr,
     dissipation_residual,
@@ -262,3 +263,135 @@ def test_verify_law_memory_is_flat_in_time(tmp_path):
     short, long = traced_peak(p, "t2"), traced_peak(p, "t8")
     # the whole history at t=8 would be four times that at t=2
     assert long <= 1.25 * short, (short, long)
+
+
+def stream_results(params, y0, v0, grid, action, xi):
+    """Current rows, residual norms, series and s_t gathered from a stream,
+    with the stream's workspace."""
+    norms = ResidualNorms(grid)
+    ft, fx = np.full((grid.nt + 1, grid.nx), np.nan), np.full((grid.nt + 1, grid.nx), np.nan)
+    P, E, s_t = np.full(grid.nt + 1, np.nan), np.full(grid.nt + 1, np.nan), np.full((grid.nt + 1, grid.nx), np.nan)
+    for w in stream_damped_wave(params, y0, v0, grid, action):
+        wft, wfx = evaluate_current(xi, w, {})
+        ft[w.levels], fx[w.levels] = wft[w.core], wfx[w.core]
+        dissipation_residual(wft, wfx, action.c_t, 0.0, w, norms)
+        P[w.levels], E[w.levels] = momentum_series(w), energy_series(w)
+        s_t[w.levels] = w.s_t[w.core]
+    return (ft, fx, norms.l2_norm, norms.max_norm, P, E, s_t), w.work
+
+
+def whole_results(params, y0, v0, grid, L, xi):
+    whole = integrate_damped_wave(params, y0, v0, grid)
+    whole.s_t = integrate_action_coordinate(whole, L, CHART, {})
+    ft, fx = evaluate_current(xi, whole, {})
+    rep = dissipation_residual(ft, fx, ActionCoordinate.of(L, CHART, {}).c_t, 0.0, whole)
+    arrays = [whole.y, whole.y_t, whole.y_x, whole.s_t, ft, fx, rep.residual]
+    return (ft, fx, rep.l2_norm, rep.max_norm, momentum_series(whole), energy_series(whole), whole.s_t), arrays
+
+
+def assert_same_bits(got, want):
+    for g, w in zip(got, want):
+        assert np.array_equal(bits(g), bits(w))
+
+
+def test_streams_of_different_shapes_back_to_back():
+    # each stream has its own workspace: nothing of one mesh, its width,
+    # boundary or compiled current, leaks into the next
+    c = CHART.coord
+    xi = Form(
+        CHART,
+        1,
+        {
+            (CHART.axis("t"),): c("y_t") ** 2 - 2 * c("s_t") * c("x"),
+            (CHART.axis("x"),): c("y_t") * c("s_t") + c("y_x") ** 3,
+            (CHART.axis("y"),): 3 * c("y_x") + c("t"),
+            (CHART.axis("s_t"),): -1 * c("y"),
+        },
+    )
+    L = lagrangian(Fraction(3, 10))
+    action = ActionCoordinate.of(L, CHART, {})
+    params = {"rho": 1.0, "tau": 1.0, "gamma": 0.3}
+    cases = []
+    for nx, bc, nt in ((24, "periodic", 90), (40, "dirichlet-zero", 70), (24, "periodic", 90)):
+        grid = Grid1p1(nx=nx, lx=1.0, dt=0.5 / nx, nt=nt, bc=bc)
+        y0 = np.sin(2 * math.pi * grid.x) + 0.1 * np.cos(4 * math.pi * grid.x)
+        v0 = 0.5 + 0.3 * np.sin(6 * math.pi * grid.x)
+        cases.append((grid, y0, v0))
+    works = []
+    with mock.patch.object(numeric, "BLOCK_CELLS", 7 * 24 + 5):
+        for grid, y0, v0 in cases:
+            got, work = stream_results(params, y0, v0, grid, action, xi)
+            want, arrays = whole_results(params, y0, v0, grid, L, xi)
+            assert_same_bits(got, want)
+            works.append(work)
+    assert works[0] is not works[2]
+    # the whole-trajectory path returns arrays of its own, never a workspace's
+    for work in works:
+        for buf in work._arrays.values():
+            assert not any(np.shares_memory(buf, a) for a in arrays)
+
+
+def test_windows_reuse_one_workspace():
+    # after the first window, a window's derivatives, currents and residual
+    # land in the same buffers, and the current is compiled once per stream
+    grid = Grid1p1(nx=32, lx=1.0, dt=0.5 / 32, nt=200, bc="periodic")
+    c = CHART.coord
+    xi = Form(CHART, 1, {(CHART.axis("x"),): -1 * c("y_t"), (CHART.axis("t"),): -1 * c("y_x")})
+    params = {"rho": 1.0, "tau": 1.0, "gamma": 0.1}
+    y0, v0 = np.sin(2 * math.pi * grid.x), np.ones(grid.nx)
+    seen, norms = [], ResidualNorms(grid)
+    with mock.patch.object(numeric, "BLOCK_CELLS", 10 * 32), mock.patch.object(
+        numeric, "compile_expr", wraps=numeric.compile_expr
+    ) as compiled:
+        for w in stream_damped_wave(params, y0, v0, grid):
+            ft, fx = evaluate_current(xi, w, {})
+            rep = dissipation_residual(ft, fx, -0.1, 0.0, w, norms)
+            seen.append([a.base for a in (w.y, w.y_t, w.y_x, ft, fx, rep.residual)])
+    assert len(seen) > 3
+    for bases in seen[1:]:
+        assert all(a is b for a, b in zip(bases, seen[0]))
+    assert compiled.call_count == len(xi.table)
+
+
+def test_verify_law_compiles_per_mesh_not_per_window(tmp_path):
+    p = tmp_path / "momentum.mcft"
+    p.write_text(MOMENTUM)
+    counts = []
+    for block in (numeric.BLOCK_CELLS, 5 * 32):
+        with mock.patch.object(numeric, "BLOCK_CELLS", block), mock.patch.object(
+            numeric, "compile_expr", wraps=numeric.compile_expr
+        ) as compiled:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["--json", "verify-law", str(p), "Y", "drift"]) == 0
+        counts.append(compiled.call_count)
+    assert counts[0] == counts[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    a=arrays(np.float64, st.tuples(st.integers(3, 9), st.integers(8, 30)), elements=st.floats(-1e6, 1e6)),
+    bc=st.sampled_from(BCS),
+)
+def test_stencils_in_place_match_their_formulas(a, bc):
+    # the one-sided edges, formed in the output's own rows, round as the
+    # scalar formulas do
+    rows, nx = a.shape
+    traj = Trajectory(grid=Grid1p1(nx=nx, lx=1.0, dt=0.5 / nx, nt=rows - 1, bc=bc), params={}, y=a)
+    dt, dx = traj.grid.dt, traj.grid.dx
+    want_t = np.empty_like(a)
+    want_t[1:-1] = a[2:] - a[:-2]
+    want_t[0] = -3.0 * a[0] + 4.0 * a[1] - a[2]
+    want_t[-1] = 3.0 * a[-1] - 4.0 * a[-2] + a[-3]
+    want_x = np.empty_like(a)
+    want_x[:, 1:-1] = a[:, 2:] - a[:, :-2]
+    if bc == "periodic":
+        want_x[:, 0] = a[:, 1] - a[:, -1]
+        want_x[:, -1] = a[:, 0] - a[:, -2]
+    else:
+        want_x[:, 0] = -3.0 * a[:, 0] + 4.0 * a[:, 1] - a[:, 2]
+        want_x[:, -1] = 3.0 * a[:, -1] - 4.0 * a[:, -2] + a[:, -3]
+    for out in (None, np.full_like(a, np.nan)):
+        assert np.array_equal(bits(traj.d_dt(a, out)), bits(want_t / (2.0 * dt)))
+    for out in (None, np.full_like(a, np.nan)):
+        assert np.array_equal(bits(traj.d_dx(a, out)), bits(want_x / (2.0 * dx)))
+    assert np.array_equal(bits(traj.d_dx(a[1])), bits(want_x[1] / (2.0 * dx)))
