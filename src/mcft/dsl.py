@@ -67,7 +67,7 @@ def _power(base: Expr, k: int, tok: Token) -> Expr:
         raise DslError("division by zero", tok.line, tok.col) from exc
 
 
-_OPS = sorted(["=", "*", "+", "-", "/", "^", "(", ")", "[", "]", "{", "}", ":", ";", ","], key=len, reverse=True)
+_OPS = frozenset("=*+-/^()[]{}:;,")  # every operator is one character
 
 
 def tokenize(text: str) -> list:
@@ -114,16 +114,11 @@ def tokenize(text: str) -> list:
             col += j - i
             i = j
             continue
-        matched = False
-        for op in _OPS:
-            if text.startswith(op, i):
-                toks.append(Token("op", op, line, col))
-                i += len(op)
-                col += len(op)
-                matched = True
-                break
-        if not matched:
+        if ch not in _OPS:
             raise DslError(f"unexpected character {ch!r}", line, col)
+        toks.append(Token("op", ch, line, col))
+        i += 1
+        col += 1
     toks.append(Token("eof", "", line, col))
     return toks
 

@@ -32,6 +32,8 @@ from .expr import (
 )
 
 ZERO_E = const(0)
+# (-1)^k by the parity of k: every permutation sign multiplies by one of these.
+_SIGN = (const(1), const(-1))
 
 
 class FormError(Exception):
@@ -49,7 +51,7 @@ def _merge_sign(left: tuple, right: tuple):
             if i > j:
                 inversions += 1
     merged = tuple(sorted(left + right))
-    return (-1) ** inversions, merged
+    return _SIGN[inversions & 1], merged
 
 
 class Form:
@@ -151,7 +153,7 @@ def wedge(a: Form, b: Form) -> Form:
             sign, merged = _merge_sign(ia, ib)
             if sign is None:
                 continue
-            term = mul(const(sign), ca, cb)
+            term = mul(sign, ca, cb)
             out[merged] = add(out.get(merged, ZERO_E), term)
     return Form(a.chart, k, out)
 
@@ -171,7 +173,7 @@ def ext_d(a: Form) -> Form:
                 continue
             below = sum(1 for j in idx if j < i)
             merged = tuple(sorted(idx + (i,)))
-            term = mul(const((-1) ** below), dc)
+            term = mul(_SIGN[below & 1], dc)
             out[merged] = add(out.get(merged, ZERO_E), term)
     return Form(chart, a.degree + 1, out)
 
@@ -306,7 +308,7 @@ def _contract_vector(v: Mapping[int, Expr], a: Form) -> Form:
             if comp is None or not comp.terms:
                 continue
             rest = idx[:pos] + idx[pos + 1 :]
-            term = mul(const((-1) ** pos), comp, c)
+            term = mul(_SIGN[pos & 1], comp, c)
             out[rest] = add(out.get(rest, ZERO_E), term)
     return Form(a.chart, a.degree - 1, out)
 
@@ -327,30 +329,34 @@ def contract(X: Multivector, a: Form) -> Form:
         for J, cA in a.table.items():
             if not set(I) <= set(J):
                 continue
-            sign = 1
+            parity = 0
             remaining = list(J)
             for i in I:
-                p = remaining.index(i)
-                sign *= (-1) ** p
+                parity += remaining.index(i)
                 remaining.remove(i)
-            term = mul(const(sign), cX, cA)
+            term = mul(_SIGN[parity & 1], cX, cA)
             key = tuple(remaining)
             out[key] = add(out.get(key, ZERO_E), term)
     return Form(a.chart, a.degree - X.degree, out)
 
 
-def lie_derivative(X: Multivector, a: Form) -> Form:
-    """Graded Lie derivative L_X a = d i_X a - (-1)^m i_X d a."""
-    m = X.degree
-    left = ext_d(contract(X, a))
-    right = contract(X, ext_d(a)).scale(-((-1) ** m))
+def cartan(X: Multivector, i_X_a: Form, d_a: Form) -> Form:
+    """Cartan's formula L_X a = d(i_X a) - (-1)^m i_X(d a), from the
+    contraction i_X a and the derivative d a of a form a."""
+    left = ext_d(i_X_a)
+    right = contract(X, d_a).scale(_SIGN[(X.degree + 1) & 1])
     # degrees: both are a.degree - m + 1 when defined; guard the edge where
     # contraction collapsed to a zero 0-form of mismatched degree
     if left.is_structurally_zero() and left.degree != right.degree:
-        left = Form.zero(a.chart, right.degree)
+        left = Form.zero(X.chart, right.degree)
     if right.is_structurally_zero() and right.degree != left.degree:
-        right = Form.zero(a.chart, left.degree)
+        right = Form.zero(X.chart, left.degree)
     return left + right
+
+
+def lie_derivative(X: Multivector, a: Form) -> Form:
+    """Graded Lie derivative L_X a = d i_X a - (-1)^m i_X d a."""
+    return cartan(X, contract(X, a), ext_d(a))
 
 
 def lie_bracket(X: Multivector, Y: Multivector) -> Multivector:
@@ -399,10 +405,10 @@ def schouten(X: Multivector, Y: Multivector) -> Multivector:
                 + [X.factors[r] for r in range(m) if r != i]
                 + [Y.factors[r] for r in range(n) if r != j]
             )
-            sign = (-1) ** ((i + 1) + (j + 1))
+            sign = _SIGN[(i + j) & 1]
             piece = _expand_factors(chart, rest)
             for idx, c in piece.items():
-                acc[idx] = add(acc.get(idx, ZERO_E), mul(const(sign), c))
+                acc[idx] = add(acc.get(idx, ZERO_E), mul(sign, c))
     return Multivector(chart, deg, table=acc)
 
 

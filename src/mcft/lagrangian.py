@@ -14,7 +14,8 @@ and solves the contraction equations
     i_X Theta_L = 0,   i_X bar_d Theta_L = 0,   i_X omega = 1
 
 for semi-holonomic multivector fields exactly, returning the solved
-family with its free component functions.
+family with its free component functions.  A system derives d Theta,
+d sigma, d omega and bar_d Theta once, on first use, for every candidate.
 
 The Theta construction (``multicontact_theta``), the solution family
 and its ansatz are shared with the Hamiltonian picture, which passes
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from .algebra import InconsistentSystemError, det, solve_affine
 from .charts import Chart
 from .expr import (
@@ -42,7 +44,6 @@ from .expr import (
 from .forms import (
     Form,
     Multivector,
-    bar_d,
     contract,
     ext_d,
     form_witnesses,
@@ -106,8 +107,24 @@ class MulticontactSystem:
             sigma = sigma + one_form(chart, chart.coords[chart.base_axes[mu]].name).scale(mul(const(sign), d_ds))
         self.sigma = sigma
 
+    @cached_property
+    def d_theta(self) -> Form:
+        return ext_d(self.theta)
+
+    @cached_property
+    def d_sigma(self) -> Form:
+        return ext_d(self.sigma)
+
+    @cached_property
+    def d_omega(self) -> Form:
+        return ext_d(self.omega)
+
+    @cached_property
+    def _bar_d_theta(self) -> Form:
+        return self.d_theta + wedge(self.sigma, self.theta)
+
     def bar_d_theta(self) -> Form:
-        return bar_d(self.theta, self.sigma)
+        return self._bar_d_theta
 
 
 class LagrangianSystem(MulticontactSystem):
@@ -356,5 +373,5 @@ def verify_sigma_property(sys, R: Multivector, seed: int = 0, tol: float = 1e-9)
     """Check the defining property of the dissipation form,
     sigma ^ i_R Theta = i_R d Theta, for a candidate Reeb field R."""
     lhs = wedge(sys.sigma, contract(R, sys.theta))
-    rhs = contract(R, ext_d(sys.theta))
+    rhs = contract(R, sys.d_theta)
     return check_form_zero(lhs - rhs, seed=seed, tol=tol)

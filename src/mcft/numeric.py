@@ -132,11 +132,10 @@ def make_grid(nx: int, lx: float, cfl: float, t_final: float, wave_speed: float,
     return Grid1p1(nx=nx, lx=lx, dt=dt, nt=nt, bc=bc, wave_speed=wave_speed)
 
 
-def _d2x(y: np.ndarray, bc: str, out: np.ndarray, twice: Optional[np.ndarray] = None) -> np.ndarray:
+def _d2x(y: np.ndarray, bc: str, out: np.ndarray) -> np.ndarray:
     """(y[i+1] - 2 y[i]) + y[i-1] of a row into ``out``, edges wrapped or
-    zero; ``twice``, if given, holds 2 y (an exact product)."""
-    if twice is None:
-        twice = np.multiply(y, 2.0)
+    zero."""
+    twice = np.multiply(y, 2.0)
     np.subtract(y[2:], twice[1:-1], out=out[1:-1])
     out[1:-1] += y[:-2]
     if bc == "periodic":

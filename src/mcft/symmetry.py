@@ -40,11 +40,11 @@ from .forms import (
     Form,
     Multivector,
     bar_d,
+    cartan,
     contract,
     form_to_json,
     form_witnesses,
     form_zero_check,
-    lie_derivative,
     vector_to_text,
 )
 from .lagrangian import CheckResult, check_form_zero
@@ -191,12 +191,14 @@ class SymmetryReport:
 
 def classify(Y: Multivector, system, seed: int = 0, tol: float = 1e-9) -> SymmetryReport:
     """Classify a vector field against the system's multicontact
-    structure (Theta, omega) and record sigma-invariance."""
+    structure (Theta, omega) and record sigma-invariance.  The current
+    i_Y Theta is contracted once, for L_Y Theta and for the report."""
     if Y.chart != system.chart:
         raise SymmetryError("candidate lives on a different chart than the system")
-    lt = lie_derivative(Y, system.theta)
-    lw = lie_derivative(Y, system.omega)
-    ls = lie_derivative(Y, system.sigma)
+    current = noether_current(Y, system)
+    lt = cartan(Y, current, system.d_theta)
+    lw = cartan(Y, contract(Y, system.omega), system.d_omega)
+    ls = cartan(Y, contract(Y, system.sigma), system.d_sigma)
     zt = form_zero_check(lt, seed=seed, tol=tol)
     zw = form_zero_check(lw, seed=seed, tol=tol)
     zs = form_zero_check(ls, seed=seed, tol=tol)
@@ -216,7 +218,7 @@ def classify(Y: Multivector, system, seed: int = 0, tol: float = 1e-9) -> Symmet
         classification=classification,
         sigma_invariant=sigma_invariant,
         lemma_consistent=(classification != STRONG_NOETHER) or sigma_invariant,
-        current=noether_current(Y, system),
+        current=current,
         witnesses=witnesses,
         numerically_certified=probing,
     )

@@ -96,6 +96,47 @@ class TestParse:
         assert m.params[0][1] == Fraction(1, 1000)
 
 
+def _token_lines(toks):
+    """Tokens per line as ``<kind initial><text>@<col>``, space separated."""
+    lines = {}
+    for t in toks:
+        lines.setdefault(t.line, []).append(f"{t.kind[0]}{t.text}@{t.col}")
+    return {line: " ".join(parts) for line, parts in lines.items()}
+
+
+class TestTokenize:
+    def test_shipped_model_token_stream(self, string_text):
+        # a comment at end of file with no newline adds no token and leaves
+        # the end-of-file position at the comment's line start
+        assert _token_lines(tokenize(string_text + "# end")) == {
+            2: "icoords@1 it@8 ix@10",
+            3: "ifields@1 iy@8",
+            4: "iparams@1 irho@8 o=@11 n1@12 itau@14 o=@17 n1@18 igamma@20 o=@25 n0.1@26",
+            5: "ilagrangian@1 n0.5@12 o*@15 o(@16 irho@17 o*@20 idy@21 o[@23 it@24 o]@25 o^@26 n2@27 o-@29 "
+            "itau@31 o*@34 idy@35 o[@37 ix@38 o]@39 o^@40 n2@41 o)@42 o-@44 igamma@46 o*@51 is@52 o[@53 it@54 o]@55",
+            6: "isymmetry@1 iY@10 o:@11 id@13 o/@14 idy@15",
+            7: "isymmetry@1 iS@10 o:@11 id@13 o/@14 ids@15 o[@17 it@18 o]@19",
+            11: "iscenario@1 imain@10 o{@15 ibc@17 iperiodic@20 o;@28 igrid@30 icfl@35 o=@38 n0.5@39 ilx@43 o=@45 "
+            "n1@46 inx@48 o=@50 n128@51 it@55 o=@56 n2@57 o;@58 iinit@60 iy0@65 o=@68 n0.1@70 o*@73 isin@74 o(@77 "
+            "n2@78 o*@79 ipi@80 o*@82 ix@83 o)@84 o;@85 iinit@87 iv0@92 o=@95 n1@97 o;@98 o}@100",
+            12: "iscenario@1 istanding@10 o{@19 ibc@21 iperiodic@24 o;@32 igrid@34 icfl@39 o=@42 n0.5@43 ilx@47 "
+            "o=@49 n1@50 inx@52 o=@54 n256@55 it@59 o=@60 n10@61 o;@63 iinit@65 iy0@70 o=@73 isin@75 o(@78 n2@79 "
+            "o*@80 ipi@81 o*@83 ix@84 o)@85 o;@86 iinit@88 iv0@93 o=@96 n0@98 o;@99 o}@101",
+            13: "e@1",
+        }
+
+    def test_trailing_comment_without_newline(self):
+        assert _token_lines(tokenize("coords t # trailing")) == {1: "icoords@1 it@8 e@10"}
+
+    @pytest.mark.parametrize(
+        "text, ch, line, col", [("coords t\n  x $ y", "$", 2, 5), ("x = 1e-3 ! 2", "!", 1, 10), ("a # c\n@", "@", 2, 1)]
+    )
+    def test_unexpected_character_position(self, text, ch, line, col):
+        with pytest.raises(DslError) as exc:
+            tokenize(text)
+        assert (exc.value.message, exc.value.line, exc.value.col) == (f"unexpected character {ch!r}", line, col)
+
+
 def _free(e):
     from mcft.expr import free_symbols
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mcft.charts import ChartError, generic_chart, jet_chart
-from mcft.expr import add, const, mul, substitute, to_text, var
+from mcft.expr import add, const, diff, mul, substitute, to_text, var
 from mcft.forms import (
     Form,
     FormError,
@@ -226,6 +226,20 @@ class TestLieDerivative:
         ch = chart5()
         X = Multivector.vector(ch, {"z1": ch.coord("z1")})
         assert lie_derivative(X, one_form(ch, "z1")) == one_form(ch, "z1")
+
+    def test_vector_field_on_one_form_against_coordinates(self):
+        # (L_X a)_j = X^i d_i a_j + a_i d_j X^i, the flow derivative of a 1-form
+        rng = random.Random(29)
+        for _ in range(40):
+            ch = chart5()
+            v, a = rand_vector(rng, ch), rand_form(rng, ch, 1)
+            got = lie_derivative(Multivector(ch, 1, factors=[v]), a)
+            for j, zj in enumerate(ch.symbols):
+                want = add(
+                    *[mul(x, diff(a.coeff(j), ch.symbols[i])) for i, x in v.items()],
+                    *[mul(c, diff(v.get(i, const(0)), zj)) for (i,), c in a.table.items()],
+                )
+                assert got.coeff(j) == want
 
     def test_invariance_of_theta_under_field_shift(self, string_system):
         Y = Multivector.vector(string_system.chart, {"y": 1})

@@ -25,7 +25,6 @@ from mcft.numeric import (
     Grid1p1,
     ResidualNorms,
     Trajectory,
-    _d2x,
     compile_expr,
     dissipation_residual,
     energy_series,
@@ -196,8 +195,6 @@ def test_leapfrog_matches_plain_loop(nx, nt, bc, gamma):
             rows[-1][0] = rows[-1][-1] = 0.0
     traj = integrate_damped_wave({"rho": 1.0, "tau": 1.0, "gamma": gamma}, y0, v0, grid)
     assert np.array_equal(bits(traj.y), bits(np.array(rows)))
-    row = traj.y[-1]
-    assert np.array_equal(_d2x(row, bc, np.empty_like(row)), _d2x(row, bc, np.empty_like(row), twice=2.0 * row))
 
 
 MOMENTUM = (

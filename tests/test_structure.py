@@ -1,0 +1,89 @@
+"""The candidate-independent structure a system derives once: dTheta,
+dsigma, domega and bar_d Theta, and the classification that reads them."""
+import pathlib
+from fractions import Fraction
+
+import pytest
+
+from mcft.corpus import corpus
+from mcft.dsl import parse
+from mcft.expr import ZeroCheck
+from mcft.forms import bar_d, ext_d, form_witnesses, form_zero_check, lie_derivative
+from mcft.hamiltonian import legendre
+from mcft.lagrangian import build_lagrangian_system
+from mcft.symmetry import NOETHER, NOT_NOETHER, STRONG_NOETHER, classify, hamiltonian_lift, noether_current
+
+PARAMETRIC_N2 = pathlib.Path(__file__).resolve().parent / "goldens" / "parametric_n2.mcft"
+
+
+def string_lagrangian(chart, params, damped: bool):
+    yt, yx, st = chart.coord("y_t"), chart.coord("y_x"), chart.coord("s_t")
+    L = Fraction(1, 2) * (params["rho"] * yt**2 - params["tau"] * yx**2)
+    return L - params["gamma"] * st if damped else L
+
+
+@pytest.fixture(params=["lagrangian", "hamiltonian"])
+def fresh_system(request, string_chart, params):
+    sys_ = build_lagrangian_system(string_chart, string_lagrangian(string_chart, params, damped=True))
+    return sys_ if request.param == "lagrangian" else legendre(sys_).hamiltonian_system
+
+
+def test_cached_forms_equal_fresh_derivatives(fresh_system):
+    s = fresh_system
+    assert s.d_theta == ext_d(s.theta) and not s.d_theta.is_structurally_zero()
+    assert s.d_sigma == ext_d(s.sigma)
+    assert s.d_omega == ext_d(s.omega)
+    assert s.bar_d_theta() == bar_d(s.theta, s.sigma)
+
+
+def test_cached_forms_are_built_once(fresh_system):
+    s = fresh_system
+    assert s.d_theta is s.d_theta
+    assert s.d_sigma is s.d_sigma
+    assert s.d_omega is s.d_omega
+    assert s.bar_d_theta() is s.bar_d_theta()
+
+
+def test_systems_built_back_to_back_share_no_cache(string_chart, params):
+    damped = build_lagrangian_system(string_chart, string_lagrangian(string_chart, params, damped=True))
+    first = (damped.d_theta, damped.d_sigma, damped.bar_d_theta())
+    undamped = build_lagrangian_system(string_chart, string_lagrangian(string_chart, params, damped=False))
+    assert undamped.d_theta == ext_d(undamped.theta) != first[0]
+    assert undamped.bar_d_theta() == bar_d(undamped.theta, undamped.sigma) != first[2]
+    assert undamped.d_sigma.is_structurally_zero() and undamped.sigma.is_structurally_zero()
+    assert (damped.d_theta, damped.d_sigma, damped.bar_d_theta()) == first
+
+
+def reference_report(Y, system):
+    """classify's verdict rebuilt from the public Lie derivative and current."""
+    lt, lw, ls = (lie_derivative(Y, f) for f in (system.theta, system.omega, system.sigma))
+    zt, zw, zs = (form_zero_check(f) for f in (lt, lw, ls))
+    if zt is ZeroCheck.NONZERO:
+        label = NOT_NOETHER
+    elif zw is ZeroCheck.NONZERO:
+        label = NOETHER
+    else:
+        label = STRONG_NOETHER
+    witnesses = form_witnesses(lt) if label == NOT_NOETHER else []
+    return label, zs is not ZeroCheck.NONZERO, witnesses, ZeroCheck.PROBABLY_ZERO in (zt, zw, zs), noether_current(Y, system)
+
+
+def corpus_cases():
+    for entry in corpus(seed=11, size=6):
+        for label, Y in entry.candidates:
+            yield f"{entry.name}:{label}", Y, entry.system
+    model = parse(PARAMETRIC_N2.read_text(encoding="utf-8"))
+    hs = legendre(model.system()).hamiltonian_system
+    for name in ("Z", "D"):
+        yield f"parametric_n2:ham:{name}", hamiltonian_lift(model.candidate(name, hs.chart)), hs
+
+
+def test_classify_matches_reference_over_corpus_and_hamiltonian_side():
+    labels = set()
+    for case, Y, system in corpus_cases():
+        rep = classify(Y, system)
+        got = (rep.classification, rep.sigma_invariant, rep.witnesses, rep.numerically_certified, rep.current)
+        assert got == reference_report(Y, system), case
+        labels.add(rep.classification)
+    # both verdicts these theories reach, so neither branch goes unchecked
+    assert {NOT_NOETHER, STRONG_NOETHER} <= labels
