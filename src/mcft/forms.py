@@ -6,11 +6,20 @@ absorbed into the coefficient.  Multivector fields are either a
 decomposable wedge list of vector fields or an expanded table.
 
 Contraction convention: i_{X_1 ^ ... ^ X_m} alpha = i_{X_m} ... i_{X_1} alpha,
-i.e. X_1 fills the first argument slot.  The graded Lie derivative is
+i.e. X_1 fills the first argument slot.  The Lie derivative along a vector
+field uses the coordinate formula
+
+    (L_X a)_I = X^j d_j a_I + sum_r a_I d_l X^{i_r},
+
+where dx^l takes slot r of I and is sorted into place with the sign of that
+move; along a multivector it uses Cartan's graded formula
 L_X = d i_X - (-1)^m i_X d.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
+from dataclasses import dataclass
+from functools import cache
 from typing import Mapping
 
 from .algebra import det
@@ -54,6 +63,16 @@ def _merge_sign(left: tuple, right: tuple):
     return _SIGN[inversions & 1], merged
 
 
+@cache
+def _check_index(dim: int, degree: int, idx: tuple) -> None:
+    """Raise unless idx is a strictly increasing degree-length tuple of axes
+    below dim; each valid index is checked once per process."""
+    if len(idx) != degree or list(idx) != sorted(set(idx)):
+        raise FormError(f"bad multi-index {idx} for degree {degree}")
+    if any(not (0 <= i < dim) for i in idx):
+        raise FormError(f"axis out of range in {idx}")
+
+
 class Form:
     """Differential k-form: mapping increasing multi-index -> coefficient."""
 
@@ -65,10 +84,7 @@ class Form:
         clean = {}
         for idx, c in table.items():
             idx = tuple(idx)
-            if len(idx) != degree or list(idx) != sorted(set(idx)):
-                raise FormError(f"bad multi-index {idx} for degree {degree}")
-            if any(not (0 <= i < chart.dim) for i in idx):
-                raise FormError(f"axis out of range in {idx}")
+            _check_index(chart.dim, degree, idx)
             c = _coerce(c)
             if c.terms:
                 clean[idx] = c
@@ -340,11 +356,48 @@ def contract(X: Multivector, a: Form) -> Form:
     return Form(a.chart, a.degree - X.degree, out)
 
 
-def cartan(X: Multivector, i_X_a: Form, d_a: Form) -> Form:
-    """Cartan's formula L_X a = d(i_X a) - (-1)^m i_X(d a), from the
-    contraction i_X a and the derivative d a of a form a."""
-    left = ext_d(i_X_a)
-    right = contract(X, d_a).scale(_SIGN[(X.degree + 1) & 1])
+def _lie_vector(v: Mapping[int, Expr], a: Form) -> Form:
+    """L_X a for the vector field with components v, by the coordinate
+    formula; only nonzero X^j and nonzero d_l X^i are visited."""
+    symbols = a.chart.symbols
+    jacobian = {}  # i -> {l: d_l X^i}
+    for i, comp in v.items():
+        row = {}
+        for l, s in enumerate(symbols):
+            d = diff(comp, s)
+            if d.terms:
+                row[l] = d
+        if row:
+            jacobian[i] = row
+    parts: dict = {}
+    for idx, c in a.table.items():
+        for j, xj in v.items():
+            dc = diff(c, symbols[j])
+            if dc.terms:
+                parts.setdefault(idx, []).append(mul(xj, dc))
+        for r, i in enumerate(idx):
+            row = jacobian.get(i)
+            if row is None:
+                continue
+            rest = idx[:r] + idx[r + 1 :]
+            for l, dxi in row.items():
+                if l in rest:
+                    continue
+                pos = bisect_left(rest, l)
+                merged = rest[:pos] + (l,) + rest[pos:]
+                parts.setdefault(merged, []).append(mul(_SIGN[(pos - r) & 1], c, dxi))
+    return Form(a.chart, a.degree, {idx: add(*p) for idx, p in parts.items()})
+
+
+def lie_derivative(X: Multivector, a: Form) -> Form:
+    """Lie derivative L_X a: the coordinate formula for a vector field,
+    Cartan's graded L_X a = d i_X a - (-1)^m i_X d a for a multivector."""
+    if X.chart != a.chart:
+        raise FormError("Lie derivative across different charts")
+    if X.degree == 1:
+        return _lie_vector(X.factors[0], a)
+    left = ext_d(contract(X, a))
+    right = contract(X, ext_d(a)).scale(_SIGN[(X.degree + 1) & 1])
     # degrees: both are a.degree - m + 1 when defined; guard the edge where
     # contraction collapsed to a zero 0-form of mismatched degree
     if left.is_structurally_zero() and left.degree != right.degree:
@@ -352,11 +405,6 @@ def cartan(X: Multivector, i_X_a: Form, d_a: Form) -> Form:
     if right.is_structurally_zero() and right.degree != left.degree:
         right = Form.zero(X.chart, left.degree)
     return left + right
-
-
-def lie_derivative(X: Multivector, a: Form) -> Form:
-    """Graded Lie derivative L_X a = d i_X a - (-1)^m i_X d a."""
-    return cartan(X, contract(X, a), ext_d(a))
 
 
 def lie_bracket(X: Multivector, Y: Multivector) -> Multivector:
@@ -563,24 +611,33 @@ def pullback_along(mapping: Mapping[str, object], a: Form, source: Chart) -> For
 # Zero checks and rendering.
 
 
-def form_zero_check(a: Form, seed: int = 0, tol: float = 1e-9) -> ZeroCheck:
-    worst = ZeroCheck.ZERO
-    for _, c in a.items():
+@dataclass
+class CheckResult:
+    """A form's zero test: holds unless some coefficient is nonzero;
+    certainty is the worst coefficient verdict; witnesses are the nonzero
+    coefficients as (coordinate-name tuple, Expr) pairs."""
+
+    holds: bool
+    certainty: ZeroCheck
+    witnesses: list
+
+    def __bool__(self):
+        return self.holds
+
+
+def form_zero_check(a: Form, seed: int = 0, tol: float = 1e-9) -> CheckResult:
+    """Test every coefficient of a once with is_zero."""
+    witnesses = []
+    probed = False
+    for idx, c in a.items():
         z = is_zero(c, seed=seed, tol=tol)
         if z is ZeroCheck.NONZERO:
-            return ZeroCheck.NONZERO
-        if z is ZeroCheck.PROBABLY_ZERO:
-            worst = ZeroCheck.PROBABLY_ZERO
-    return worst
-
-
-def form_witnesses(a: Form, seed: int = 0, tol: float = 1e-9) -> list:
-    """Nonzero coefficients as (coordinate-name tuple, Expr) pairs."""
-    out = []
-    for idx, c in a.items():
-        if is_zero(c, seed=seed, tol=tol) is ZeroCheck.NONZERO:
-            out.append((tuple(a.chart.coords[i].name for i in idx), c))
-    return out
+            witnesses.append((tuple(a.chart.coords[i].name for i in idx), c))
+        elif z is ZeroCheck.PROBABLY_ZERO:
+            probed = True
+    if witnesses:
+        return CheckResult(False, ZeroCheck.NONZERO, witnesses)
+    return CheckResult(True, ZeroCheck.PROBABLY_ZERO if probed else ZeroCheck.ZERO, [])
 
 
 def form_to_text(a: Form, name_map=None) -> str:

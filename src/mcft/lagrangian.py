@@ -15,7 +15,10 @@ and solves the contraction equations
 
 for semi-holonomic multivector fields exactly, returning the solved
 family with its free component functions.  A system derives d Theta,
-d sigma, d omega and bar_d Theta once, on first use, for every candidate.
+d sigma, d omega and bar_d Theta once, on first use.  d Theta and
+bar_d Theta serve ``solve_sopde_family`` and ``verify_sigma_property``;
+d sigma and d omega stay cached, but ``symmetry.classify`` does not read
+them: it takes Lie derivatives of Theta, omega and sigma directly.
 
 The Theta construction (``multicontact_theta``), the solution family
 and its ansatz are shared with the Hamiltonian picture, which passes
@@ -31,7 +34,6 @@ from .charts import Chart
 from .expr import (
     Expr,
     Symbol,
-    ZeroCheck,
     add,
     const,
     diff,
@@ -42,11 +44,11 @@ from .expr import (
     var,
 )
 from .forms import (
+    CheckResult,
     Form,
     Multivector,
     contract,
     ext_d,
-    form_witnesses,
     form_zero_check,
     one_form,
     volume_form,
@@ -353,25 +355,9 @@ def _residual_summary(f: Form) -> str:
 # Dissipation-form defining property.
 
 
-@dataclass
-class CheckResult:
-    holds: bool
-    certainty: ZeroCheck
-    witnesses: list
-
-    def __bool__(self):
-        return self.holds
-
-
-def check_form_zero(f: Form, seed: int = 0, tol: float = 1e-9) -> CheckResult:
-    z = form_zero_check(f, seed=seed, tol=tol)
-    holds = z is not ZeroCheck.NONZERO
-    return CheckResult(holds=holds, certainty=z, witnesses=[] if holds else form_witnesses(f, seed=seed, tol=tol))
-
-
 def verify_sigma_property(sys, R: Multivector, seed: int = 0, tol: float = 1e-9) -> CheckResult:
     """Check the defining property of the dissipation form,
     sigma ^ i_R Theta = i_R d Theta, for a candidate Reeb field R."""
     lhs = wedge(sys.sigma, contract(R, sys.theta))
     rhs = contract(R, sys.d_theta)
-    return check_form_zero(lhs - rhs, seed=seed, tol=tol)
+    return form_zero_check(lhs - rhs, seed=seed, tol=tol)

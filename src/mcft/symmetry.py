@@ -37,17 +37,16 @@ from .expr import (
     to_text,
 )
 from .forms import (
+    CheckResult,
     Form,
     Multivector,
     bar_d,
-    cartan,
     contract,
     form_to_json,
-    form_witnesses,
     form_zero_check,
+    lie_derivative,
     vector_to_text,
 )
-from .lagrangian import CheckResult, check_form_zero
 
 
 class SymmetryError(Exception):
@@ -191,35 +190,27 @@ class SymmetryReport:
 
 def classify(Y: Multivector, system, seed: int = 0, tol: float = 1e-9) -> SymmetryReport:
     """Classify a vector field against the system's multicontact
-    structure (Theta, omega) and record sigma-invariance.  The current
-    i_Y Theta is contracted once, for L_Y Theta and for the report."""
+    structure (Theta, omega) by L_Y Theta and L_Y omega, record
+    sigma-invariance by L_Y sigma, and attach the current i_Y Theta."""
     if Y.chart != system.chart:
         raise SymmetryError("candidate lives on a different chart than the system")
-    current = noether_current(Y, system)
-    lt = cartan(Y, current, system.d_theta)
-    lw = cartan(Y, contract(Y, system.omega), system.d_omega)
-    ls = cartan(Y, contract(Y, system.sigma), system.d_sigma)
-    zt = form_zero_check(lt, seed=seed, tol=tol)
-    zw = form_zero_check(lw, seed=seed, tol=tol)
-    zs = form_zero_check(ls, seed=seed, tol=tol)
-    if zt is ZeroCheck.NONZERO:
+    zt, zw, zs = (
+        form_zero_check(lie_derivative(Y, f), seed=seed, tol=tol) for f in (system.theta, system.omega, system.sigma)
+    )
+    if not zt.holds:
         classification = NOT_NOETHER
-    elif zw is ZeroCheck.NONZERO:
+    elif not zw.holds:
         classification = NOETHER
     else:
         classification = STRONG_NOETHER
-    witnesses = []
-    if classification == NOT_NOETHER:
-        witnesses = form_witnesses(lt, seed=seed, tol=tol)
-    sigma_invariant = zs is not ZeroCheck.NONZERO
-    probing = ZeroCheck.PROBABLY_ZERO in (zt, zw, zs)
+    probing = ZeroCheck.PROBABLY_ZERO in (zt.certainty, zw.certainty, zs.certainty)
     return SymmetryReport(
         candidate=Y,
         classification=classification,
-        sigma_invariant=sigma_invariant,
-        lemma_consistent=(classification != STRONG_NOETHER) or sigma_invariant,
-        current=current,
-        witnesses=witnesses,
+        sigma_invariant=zs.holds,
+        lemma_consistent=(classification != STRONG_NOETHER) or zs.holds,
+        current=noether_current(Y, system),
+        witnesses=zt.witnesses,
         numerically_certified=probing,
     )
 
@@ -235,7 +226,7 @@ def check_dissipative(xi: Form, family, sigma: Form, seed: int = 0, tol: float =
     X = family.multivector() if hasattr(family, "multivector") else family
     if xi.degree != X.degree - 1:
         raise SymmetryError(f"dissipative-form check needs degree {X.degree - 1}, got {xi.degree}")
-    return check_form_zero(contract(X, bar_d(xi, sigma)), seed=seed, tol=tol)
+    return form_zero_check(contract(X, bar_d(xi, sigma)), seed=seed, tol=tol)
 
 
 def check_conserved(xi: Form, family, seed: int = 0, tol: float = 1e-9) -> CheckResult:

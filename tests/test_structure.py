@@ -1,17 +1,21 @@
 """The candidate-independent structure a system derives once: dTheta,
-dsigma, domega and bar_d Theta, and the classification that reads them."""
+dsigma, domega and bar_d Theta; and the classification by L_Y Theta,
+L_Y omega and L_Y sigma, checked against Cartan's formula built from
+the public contraction and exterior derivative."""
 import pathlib
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from mcft import forms
 from mcft.corpus import corpus
 from mcft.dsl import parse
-from mcft.expr import ZeroCheck
-from mcft.forms import bar_d, ext_d, form_witnesses, form_zero_check, lie_derivative
+from mcft.expr import ZeroCheck, is_zero
+from mcft.forms import bar_d, contract, ext_d, lie_derivative
 from mcft.hamiltonian import legendre
 from mcft.lagrangian import build_lagrangian_system
-from mcft.symmetry import NOETHER, NOT_NOETHER, STRONG_NOETHER, classify, hamiltonian_lift, noether_current
+from mcft.symmetry import NOETHER, NOT_NOETHER, STRONG_NOETHER, classify, hamiltonian_lift
 
 PARAMETRIC_N2 = pathlib.Path(__file__).resolve().parent / "goldens" / "parametric_n2.mcft"
 
@@ -54,18 +58,24 @@ def test_systems_built_back_to_back_share_no_cache(string_chart, params):
     assert (damped.d_theta, damped.d_sigma, damped.bar_d_theta()) == first
 
 
+def cartan_oracle(X, a):
+    """L_X a = d i_X a + i_X d a for a vector field X."""
+    right = contract(X, ext_d(a))
+    return right if a.degree == 0 else ext_d(contract(X, a)) + right
+
+
 def reference_report(Y, system):
-    """classify's verdict rebuilt from the public Lie derivative and current."""
-    lt, lw, ls = (lie_derivative(Y, f) for f in (system.theta, system.omega, system.sigma))
-    zt, zw, zs = (form_zero_check(f) for f in (lt, lw, ls))
-    if zt is ZeroCheck.NONZERO:
-        label = NOT_NOETHER
-    elif zw is ZeroCheck.NONZERO:
-        label = NOETHER
-    else:
-        label = STRONG_NOETHER
-    witnesses = form_witnesses(lt) if label == NOT_NOETHER else []
-    return label, zs is not ZeroCheck.NONZERO, witnesses, ZeroCheck.PROBABLY_ZERO in (zt, zw, zs), noether_current(Y, system)
+    """classify's verdict rebuilt from the Cartan oracle, coefficient by coefficient."""
+    checks = []
+    for f in (system.theta, system.omega, system.sigma):
+        lie = cartan_oracle(Y, f)
+        verdicts = [(idx, c, is_zero(c)) for idx, c in lie.items()]
+        nonzero = [(tuple(lie.chart.coords[i].name for i in idx), c) for idx, c, z in verdicts if z is ZeroCheck.NONZERO]
+        probed = not nonzero and any(z is ZeroCheck.PROBABLY_ZERO for _, _, z in verdicts)
+        checks.append((nonzero, probed))
+    (wt, _), (ww, _), (ws, _) = checks
+    label = NOT_NOETHER if wt else NOETHER if ww else STRONG_NOETHER
+    return label, not ws, wt, any(p for _, p in checks), contract(Y, system.theta)
 
 
 def corpus_cases():
@@ -87,3 +97,26 @@ def test_classify_matches_reference_over_corpus_and_hamiltonian_side():
         labels.add(rep.classification)
     # both verdicts these theories reach, so neither branch goes unchecked
     assert {NOT_NOETHER, STRONG_NOETHER} <= labels
+
+
+def test_vector_lie_derivative_matches_cartan_oracle_on_structure_forms():
+    for case, Y, system in corpus_cases():
+        for f in (system.theta, system.omega, system.sigma):
+            assert lie_derivative(Y, f) == cartan_oracle(Y, f), case
+
+
+def test_classify_tests_each_coefficient_once(monkeypatch):
+    model = parse(PARAMETRIC_N2.read_text(encoding="utf-8"))
+    hs = legendre(model.system()).hamiltonian_system
+    Y = hamiltonian_lift(model.candidate("D", hs.chart))
+    probed = []
+
+    def counting_is_zero(e, **kwargs):
+        probed.append(e)
+        return is_zero(e, **kwargs)
+
+    monkeypatch.setattr(forms, "is_zero", counting_is_zero)
+    rep = classify(Y, hs)
+    assert rep.classification == NOT_NOETHER and rep.witnesses
+    coefficients = [c for f in (hs.theta, hs.omega, hs.sigma) for _, c in lie_derivative(Y, f).items()]
+    assert Counter(probed) == Counter(coefficients)
