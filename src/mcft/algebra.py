@@ -13,9 +13,10 @@ dependent ones and later unknowns stay free, which pins the
 parametrization of solution families.  A column's pivot row is the
 unused one whose entry is rational, else has the fewest terms, else
 comes first.  Every other row becomes (p*row - f*pivot_row)/prev, an
-exact division by the previous pivot.  A solved unknown thus takes one
-division, -(constant + free part)/pivot, and a Legendre inverse is an
-adjugate row over the Hessian determinant, not a nest of inverted sums.
+exact division by the previous pivot.  Each pivot row ends holding the
+last pivot, so ``affine_numerators`` gives every solved unknown as one
+numerator over it (for a Legendre inverse, an adjugate row over the
+Hessian determinant), and ``solve_affine`` divides.
 """
 from __future__ import annotations
 
@@ -104,24 +105,29 @@ def _eliminate(rows: list, ncols: int):
     return pivots, prev
 
 
-def solve_affine(equations: Sequence[Expr], unknowns: Sequence[Symbol]) -> AffineSolution:
-    """Solve ``equations == 0`` for the unknowns by ``_eliminate``."""
+def affine_numerators(equations: Sequence[Expr], unknowns: Sequence[Symbol]):
+    """Eliminate ``equations == 0`` by ``_eliminate``: ({solved unknown:
+    numerator}, free unknowns, D), each solved unknown its numerator / D."""
     unknowns = list(unknowns)
     column = {u: i for i, u in enumerate(unknowns)}
     rows = [_affine_row(e, column) for e in equations]
     rows = [clear_denominators(row[:-1], row[-1:])[0] for row in rows if any(x.terms for x in row)]
-    pivots, _ = _eliminate(rows, len(unknowns))
+    pivots, last = _eliminate(rows, len(unknowns))
     used = {r for _, r in pivots}
     residuals = [row[-1] for i, row in enumerate(rows) if i not in used and row[-1].terms]
     if residuals:
         raise InconsistentSystemError(residuals)
     solved_cols = {c for c, _ in pivots}
     free = [(c, u) for c, u in enumerate(unknowns) if c not in solved_cols]
-    solved = {}
-    for c, r in pivots:
-        rest = add(rows[r][-1], *(mul(rows[r][f], u) for f, u in free))
-        solved[unknowns[c]] = mul(MINUS_ONE, div_exact(rest, rows[r][c]))
-    return AffineSolution(solved=solved, free=[u for _, u in free])
+    numerators = {unknowns[c]: mul(MINUS_ONE, add(rows[r][-1], *(mul(rows[r][f], u) for f, u in free))) for c, r in pivots}
+    return numerators, [u for _, u in free], last
+
+
+def solve_affine(equations: Sequence[Expr], unknowns: Sequence[Symbol]) -> AffineSolution:
+    """Solve ``equations == 0`` for the unknowns: each numerator of
+    ``affine_numerators`` divided exactly by the shared pivot."""
+    numerators, free, pivot = affine_numerators(equations, unknowns)
+    return AffineSolution(solved={u: div_exact(n, pivot) for u, n in numerators.items()}, free=free)
 
 
 def det(matrix: Sequence[Sequence[Expr]]) -> Expr:

@@ -9,8 +9,9 @@ One verb per pipeline stage:
     mcft verify-law MODEL NAME SCENARIO   discrete dissipation-law check
     mcft simulate MODEL SCENARIO          integrate and dump/summarize
 
-Exit codes: 0 success, 1 failed check / not-noether, 2 usage or parse
-errors, 3 singular Lagrangian (with --hamiltonian) or CFL violation.
+Exit codes: 0 success, 1 failed check / not-noether, 2 usage, parse,
+numeric or I/O errors (stdout closed early too), 3 singular Lagrangian
+(with --hamiltonian), failed sopde self-check or CFL violation.
 JSON reports (--json) are deterministic for a fixed --seed: no wall-clock
 content; timing goes to stderr in human mode only.
 """
@@ -461,9 +462,14 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         code = args.fn(args)
+        sys.stdout.flush()
     except CliFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except BrokenPipeError:
+        # stdout closed early (`| head`): exit 2; devnull takes the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     if not args.json:
         print(f"[{1000.0 * (time.perf_counter() - t0):.0f} ms]", file=sys.stderr)
     return code

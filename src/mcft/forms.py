@@ -202,13 +202,14 @@ class Multivector:
     """Degree-m multivector field: a decomposable wedge list of vector
     fields, or an expanded antisymmetric table."""
 
-    __slots__ = ("chart", "degree", "factors", "_table")
+    __slots__ = ("chart", "degree", "factors", "_table", "_jacobian")
 
     def __init__(self, chart: Chart, degree: int, factors=None, table=None):
         if degree < 1 or degree > chart.dim:
             raise FormError(f"multivector degree {degree} out of range")
         self.chart = chart
         self.degree = degree
+        self._jacobian = None
         if factors is not None:
             factors = tuple({i: _coerce(c) for i, c in f.items() if _coerce(c).terms} for f in factors)
             if len(factors) != degree:
@@ -356,19 +357,15 @@ def contract(X: Multivector, a: Form) -> Form:
     return Form(a.chart, a.degree - X.degree, out)
 
 
-def _lie_vector(v: Mapping[int, Expr], a: Form) -> Form:
-    """L_X a for the vector field with components v, by the coordinate
-    formula; only nonzero X^j and nonzero d_l X^i are visited."""
-    symbols = a.chart.symbols
-    jacobian = {}  # i -> {l: d_l X^i}
-    for i, comp in v.items():
-        row = {}
-        for l, s in enumerate(symbols):
-            d = diff(comp, s)
-            if d.terms:
-                row[l] = d
-        if row:
-            jacobian[i] = row
+def _lie_vector(X: Multivector, a: Form) -> Form:
+    """L_X a for a vector field by the coordinate formula; only nonzero
+    X^j and nonzero d_l X^i are visited.  X keeps its Jacobian
+    {i: {l: d_l X^i}}, so that it is built once per field."""
+    symbols, v = a.chart.symbols, X.factors[0]
+    if X._jacobian is None:
+        rows = {i: {l: d for l, s in enumerate(symbols) if (d := diff(comp, s)).terms} for i, comp in v.items()}
+        X._jacobian = {i: row for i, row in rows.items() if row}
+    jacobian = X._jacobian
     parts: dict = {}
     for idx, c in a.table.items():
         for j, xj in v.items():
@@ -395,7 +392,7 @@ def lie_derivative(X: Multivector, a: Form) -> Form:
     if X.chart != a.chart:
         raise FormError("Lie derivative across different charts")
     if X.degree == 1:
-        return _lie_vector(X.factors[0], a)
+        return _lie_vector(X, a)
     left = ext_d(contract(X, a))
     right = contract(X, ext_d(a)).scale(_SIGN[(X.degree + 1) & 1])
     # degrees: both are a.degree - m + 1 when defined; guard the edge where

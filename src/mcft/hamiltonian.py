@@ -1,9 +1,12 @@
 """Legendre transform and the multicontact Hamiltonian structure.
 
 For a regular Lagrangian the fiber derivative p^mu_a = dL/dy^a_mu is
-inverted exactly (relations affine in the velocities), and
+inverted exactly.  The relations are affine in the velocities, p = K v + b
+with K the Hessian, so ``solve_affine`` returns each velocity as its
+numerator divided exactly by the one shared pivot, +-det(K).  L is
+quadratic in v, so H is a polynomial plus one numerator over det(K):
 
-    H       = E_L composed with the inverse Legendre map
+    H       = (p - b).v/2 - L|_{v=0}
     Theta_H = -p^mu_a dy^a ^ d^{m-1}x_mu + H d^m x + ds^mu ^ d^{m-1}x_mu
     sigma_H = dH/ds^mu dx^mu
 
@@ -14,7 +17,8 @@ multivector family with the trace constraints imposed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from .algebra import InconsistentSystemError, NonlinearSystemError, solve_affine
+from fractions import Fraction
+from .algebra import ZERO, InconsistentSystemError, NonlinearSystemError, solve_affine
 from .charts import Chart, ham_chart, momentum_name
 from .expr import (
     Expr,
@@ -113,7 +117,11 @@ def legendre(sys: LagrangianSystem) -> LegendreTransform:
         if c.role == "velocity":
             continue
         inverse.setdefault(c.name, hchart.coord(c.name))
-    H = substitute(sys.energy, {chart.symbol(n): e for n, e in inverse.items() if n in chart._axis})
+    # L is quadratic in v: with b, L0 the momenta and L at v = 0, E_L = v.K.v/2 - L0 = (p - b).v/2 - L0,
+    # and each equation at v = 0 is b - p
+    at_rest = {s: ZERO for s in vel_syms}
+    b_minus_p_v = add(*(mul(substitute(e, at_rest), sol.solved[s]) for e, s in zip(equations, vel_syms)))
+    H = add(mul(const(Fraction(-1, 2)), b_minus_p_v), mul(const(-1), substitute(sys.lagrangian, at_rest)))
     hsys = HamiltonianSystem(hchart, H)
     return LegendreTransform(sys, hsys, forward=forward, inverse=inverse)
 

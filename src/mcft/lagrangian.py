@@ -14,11 +14,10 @@ and solves the contraction equations
     i_X Theta_L = 0,   i_X bar_d Theta_L = 0,   i_X omega = 1
 
 for semi-holonomic multivector fields exactly, returning the solved
-family with its free component functions.  A system derives d Theta,
-d sigma, d omega and bar_d Theta once, on first use.  d Theta and
-bar_d Theta serve ``solve_sopde_family`` and ``verify_sigma_property``;
-d sigma and d omega stay cached, but ``symmetry.classify`` does not read
-them: it takes Lie derivatives of Theta, omega and sigma directly.
+family with its free component functions.  A system derives d Theta and
+bar_d Theta once, on first use, for ``solve_sopde_family`` and
+``verify_sigma_property``; ``symmetry.classify`` takes Lie derivatives of
+Theta, omega and sigma directly.
 
 The Theta construction (``multicontact_theta``), the solution family
 and its ansatz are shared with the Hamiltonian picture, which passes
@@ -112,14 +111,6 @@ class MulticontactSystem:
     @cached_property
     def d_theta(self) -> Form:
         return ext_d(self.theta)
-
-    @cached_property
-    def d_sigma(self) -> Form:
-        return ext_d(self.sigma)
-
-    @cached_property
-    def d_omega(self) -> Form:
-        return ext_d(self.omega)
 
     @cached_property
     def _bar_d_theta(self) -> Form:

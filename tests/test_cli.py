@@ -370,3 +370,22 @@ def test_symbolic_verbs_do_not_import_numpy(argv):
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--json", "check-symmetry", MODEL, "Y"], ["--json", "derive", "--hamiltonian", MODEL], ["sopde", MODEL]],
+    ids=["check-symmetry", "derive-hamiltonian", "sopde-human"],
+)
+def test_closed_stdout_exit_2_without_traceback(argv):
+    # the reader closes the pipe before the program writes, as `| head -c 10` may
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mcft.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 2, err
+    assert "Traceback" not in err and "BrokenPipeError" not in err

@@ -10,8 +10,9 @@ inverted-sum atoms.  They were captured before the kernel's per-atom
 hash, derivative and text caches existed, so they pin those caches to
 the uncached results.  ``derive-hamiltonian.json`` was captured again
 when ``det`` and ``solve_affine`` moved to fraction-free elimination,
-which puts the Hamiltonian over the single denominator (1 - 9*a/2)^2;
-sympy showed each changed value equal to the one before."""
+and again when H became (p - b).v/2 - L|_{v=0}, which puts it over one
+power of (1 - 9*a/2); sympy showed each changed value equal to the one
+before."""
 import contextlib
 import io
 import json

@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from mcft.algebra import affine_numerators
 from mcft.charts import jet_chart, momentum_name
+from mcft.corpus import corpus
 from mcft.dsl import parse
-from mcft.expr import ZeroCheck, const, free_symbols, substitute, sym, to_text, var
+from mcft.expr import ExprError, ZeroCheck, add, const, free_symbols, mul, substitute, sym, to_text, var
 from mcft.forms import Form, Multivector, contract, one_form, pullback_along, volume_form, wedge
 from mcft.hamiltonian import (
     HamiltonianSystem,
@@ -255,3 +257,98 @@ def test_time_translation_law_is_decided_exactly():
     rep = classify(hamiltonian_lift(model.candidate("T", hs.chart)), hs)
     law = check_dissipative(rep.current, hdw_multivector(hs), hs.sigma)
     assert law.holds and law.certainty is ZeroCheck.ZERO
+
+
+# ---------------------------------------------------------------------------
+# The Legendre transform over one denominator, checked exactly: every
+# comparison evaluates at random rational points in Fraction arithmetic.
+
+
+def _legendre_cases():
+    cases = [(e.name, e.system) for e in corpus(seed=11, size=6)]
+    return cases + [(p.stem, parse(p.read_text(encoding="utf-8")).system()) for p in PARAMETRIC_MODELS]
+
+
+LEGENDRE_CASES = _legendre_cases()
+
+
+def _rational_values(rng, *exprs, count=3):
+    """``count`` evaluations of ``exprs`` at random rational points where
+    they are all defined, each a tuple of Fractions."""
+    symbols = sorted({s for e in exprs for s in free_symbols(e)}, key=lambda s: s.key)
+    out = []
+    for _ in range(20 * count):
+        at = {s: const(Fraction(rng.randint(-9, 9), rng.randint(1, 5))) for s in symbols}
+        try:
+            values = [substitute(e, at) for e in exprs]
+        except ExprError:  # a denominator vanished at this point
+            continue
+        out.append(tuple(v.as_rational() for v in values))
+        if len(out) == count:
+            return out
+    raise AssertionError("no point where every expression is defined")
+
+
+def _velocity_map(sys_, lt):
+    return {sys_.chart.symbol(n): e for n, e in lt.inverse.items() if n in sys_.chart._axis}
+
+
+@pytest.mark.parametrize("name, sys_", LEGENDRE_CASES, ids=[n for n, _ in LEGENDRE_CASES])
+def test_hamiltonian_equals_energy_through_the_inverse(name, sys_):
+    # H = E_L o FL^-1, the substitute-based construction, as a reference
+    lt = legendre(sys_)
+    reference = substitute(sys_.energy, _velocity_map(sys_, lt))
+    for h, want in _rational_values(random.Random(name), lt.hamiltonian_system.hamiltonian, reference):
+        assert h == want
+
+
+@pytest.mark.parametrize("name, sys_", LEGENDRE_CASES, ids=[n for n, _ in LEGENDRE_CASES])
+def test_legendre_forward_after_inverse_is_identity(name, sys_):
+    lt = legendre(sys_)
+    hch = lt.hamiltonian_system.chart
+    rng = random.Random(name)
+    for p, e in lt.forward.items():
+        back = substitute(e, _velocity_map(sys_, lt))
+        for got, want in _rational_values(rng, back, hch.coord(p), count=2):
+            assert got == want
+    fwd = {hch.symbol(n): e for n, e in lt.forward.items()}
+    for v, e in lt.inverse.items():
+        for got, want in _rational_values(rng, substitute(e, fwd), sys_.chart.coord(v), count=2):
+            assert got == want
+
+
+@pytest.mark.parametrize("path", PARAMETRIC_MODELS, ids=[p.stem for p in PARAMETRIC_MODELS])
+def test_elimination_numerators_are_the_adjugate(path):
+    # K num = D (p - b) with D = +-det K, that is det(K) K^-1 = adj(K);
+    # the Hessians here are polynomial, so the identity is exact and structural
+    sys_ = parse(path.read_text(encoding="utf-8")).system()
+    hch = legendre(sys_).hamiltonian_system.chart
+    keys = [(a, mu) for a in range(sys_.n) for mu in range(sys_.m)]
+    vel = [_names(sys_, a, mu)[0] for a, mu in keys]
+    p_minus_b = [
+        hch.coord(_names(sys_, a, mu)[1]) - substitute(sys_.momenta[(a, mu)], {s: 0 for s in vel}) for a, mu in keys
+    ]
+    numerators, free, D = affine_numerators([sys_.momenta[k] - hch.coord(_names(sys_, *k)[1]) for k in keys], vel)
+    assert not free and D in (sys_.hessian_det, -sys_.hessian_det)
+    for row, pb in zip(sys_.hessian, p_minus_b):
+        assert not add(*(mul(k, numerators[s]) for k, s in zip(row, vel)), -D * pb).terms
+
+
+@pytest.mark.parametrize("path", PARAMETRIC_MODELS, ids=[p.stem for p in PARAMETRIC_MODELS])
+def test_hdw_family_annihilates_theta_h_at_rational_parameters(path):
+    model = parse(path.read_text(encoding="utf-8"))
+    hs = legendre(model.system()).hamiltonian_system
+    X = hdw_multivector(hs).multivector()
+    rng = random.Random(path.stem)
+    for form in (contract(X, hs.theta), contract(X, hs.bar_d_theta())):
+        for _ in range(2):
+            # at rational parameters det K is a number, so each coefficient is
+            # a polynomial and zero is decided by its canonical form
+            at = {n: const(Fraction(rng.randint(1, 9), rng.randint(1, 5))) for n, _ in model.params}
+            assert all(not substitute(c, at).terms for _, c in form.items())
+
+
+def test_coupled_n3_hamiltonian_within_twice_sympy_size():
+    # sympy writes the same H as N/D with N of 182 terms
+    sys_ = parse(PARAMETRIC_MODELS[1].read_text(encoding="utf-8")).system()
+    assert len(legendre(sys_).hamiltonian_system.hamiltonian.terms) <= 364

@@ -35,27 +35,23 @@ def fresh_system(request, string_chart, params):
 def test_cached_forms_equal_fresh_derivatives(fresh_system):
     s = fresh_system
     assert s.d_theta == ext_d(s.theta) and not s.d_theta.is_structurally_zero()
-    assert s.d_sigma == ext_d(s.sigma)
-    assert s.d_omega == ext_d(s.omega)
     assert s.bar_d_theta() == bar_d(s.theta, s.sigma)
 
 
 def test_cached_forms_are_built_once(fresh_system):
     s = fresh_system
     assert s.d_theta is s.d_theta
-    assert s.d_sigma is s.d_sigma
-    assert s.d_omega is s.d_omega
     assert s.bar_d_theta() is s.bar_d_theta()
 
 
 def test_systems_built_back_to_back_share_no_cache(string_chart, params):
     damped = build_lagrangian_system(string_chart, string_lagrangian(string_chart, params, damped=True))
-    first = (damped.d_theta, damped.d_sigma, damped.bar_d_theta())
+    first = (damped.d_theta, damped.bar_d_theta())
     undamped = build_lagrangian_system(string_chart, string_lagrangian(string_chart, params, damped=False))
     assert undamped.d_theta == ext_d(undamped.theta) != first[0]
-    assert undamped.bar_d_theta() == bar_d(undamped.theta, undamped.sigma) != first[2]
-    assert undamped.d_sigma.is_structurally_zero() and undamped.sigma.is_structurally_zero()
-    assert (damped.d_theta, damped.d_sigma, damped.bar_d_theta()) == first
+    assert undamped.bar_d_theta() == bar_d(undamped.theta, undamped.sigma) != first[1]
+    assert undamped.sigma.is_structurally_zero()
+    assert (damped.d_theta, damped.bar_d_theta()) == first
 
 
 def cartan_oracle(X, a):
