@@ -53,6 +53,12 @@ class Chart:
                                     ("base", "field", "velocity", "momentum", "action") else "generic", i)
                              for i, c in enumerate(coords))
         self._axis = {c.name: i for i, c in enumerate(coords)}
+        # axis tables read by the role lookups below; the first axis wins
+        self._by_role: dict = {}
+        self._by_slot: dict = {}
+        for i, c in enumerate(coords):
+            self._by_role.setdefault(c.role, []).append(i)
+            self._by_slot.setdefault((c.role, c.field, c.base), i)
         self._key = (base_dim,) + tuple((c.name, c.role, c.field, c.base) for c in coords)
 
     @property
@@ -83,34 +89,31 @@ class Chart:
 
         return _coerce(self.symbol(name))
 
-    def axes_with_role(self, role: str) -> list[int]:
-        return [i for i, c in enumerate(self.coords) if c.role == role]
-
     @property
     def base_axes(self) -> list[int]:
-        return self.axes_with_role("base")
+        return list(self._by_role.get("base", ()))
 
     @property
     def field_axes(self) -> list[int]:
-        return self.axes_with_role("field")
+        return list(self._by_role.get("field", ()))
 
     def velocity_axis(self, field: int, base: int) -> int:
-        for i, c in enumerate(self.coords):
-            if c.role == "velocity" and c.field == field and c.base == base:
-                return i
-        raise ChartError(f"no velocity coordinate for field {field}, base {base}")
+        i = self._by_slot.get(("velocity", field, base))
+        if i is None:
+            raise ChartError(f"no velocity coordinate for field {field}, base {base}")
+        return i
 
     def momentum_axis(self, field: int, base: int) -> int:
-        for i, c in enumerate(self.coords):
-            if c.role == "momentum" and c.field == field and c.base == base:
-                return i
-        raise ChartError(f"no momentum coordinate for field {field}, base {base}")
+        i = self._by_slot.get(("momentum", field, base))
+        if i is None:
+            raise ChartError(f"no momentum coordinate for field {field}, base {base}")
+        return i
 
     def action_axis(self, base: int) -> int:
-        for i, c in enumerate(self.coords):
-            if c.role == "action" and c.base == base:
-                return i
-        raise ChartError(f"no action coordinate for base {base}")
+        i = self._by_slot.get(("action", None, base))
+        if i is None:
+            raise ChartError(f"no action coordinate for base {base}")
+        return i
 
     def names(self) -> list[str]:
         return [c.name for c in self.coords]

@@ -35,7 +35,7 @@ from .lagrangian import (
     herglotz_el_residuals,
     solve_sopde_family,
 )
-from .symmetry import NOT_NOETHER, classify, jet_lift
+from .symmetry import NOT_NOETHER, SymmetryError, classify, jet_lift
 
 # numpy and mcft.numeric are imported by verify-law and simulate only, so
 # that the symbolic verbs start without them
@@ -83,7 +83,10 @@ def _report(command: str, model: ModelFile, args, outputs: dict) -> dict:
 def _candidate(model: ModelFile, name: str, chart, paper_sign: bool):
     if name not in model.symmetries:
         raise CliFailure(f"unknown symmetry candidate {name!r}", 2)
-    return jet_lift(model.candidate(name, chart), paper_sign=paper_sign)
+    try:
+        return jet_lift(model.candidate(name, chart), paper_sign=paper_sign)
+    except SymmetryError as exc:
+        raise CliFailure(f"symmetry candidate {name!r}: {exc}", 2) from exc
 
 
 def cmd_derive(args) -> int:

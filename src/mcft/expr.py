@@ -29,8 +29,12 @@ shortcuts and is the reference the property tests hold them to.
 Atoms are immutable and shared by reference between expressions, so
 each computes once what cannot change: its hash at construction, its
 derivative by each symbol on first request, and its plain rendering
-(no ``name_map``) on first request.  ``Expr.key`` is built on first use,
-since most intermediate results are never compared, hashed or atomized.
+(no ``name_map``) on first request.  ``Expr.key`` and ``Expr.symbols``
+are built on first use, since most intermediate results are never
+compared, hashed, atomized or differentiated.
+
+A coefficient is an ``int`` when integral and a ``Fraction`` otherwise,
+never a float; ``as_rational()`` always returns a ``Fraction``.
 """
 from __future__ import annotations
 
@@ -180,12 +184,13 @@ Monomial = tuple
 class Expr:
     """Immutable canonical expression: tuple of (monomial, coefficient)."""
 
-    __slots__ = ("terms", "_key", "_hash")
+    __slots__ = ("terms", "_key", "_hash", "_symbols")
 
     def __init__(self, terms):
         self.terms = terms
         self._key = None
         self._hash = None
+        self._symbols = None
 
     @property
     def key(self) -> tuple:
@@ -195,6 +200,21 @@ class Expr:
                 (tuple((a.key, k) for a, k in m), (c.numerator, c.denominator)) for m, c in self.terms
             )
         return self._key
+
+    @property
+    def symbols(self) -> frozenset:
+        """The symbols in ``self``, inside function arguments and inverted
+        sums too, built on first use; ``diff`` by any other one is zero."""
+        if self._symbols is None:
+            out = set()
+            for mono, _ in self.terms:
+                for a, _k in mono:
+                    if isinstance(a, Symbol):
+                        out.add(a)
+                    else:
+                        out |= (a.arg if isinstance(a, FuncAtom) else a.expr).symbols
+            self._symbols = frozenset(out)
+        return self._symbols
 
     def __hash__(self):
         if self._hash is None:
@@ -254,7 +274,7 @@ class Expr:
         if not self.terms:
             return Fraction(0)
         if self.is_rational:
-            return self.terms[0][1]
+            return Fraction(self.terms[0][1])
         raise ExprError(f"not a constant: {self}")
 
     @property
@@ -268,7 +288,7 @@ class Expr:
 
 
 ZERO = Expr(())
-ONE = Expr((((), Fraction(1)),))
+ONE = Expr((((), 1),))
 
 
 def _coerce(x) -> Expr:
@@ -277,12 +297,18 @@ def _coerce(x) -> Expr:
     if isinstance(x, (int, Fraction)):
         return const(x)
     if isinstance(x, Symbol):
-        return Expr((((((x, 1),)), Fraction(1)),))
+        return Expr((((((x, 1),)), 1),))
     raise ExprError(f"cannot coerce {x!r} to Expr")
 
 
+def _norm(c):
+    """A rational coefficient as an int when integral, else as a Fraction."""
+    return c.numerator if c.denominator == 1 else c
+
+
 def const(c) -> Expr:
-    c = Fraction(c)
+    if type(c) is not int:
+        c = _norm(Fraction(c))
     if c == 0:
         return ZERO
     return Expr((((), c),))
@@ -306,13 +332,13 @@ def _mono_key(mono: Monomial):
     return tuple((a.key, k) for a, k in mono)
 
 
-def _accumulate(acc: dict, mono: Monomial, c: Fraction) -> None:
+def _accumulate(acc: dict, mono: Monomial, c) -> None:
     """Add the nonzero term ``c*mono`` into ``acc``, dropping it if it cancels."""
     old = acc.get(mono)
     if old is None:
         acc[mono] = c
     else:
-        c += old
+        c = _norm(c + old)
         if c:
             acc[mono] = c
         else:
@@ -320,7 +346,7 @@ def _accumulate(acc: dict, mono: Monomial, c: Fraction) -> None:
 
 
 def add(*exprs) -> Expr:
-    live = [e for e in map(_coerce, exprs) if e.terms]
+    live = [e for e in (x if type(x) is Expr else _coerce(x) for x in exprs) if e.terms]
     if len(live) < 2:
         return live[0] if live else ZERO
     acc = dict(live[0].terms)
@@ -339,7 +365,7 @@ def _merge_factors(m1: Monomial, m2: Monomial) -> dict:
     return f
 
 
-def _expr_from_factors(coeff: Fraction, factors: dict) -> Expr:
+def _expr_from_factors(coeff, factors: dict) -> Expr:
     """Build a canonical Expr from a factor multiset, expanding any
     positive powers of sum atoms."""
     plain = []
@@ -358,12 +384,12 @@ def _expr_from_factors(coeff: Fraction, factors: dict) -> Expr:
     return out
 
 
-def _scale(e: Expr, c: Fraction) -> Expr:
+def _scale(e: Expr, c) -> Expr:
     """``c*e`` for a nonzero rational ``c``; the monomials, and so their
     canonical order, are those of ``e``."""
     if c == 1:
         return e
-    return Expr(tuple((m, ec * c) for m, ec in e.terms))
+    return Expr(tuple((m, _norm(ec * c)) for m, ec in e.terms))
 
 
 def _rational(e: Expr):
@@ -382,16 +408,17 @@ def _product(a: Expr, b: Expr) -> Expr:
         for m2, c2 in b.terms:
             factors = _merge_factors(m1, m2)
             mono = tuple(sorted(((f, k) for f, k in factors.items() if k), key=lambda fk: fk[0].key))
-            _accumulate(acc, mono, c1 * c2)
+            _accumulate(acc, mono, _norm(c1 * c2))
     return _from_dict(acc)
 
 
 def mul(*exprs) -> Expr:
     if not exprs:
         return ONE
-    out = _coerce(exprs[0])
+    out = exprs[0] if type(exprs[0]) is Expr else _coerce(exprs[0])
     for e in exprs[1:]:
-        e = _coerce(e)
+        if type(e) is not Expr:
+            e = _coerce(e)
         if not out.terms or not e.terms:
             return ZERO
         c = _rational(e)
@@ -411,9 +438,8 @@ def _sum_atom_pow(e: Expr, k: int) -> Expr:
     """Atomize a multi-term sum with a negative exponent, extracting the
     leading coefficient so that scaled sums share one atom."""
     lead = e.terms[0][1]
-    inner = mul(const(1 / lead), e) if lead != 1 else e
-    atom = SumAtom(inner)
-    return Expr(((((atom, k),), lead ** k),))
+    atom = SumAtom(_scale(e, _norm(Fraction(1, lead))))
+    return Expr(((((atom, k),), _norm(Fraction(lead) ** k)),))
 
 
 def pow_(e, k: int) -> Expr:
@@ -429,7 +455,7 @@ def pow_(e, k: int) -> Expr:
     if len(e.terms) == 1:
         mono, c = e.terms[0]
         factors = {a: kk * k for a, kk in mono}
-        return _expr_from_factors(c ** k, factors)
+        return _expr_from_factors(c**k if k > 0 else _norm(Fraction(c) ** k), factors)
     if k > 0:
         out = ONE
         base = e
@@ -446,7 +472,7 @@ def pow_(e, k: int) -> Expr:
 
 def _func(fn: str, arg) -> Expr:
     arg = _coerce(arg)
-    return Expr(((((FuncAtom(fn, arg), 1),), Fraction(1)),))
+    return Expr(((((FuncAtom(fn, arg), 1),), 1),))
 
 
 def sin(arg) -> Expr:
@@ -503,7 +529,7 @@ def diff(e, v) -> Expr:
                     continue
             rest = dict(mono)
             rest[a] = k - 1
-            parts.append(mul(_expr_from_factors(c * k, rest), da))
+            parts.append(mul(_expr_from_factors(_norm(c * k), rest), da))
     return add(*parts) if parts else ZERO
 
 
@@ -595,24 +621,11 @@ def canon(e) -> Expr:
             factors[a] = factors.get(a, 0) + k
         m = tuple(sorted(((a, k) for a, k in factors.items() if k), key=lambda ak: ak[0].key))
         acc[m] = acc.get(m, 0) + c
-    return Expr(tuple(sorted(((m, c) for m, c in acc.items() if c), key=lambda mc: _mono_key(mc[0]))))
+    return Expr(tuple(sorted(((m, _norm(c)) for m, c in acc.items() if c), key=lambda mc: _mono_key(mc[0]))))
 
 
 def free_symbols(e) -> set:
-    out: set = set()
-
-    def walk(x: Expr):
-        for mono, _ in x.terms:
-            for a, _k in mono:
-                if isinstance(a, Symbol):
-                    out.add(a)
-                elif isinstance(a, FuncAtom):
-                    walk(a.arg)
-                else:
-                    walk(a.expr)
-
-    walk(_coerce(e))
-    return out
+    return set(_coerce(e).symbols)
 
 
 def _needs_probing(e: Expr) -> bool:
@@ -706,7 +719,7 @@ def clear_denominators(exprs, rest=()):
             return exprs, inverse
         clear = tuple(need.items())
         exprs = [add(*(_expr_from_factors(c, _merge_factors(m, clear)) for m, c in e.terms)) for e in exprs]
-        inverse = mul(inverse, _expr_from_factors(Fraction(1), {a: -k for a, k in clear}))
+        inverse = mul(inverse, _expr_from_factors(1, {a: -k for a, k in clear}))
 
 
 def _mono_divides(da: Monomial, na: Monomial) -> bool:
@@ -757,7 +770,7 @@ def _poly_div(num: Expr, den: Expr):
         if not _mono_divides(lead_mono, rm):
             return None
         qm = _mono_quot(rm, lead_mono)
-        qc = rc / lead_c
+        qc = _norm(Fraction(rc, lead_c))
         _accumulate(quo, qm, qc)
         rem = add(rem, mul(Expr(((qm, -qc),)), den))
     return None
@@ -781,7 +794,7 @@ def _atom_text(a: Atom, name_map) -> str:
     return out
 
 
-def _term_text(mono: Monomial, c: Fraction, name_map) -> str:
+def _term_text(mono: Monomial, c, name_map) -> str:
     num_parts = []
     den_parts = []
     if abs(c.numerator) != 1 or (not mono and c.denominator == 1):

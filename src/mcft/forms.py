@@ -182,7 +182,7 @@ def ext_d(a: Form) -> Form:
     out: dict = {}
     for idx, c in a.table.items():
         for i, s in enumerate(chart.symbols):
-            if i in idx:
+            if i in idx or s not in c.symbols:
                 continue
             dc = diff(c, s)
             if not dc.terms:
@@ -318,16 +318,14 @@ def _expand_factors(chart: Chart, factors) -> dict:
 def _contract_vector(v: Mapping[int, Expr], a: Form) -> Form:
     if a.degree == 0:
         return Form.zero(a.chart, 0)
-    out: dict = {}
+    parts: dict = {}
     for idx, c in a.table.items():
         for pos, axis in enumerate(idx):
             comp = v.get(axis)
             if comp is None or not comp.terms:
                 continue
-            rest = idx[:pos] + idx[pos + 1 :]
-            term = mul(_SIGN[pos & 1], comp, c)
-            out[rest] = add(out.get(rest, ZERO_E), term)
-    return Form(a.chart, a.degree - 1, out)
+            parts.setdefault(idx[:pos] + idx[pos + 1 :], []).append(mul(_SIGN[pos & 1], comp, c))
+    return Form(a.chart, a.degree - 1, {idx: add(*p) for idx, p in parts.items()})
 
 
 def contract(X: Multivector, a: Form) -> Form:
@@ -359,18 +357,18 @@ def contract(X: Multivector, a: Form) -> Form:
 
 def _lie_vector(X: Multivector, a: Form) -> Form:
     """L_X a for a vector field by the coordinate formula; only nonzero
-    X^j and nonzero d_l X^i are visited.  X keeps its Jacobian
+    X^j and nonzero d_l X^i are visited, and a coefficient is
+    differentiated only by the symbols it holds.  X keeps its Jacobian
     {i: {l: d_l X^i}}, so that it is built once per field."""
     symbols, v = a.chart.symbols, X.factors[0]
     if X._jacobian is None:
-        rows = {i: {l: d for l, s in enumerate(symbols) if (d := diff(comp, s)).terms} for i, comp in v.items()}
-        X._jacobian = {i: row for i, row in rows.items() if row}
+        rows = {i: {l: diff(comp, s) for l, s in enumerate(symbols) if s in comp.symbols} for i, comp in v.items()}
+        X._jacobian = {i: r for i, row in rows.items() if (r := {l: d for l, d in row.items() if d.terms})}
     jacobian = X._jacobian
     parts: dict = {}
     for idx, c in a.table.items():
         for j, xj in v.items():
-            dc = diff(c, symbols[j])
-            if dc.terms:
+            if symbols[j] in c.symbols and (dc := diff(c, symbols[j])).terms:
                 parts.setdefault(idx, []).append(mul(xj, dc))
         for r, i in enumerate(idx):
             row = jacobian.get(i)

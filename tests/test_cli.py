@@ -274,6 +274,21 @@ def test_degenerate_scenario_exit_2(tmp_path, verb, case):
     assert "Traceback" not in r.stderr and "Warning" not in r.stderr
 
 
+@pytest.mark.parametrize("name", ["W", "Z"])
+@pytest.mark.parametrize(
+    "verb", [["check-symmetry"], ["current"], ["verify-law", "one"]], ids=["check-symmetry", "current", "verify-law"]
+)
+def test_non_projectable_candidate_exit_2(tmp_path, verb, name):
+    # W's field component reads a velocity, Z's base component a field:
+    # neither is a configuration vector field, which is a usage error, not "not Noether"
+    p = tmp_path / "non_projectable.mcft"
+    p.write_text(ONE_STEP + "symmetry W: dy[t]*d/dy\nsymmetry Z: y*d/dt\n")
+    r = run_subprocess(verb[0], str(p), name, *verb[1:])
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith(f"error: symmetry candidate '{name}': ") and r.stderr.count("\n") == 1
+    assert "Traceback" not in r.stderr
+
+
 class TestDeterminism:
     def test_identical_seeds_byte_identical_json(self):
         _, a, _ = run_cli("--json", "--seed", "42", "check-symmetry", MODEL, "Y")

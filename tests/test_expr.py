@@ -17,6 +17,7 @@ from mcft.expr import (
     ZeroCheck,
     add,
     canon,
+    clear_denominators,
     const,
     cos,
     diff,
@@ -453,3 +454,110 @@ class TestPassThrough:
             assert mul(e, const(c)).terms == want
         assert mul(const(2), const(Fraction(1, 2))) == ONE
         assert mul(x, const(0)) is ZERO and add() is ZERO and mul() == ONE
+
+
+# ---------------------------------------------------------------------------
+# Kernel invariants: each coefficient value has one representation (an int
+# when integral, a Fraction otherwise, never a float), and ``Expr.symbols``
+# names every symbol a derivative can see.
+
+HALF = const(Fraction(1, 2))
+
+
+def _coefficients(e):
+    """Every coefficient of ``e``, those inside its atoms included."""
+    for mono, c in e.terms:
+        yield c
+        for a, _k in mono:
+            if isinstance(a, FuncAtom):
+                yield from _coefficients(a.arg)
+            elif isinstance(a, SumAtom):
+                yield from _coefficients(a.expr)
+
+
+def _assert_normal(e):
+    for c in _coefficients(e):
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), (c, e)
+
+
+def _ref_symbols(e):
+    out = set()
+    for mono, _ in e.terms:
+        for a, _k in mono:
+            if isinstance(a, Symbol):
+                out.add(a)
+            else:
+                out |= _ref_symbols(a.arg if isinstance(a, FuncAtom) else a.expr)
+    return out
+
+
+@given(rational_exprs(), exprs(), st.sampled_from(SYMS), st.integers(-2, 3))
+@settings(max_examples=80, deadline=None)
+def test_coefficients_are_ints_or_proper_fractions(e, g, v, k):
+    s = v.single_symbol
+    halves = mul(HALF, g)  # g/2 + g/2 sums halves back to whole numbers
+    outs = [
+        e,
+        g,
+        add(e, g),
+        add(halves, halves),
+        mul(e, g),
+        mul(HALF, const(2), g),
+        mul(halves, pow_(HALF, -1)),
+        pow_(halves, max(k, 0)),
+        diff(e, s),
+        diff(mul(HALF, pow_(g, 2)), s),
+        substitute(g, {v: mul(HALF, e)}),
+        canon(e),
+        canon(Expr(tuple((m, Fraction(c)) for m, c in g.terms))),
+        div_exact(mul(add(x, y), halves), add(mul(HALF, x), mul(HALF, y))),
+        div_exact(halves, add(mul(const(2), x), mul(const(3), y))),
+        div_exact(g, const(Fraction(2, 3))),
+    ]
+    if g.terms:
+        outs.append(pow_(halves, k))
+    cleared, inverse = clear_denominators([mul(HALF, pow_(x, -2), g), e])
+    for out in outs + cleared + [inverse]:
+        _assert_normal(out)
+
+
+def test_integral_fraction_constants_become_ints():
+    for c, want in ((Fraction(4, 2), 2), (Fraction(-3), -3), (2, 2)):
+        (((), got),) = const(c).terms
+        assert type(got) is int and got == want
+    (((), inv),) = pow_(HALF, -1).terms
+    assert type(inv) is int and inv == 2
+
+
+@given(st.integers(-6, 6), st.integers(1, 4))
+def test_as_rational_returns_a_fraction(n, d):
+    for e in (const(Fraction(n, d)), const(n), ZERO, ONE):
+        r = e.as_rational()
+        assert type(r) is Fraction
+    assert const(Fraction(n, d)).as_rational() == Fraction(n, d)
+
+
+@given(rational_exprs())
+@settings(max_examples=80, deadline=None)
+def test_symbols_include_nested_atoms(e):
+    assert e.symbols == free_symbols(e) == _ref_symbols(e)
+    assert type(e.symbols) is frozenset and e.symbols is e.symbols
+
+
+def test_symbols_inside_function_and_inverted_sum():
+    sx, sy, sz = (v.single_symbol for v in SYMS)
+    assert sin(x * pow_(y + z, -1)).symbols == {sx, sy, sz}
+    assert pow_(x + sin(y), -1).symbols == {sx, sy}
+    assert const(3).symbols == frozenset() and ZERO.symbols == frozenset()
+
+
+@given(rational_exprs())
+@settings(max_examples=80, deadline=None)
+def test_derivative_by_a_symbol_not_held_is_zero(e):
+    from mcft.charts import jet_chart
+
+    chart = jet_chart(["t", "x"], ["y"])
+    e = substitute(e, {x: chart.coord("t"), y: chart.coord("y_x"), z: chart.coord("s_t")})
+    for s in chart.symbols:
+        if s not in e.symbols:
+            assert diff(e, s) is ZERO or not diff(e, s).terms
