@@ -51,7 +51,7 @@ def study(gamma: float, meshes, t_final: float, cfl: float) -> dict:
         # streamed as in verify-law: the solution is never held whole
         norms, P = ResidualNorms(grid), np.empty(grid.nt + 1)
         for w in stream_damped_wave(bindings, y0, v0, grid):
-            dissipation_residual(*evaluate_current(xi, w, bindings), -gamma, 0.0, w, norms)
+            dissipation_residual(*evaluate_current(xi, w, bindings), -gamma, w, norms)
             P[w.levels] = momentum_series(w)
         rows.append({"nx": nx, "dt": grid.dt, "l2": norms.l2_norm, "max": norms.max_norm})
     ratios = [a["l2"] / b["l2"] if b["l2"] else None for a, b in zip(rows, rows[1:])]

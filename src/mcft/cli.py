@@ -307,8 +307,8 @@ def cmd_verify_law(args) -> int:
             res = ResidualNorms(grid)
             P, P_abs = np.empty(grid.nt + 1), np.empty(grid.nt + 1)
             for w in stream_damped_wave(wave.params, y0, v0, grid, action):
-                # dissipation sources: dL/ds^t, and dL/ds^x = 0 in the gauge
-                dissipation_residual(*evaluate_current(xi, w, bindings), wave.action.c_t, 0.0, w, res)
+                # dissipation source: dL/ds^t (dL/ds^x = 0 in the gauge)
+                dissipation_residual(*evaluate_current(xi, w, bindings), wave.action.c_t, w, res)
                 if nx == meshes[-1]:  # the momentum gate reads the finest mesh only
                     P[w.levels] = momentum_series(w)
                     P_abs[w.levels] = momentum_series(w, magnitude=True)

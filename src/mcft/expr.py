@@ -60,6 +60,7 @@ __all__ = [
     "cos",
     "exp",
     "diff",
+    "diff_held",
     "substitute",
     "evaluate",
     "canon",
@@ -531,6 +532,11 @@ def diff(e, v) -> Expr:
             rest[a] = k - 1
             parts.append(mul(_expr_from_factors(_norm(c * k), rest), da))
     return add(*parts) if parts else ZERO
+
+
+def diff_held(e, s) -> Expr:
+    """de/ds, differentiating only when ``e`` is present and holds ``s``."""
+    return diff(e, s) if e is not None and s in e.symbols else ZERO
 
 
 def _atom_subst(atom: Atom, m: dict) -> Expr:

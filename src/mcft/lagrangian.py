@@ -36,6 +36,7 @@ from .expr import (
     add,
     const,
     diff,
+    diff_held,
     free_symbols,
     mul,
     substitute,
@@ -104,7 +105,7 @@ class MulticontactSystem:
         self.theta = multicontact_theta(chart, momenta, energy)
         sigma = Form.zero(chart, 1)
         for mu in range(self.m):
-            d_ds = diff(density, chart.symbols[chart.action_axis(mu)])
+            d_ds = diff_held(density, chart.symbols[chart.action_axis(mu)])
             sigma = sigma + one_form(chart, chart.coords[chart.base_axes[mu]].name).scale(mul(const(sign), d_ds))
         self.sigma = sigma
 
@@ -148,7 +149,7 @@ class LagrangianSystem(MulticontactSystem):
         )
         super().__init__(chart, self.momenta, self.energy, L, -1)
         self.hessian = [
-            [diff(self.momenta[(a, mu)], chart.symbols[chart.velocity_axis(b, nu)]) for b in range(n) for nu in range(m)]
+            [diff_held(self.momenta[(a, mu)], chart.symbols[chart.velocity_axis(b, nu)]) for b in range(n) for nu in range(m)]
             for a in range(n)
             for mu in range(m)
         ]
@@ -195,18 +196,18 @@ def slope_symbol(chart: Chart, axis: int, mu: int) -> Expr:
 def total_derivative(e: Expr, chart: Chart, mu: int) -> Expr:
     """Total derivative D_mu along holonomic sections, with second-order
     jet and action derivatives as placeholder symbols."""
-    parts = [diff(e, chart.symbols[chart.base_axes[mu]])]
+    parts = [diff_held(e, chart.symbols[chart.base_axes[mu]])]
     for a in range(len(chart.field_axes)):
         fa = chart.field_axes[a]
-        d = diff(e, chart.symbols[fa])
+        d = diff_held(e, chart.symbols[fa])
         if d.terms:
             parts.append(mul(chart.coord(chart.coords[chart.velocity_axis(a, mu)].name), d))
         for nu in range(chart.base_dim):
-            dv = diff(e, chart.symbols[chart.velocity_axis(a, nu)])
+            dv = diff_held(e, chart.symbols[chart.velocity_axis(a, nu)])
             if dv.terms:
                 parts.append(mul(second_derivative_symbol(chart, a, mu, nu), dv))
     for nu in range(chart.base_dim):
-        ds = diff(e, chart.symbols[chart.action_axis(nu)])
+        ds = diff_held(e, chart.symbols[chart.action_axis(nu)])
         if ds.terms:
             parts.append(mul(slope_symbol(chart, chart.action_axis(nu), mu), ds))
     return add(*parts)

@@ -12,7 +12,8 @@ section with central differences; the dissipation-law residual
 
     d f^mu / dx^mu - (dL/ds^mu o psi) f^mu
 
-is reported with max and L2 norms over interior points.  The action
+is reported with max and L2 norms over interior points, the L2 sum
+being math.fsum of each row's np.sum, whatever the blocks.  The action
 coordinate uses the gauge s^x = 0 and integrates ds^t/dt = L o psi by
 the trapezoid rule (implicitly in the affine s-coupling).
 
@@ -578,71 +579,32 @@ class _Sum:
 
 class ResidualNorms:
     """Max and L2 norms of a residual whose interior rows arrive in order,
-    in blocks of whole rows.
-
-    The L2 sum is the one ``np.sum`` forms over the whole contiguous
-    interior: a pairwise tree whose shape depends on the length only (a
-    node of n > 128 elements splits at n//2 - (n//2) % 8, a smaller one
-    is a leaf).  A node whose squares arrive within one block is summed
-    by ``np.sum`` itself, the others from their two children as they
-    complete, so the norm equals the whole-interior one bit for bit.
-    The squares go into one buffer, allocated for the first block."""
-
-    LEAF = 128
+    in blocks of whole rows.  The L2 sum is ``math.fsum`` (correctly
+    rounded in any order) of each row's ``np.add.reduce``, so it depends
+    neither on the block cut nor on numpy's summation tree.  The squares
+    go into one buffer, allocated for the first block (or a larger one)."""
 
     def __init__(self, grid: Grid1p1):
-        width = grid.nx if grid.bc == "periodic" else grid.nx - 2
-        self.size = (grid.nt - 1) * width
+        self._rows = np.empty(grid.nt - 1)  # one sum of squares per interior level
+        self._added = 0
+        self._squares = None
         self._scale = math.sqrt(grid.dx * grid.dt)
         self._max = 0.0
-        self._sum = None
-        self._added = 0
-        self._buffer = np.empty(0)  # the squares of an unfinished leaf, then the next block's
-        self._squares = self._buffer  # squares from index _first on
-        self._first = 0
-        self._done = {}  # (first, length) -> sum of a finished node whose parent is unfinished
 
     def add(self, interior: np.ndarray) -> None:
-        if not interior.size:
+        n = len(interior)
+        if not n:
             return
-        self._added += interior.size
-        if self._added > self.size:
+        if self._added + n > self._rows.size:
             raise NumericError("more residual rows than the interior holds")
-        kept = self._squares.size
-        if self._buffer.size < kept + interior.size:
-            grown = np.empty(self.LEAF + interior.size)  # later blocks are no larger
-            grown[:kept] = self._squares
-            self._buffer = grown
-        block = self._buffer[kept : kept + interior.size].reshape(interior.shape)
-        self._max = np.maximum(self._max, np.max(np.abs(interior, out=block)))
-        np.multiply(interior, interior, out=block)
-        self._squares = self._buffer[: kept + interior.size]
-        self._sum = self._node(0, self.size)
-
-    def _node(self, first: int, n: int):
-        """Sum of the squares [first, first + n) as ``np.sum`` forms it,
-        or None while some have not arrived."""
-        done = self._done.pop((first, n), None)
-        if done is not None:
-            return done
-        end = self._first + self._squares.size
-        if first >= self._first and first + n <= end:
-            return np.add.reduce(self._squares[first - self._first : first + n - self._first])
-        if n <= self.LEAF:  # the unfinished leaf: keep its squares at the front for the next block
-            kept = end - first
-            self._buffer[:kept] = self._squares[first - self._first :]
-            self._squares = self._buffer[:kept]
-            self._first = first
-            return None
-        half = n // 2 - (n // 2) % 8
-        left = self._node(first, half)
-        if left is None:
-            return None
-        right = self._node(first + half, n - half)
-        if right is None:
-            self._done[(first, half)] = left
-            return None
-        return left + right
+        if self._squares is None or len(self._squares) < n:
+            self._squares = np.empty(interior.shape)
+        squares = self._squares[:n]
+        # np.maximum, not max(): a NaN residual must read NaN
+        self._max = np.maximum(self._max, np.max(np.abs(interior, out=squares)))
+        np.multiply(interior, interior, out=squares)
+        np.add.reduce(squares, axis=1, out=self._rows[self._added : self._added + n])
+        self._added += n
 
     @property
     def max_norm(self) -> float:
@@ -650,46 +612,30 @@ class ResidualNorms:
 
     @property
     def l2_norm(self) -> float:
-        if self._sum is None:
+        if self._added < self._rows.size:
             raise NumericError("residual norms read before every interior row arrived")
-        return float(np.sqrt(self._sum) * self._scale)
+        try:
+            total = math.fsum(self._rows)
+        except OverflowError:  # finite row sums whose total is not
+            total = math.inf
+        return math.sqrt(total) * self._scale
 
 
-@dataclass
-class ResidualReport:
-    residual: np.ndarray  # interior points of the window's core
-    norms: ResidualNorms
-
-    @property
-    def max_norm(self) -> float:
-        return self.norms.max_norm
-
-    @property
-    def l2_norm(self) -> float:
-        return self.norms.l2_norm
-
-
-def dissipation_residual(
-    ft: np.ndarray, fx: np.ndarray, source_t, source_x, traj: Trajectory, norms: Optional[ResidualNorms] = None
-) -> ResidualReport:
+def dissipation_residual(ft: np.ndarray, fx: np.ndarray, source_t, traj: Trajectory, norms: ResidualNorms) -> np.ndarray:
     """Central-difference divergence of the current minus the dissipation
-    source (dL/ds^mu o psi) f^mu on the interior points of the window's
-    core, folded into ``norms`` (by default, new norms of a window that
-    holds the whole trajectory)."""
+    source (dL/ds^t o psi) f^t on the interior points of the window's
+    core, folded into ``norms``; returns those points.  The gauge
+    s^x = 0 needs L free of s^x, so dL/ds^x f^x is zero."""
     if ft.shape != traj.y.shape or fx.shape != traj.y.shape:
         raise NumericError("current arrays must match the trajectory shape")
     r = traj.d_dt(ft, traj.buffer("residual"))
     r += traj.d_dx(fx, traj.scratch(0))
-    source = np.multiply(source_t, ft, out=traj.scratch(0))
-    source += np.multiply(source_x, fx, out=traj.scratch(1))
-    r -= source
+    r -= np.multiply(source_t, ft, out=traj.scratch(0))
     # the core rows of the interior levels 1..nt-1
     rows = slice(max(traj.core.start, 1 - traj.start), min(traj.core.stop, traj.grid.nt - traj.start))
     interior = r[rows, :] if traj.grid.bc == "periodic" else r[rows, 1:-1]
-    if norms is None:
-        norms = ResidualNorms(traj.grid)
     norms.add(interior)
-    return ResidualReport(residual=interior, norms=norms)
+    return interior
 
 
 @dataclass(frozen=True)

@@ -27,12 +27,11 @@ from dataclasses import dataclass
 
 from .charts import Chart
 from .expr import (
-    ZERO,
     Expr,
     ZeroCheck,
     add,
     const,
-    diff,
+    diff_held,
     free_symbols,
     mul,
     to_text,
@@ -89,11 +88,6 @@ def _config_components(Y: Multivector):
     return f, F, g
 
 
-def _diff_held(e, s) -> Expr:
-    """de/ds, differentiating only when ``e`` is present and holds ``s``."""
-    return diff(e, s) if e is not None and s in e.symbols else ZERO
-
-
 def jet_lift(Y: Multivector, paper_sign: bool = False) -> Multivector:
     """Prolong a configuration vector field on a jet chart to the
     velocity axes."""
@@ -105,13 +99,13 @@ def jet_lift(Y: Multivector, paper_sign: bool = False) -> Multivector:
         Fa = F.get(fa)
         for mu in range(m):
             bmu = chart.base_axes[mu]
-            parts = [_diff_held(Fa, chart.symbols[bmu])]
+            parts = [diff_held(Fa, chart.symbols[bmu])]
             for b, fb in enumerate(chart.field_axes):
-                dF = _diff_held(Fa, chart.symbols[fb])
+                dF = diff_held(Fa, chart.symbols[fb])
                 if dF.terms:
                     parts.append(mul(chart.coord(chart.coords[chart.velocity_axis(b, mu)].name), dF))
             for nu in range(m):
-                dfn = _diff_held(f.get(chart.base_axes[nu]), chart.symbols[bmu])
+                dfn = diff_held(f.get(chart.base_axes[nu]), chart.symbols[bmu])
                 if dfn.terms:
                     parts.append(
                         mul(const(-1), chart.coord(chart.coords[chart.velocity_axis(a, nu)].name), dfn)
@@ -138,13 +132,13 @@ def hamiltonian_lift(Y: Multivector) -> Multivector:
             fmu = f.get(bmu)
             for nu in range(m):
                 bnu = chart.base_axes[nu]
-                dfmu = _diff_held(fmu, chart.symbols[bnu])
+                dfmu = diff_held(fmu, chart.symbols[bnu])
                 if dfmu.terms:
                     p_nu_a = chart.coord(chart.coords[chart.momentum_axis(a, nu)].name)
                     parts.append(mul(dfmu, p_nu_a))
             div_f = add(
                 *[
-                    _diff_held(f.get(chart.base_axes[nu]), chart.symbols[chart.base_axes[nu]])
+                    diff_held(f.get(chart.base_axes[nu]), chart.symbols[chart.base_axes[nu]])
                     for nu in range(m)
                 ]
             )
@@ -152,7 +146,7 @@ def hamiltonian_lift(Y: Multivector) -> Multivector:
             if div_f.terms:
                 parts.append(mul(const(-1), div_f, p_mu_a))
             for b, fb in enumerate(chart.field_axes):
-                dF = _diff_held(F.get(fb), chart.symbols[fa])
+                dF = diff_held(F.get(fb), chart.symbols[fa])
                 if dF.terms:
                     p_mu_b = chart.coord(chart.coords[chart.momentum_axis(b, mu)].name)
                     parts.append(mul(const(-1), dF, p_mu_b))

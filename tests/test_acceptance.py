@@ -34,6 +34,7 @@ from mcft.forms import (
 from mcft.hamiltonian import legendre
 from mcft.lagrangian import solve_sopde_family
 from mcft.numeric import (
+    ResidualNorms,
     decay_fit,
     dissipation_residual,
     evaluate_current,
@@ -355,8 +356,9 @@ def test_criterion_5_numeric_dissipation_law(string_model, string_system):
             v0 = np.ones(grid.nx)
             traj = integrate_damped_wave({"rho": 1.0, "tau": 1.0, "gamma": gamma}, y0, v0, grid)
             ft, fx = evaluate_current(xi, traj, bindings)
-            rep = dissipation_residual(ft, fx, -gamma, 0.0, traj)
-            l2.append(rep.l2_norm)
+            norms = ResidualNorms(grid)
+            dissipation_residual(ft, fx, -gamma, traj, norms)
+            l2.append(norms.l2_norm)
             finest = traj
         for a, b in zip(l2, l2[1:]):
             assert 3.2 <= a / b <= 4.8, (gamma, l2)

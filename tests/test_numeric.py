@@ -19,6 +19,7 @@ from mcft.numeric import (
     Trajectory,
     _d2x,
     NumericError,
+    ResidualNorms,
     compile_expr,
     damped_wave,
     decay_fit,
@@ -243,8 +244,9 @@ class TestDissipationResidual:
         tr = integrate_damped_wave({"rho": 1, "tau": 1, "gamma": gamma}, y0, v0, g)
         ft, fx = evaluate_current(string_xi, tr, {"rho": 1.0, "tau": 1.0, "gamma": gamma})
         src_t = evaluate(diff(L, chart.symbol("s_t")), {"rho": 1.0, "tau": 1.0, "gamma": gamma})
-        rep = dissipation_residual(ft, fx, src_t, 0.0, tr)
-        return rep.l2_norm
+        norms = ResidualNorms(g)
+        dissipation_residual(ft, fx, src_t, tr, norms)
+        return norms.l2_norm
 
     def test_second_order_shrink(self, string_xi, string_system):
         l2 = [
@@ -267,8 +269,9 @@ class TestDissipationResidual:
         y0, v0 = sine_ic(g)
         tr = integrate_damped_wave(PR, y0, v0, g)
         z = np.zeros_like(tr.y)
-        rep = dissipation_residual(z, z, -0.1, 0.0, tr)
-        assert rep.max_norm == 0.0 and rep.l2_norm == 0.0
+        norms = ResidualNorms(g)
+        dissipation_residual(z, z, -0.1, tr, norms)
+        assert norms.max_norm == 0.0 and norms.l2_norm == 0.0
 
 
 class TestActionCoordinate:

@@ -11,6 +11,7 @@ from fractions import Fraction
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -23,6 +24,7 @@ from mcft.numeric import (
     BCS,
     ActionCoordinate,
     Grid1p1,
+    NumericError,
     ResidualNorms,
     Trajectory,
     compile_expr,
@@ -95,8 +97,8 @@ def reference_current(xi, traj):
     table=currents,
 )
 def test_stream_matches_whole_trajectory(nx, nt, bc, block_rows, spare, gamma, table):
-    # blocks of a few rows, so that windows, their halos and the pairwise
-    # tree's nodes all cut across one another
+    # blocks of a few rows, so that windows and their halos cut across
+    # one another
     grid = Grid1p1(nx=nx, lx=1.0, dt=0.5 / nx, nt=nt, bc=bc)
     params = {"rho": 1.0, "tau": 1.0, "gamma": float(gamma)}
     y0 = np.sin(2 * math.pi * grid.x) + 0.3 * np.cos(6 * math.pi * grid.x)
@@ -110,10 +112,10 @@ def test_stream_matches_whole_trajectory(nx, nt, bc, block_rows, spare, gamma, t
     ft, fx = evaluate_current(xi, whole, {})
     ref_ft, ref_fx = reference_current(xi, whole)
     assert np.array_equal(bits(ft), bits(ref_ft)) and np.array_equal(bits(fx), bits(ref_fx))
-    rep = dissipation_residual(ft, fx, action.c_t, 0.0, whole)
-    interior = rep.residual
-    l2 = float(np.sqrt(np.sum(interior * interior)) * math.sqrt(grid.dx * grid.dt))
-    assert rep.l2_norm == l2 and rep.max_norm == float(np.max(np.abs(interior)))
+    whole_norms = ResidualNorms(grid)
+    interior = dissipation_residual(ft, fx, action.c_t, whole, whole_norms)
+    l2 = math.sqrt(math.fsum(np.sum(interior * interior, axis=1))) * math.sqrt(grid.dx * grid.dt)
+    assert whole_norms.l2_norm == l2 and whole_norms.max_norm == float(np.max(np.abs(interior)))
 
     norms = ResidualNorms(grid)
     P, E = np.full(nt + 1, np.nan), np.full(nt + 1, np.nan)
@@ -125,16 +127,29 @@ def test_stream_matches_whole_trajectory(nx, nt, bc, block_rows, spare, gamma, t
             wft, wfx = evaluate_current(xi, w, {})
             assert np.array_equal(bits(wft[w.core]), bits(ft[w.levels]))
             assert np.array_equal(bits(wfx[w.core]), bits(fx[w.levels]))
-            dissipation_residual(wft, wfx, action.c_t, 0.0, w, norms)
+            dissipation_residual(wft, wfx, action.c_t, w, norms)
             P[w.levels] = momentum_series(w)
             E[w.levels] = energy_series(w)
             s_t[w.levels] = w.s_t[w.core]
             assert np.array_equal(w.y[w.core], whole.y[w.levels])
     assert covered == list(range(nt + 1))
-    assert norms.l2_norm == rep.l2_norm and norms.max_norm == rep.max_norm
+    assert norms.l2_norm == whole_norms.l2_norm and norms.max_norm == whole_norms.max_norm
     assert np.array_equal(bits(P), bits(momentum_series(whole)))
     assert np.array_equal(bits(E), bits(energy_series(whole)))
     assert np.array_equal(bits(s_t), bits(whole.s_t))
+
+
+def residual_norms_of(a, cuts=(), interior_rows=None):
+    """ResidualNorms of a periodic grid with ``interior_rows`` interior
+    levels (default: the rows of ``a``), and that grid; the rows of ``a``
+    are added in blocks cut at ``cuts``."""
+    rows, width = a.shape
+    grid = Grid1p1(nx=width, lx=1.0, dt=0.5 / width, nt=(interior_rows or rows) + 1, bc="periodic")
+    norms = ResidualNorms(grid)
+    edges = [0, *cuts, rows]
+    for lo, hi in zip(edges, edges[1:]):
+        norms.add(a[lo:hi])
+    return norms, grid
 
 
 @settings(max_examples=80, deadline=None)
@@ -142,16 +157,41 @@ def test_stream_matches_whole_trajectory(nx, nt, bc, block_rows, spare, gamma, t
     a=arrays(np.float64, st.tuples(st.integers(1, 30), st.integers(8, 70)), elements=st.floats(-1e3, 1e3)),
     cuts=st.lists(st.integers(1, 29), max_size=6),
 )
-def test_residual_norms_fold_blocks_as_np_sum(a, cuts):
-    # any split into blocks of whole rows: the L2 sum is np.sum's own
+def test_residual_norms_fold_blocks_by_the_row(a, cuts):
+    # any split into blocks of whole rows: the L2 sum is the correctly
+    # rounded sum of the rows' np.sum
     rows, width = a.shape
-    grid = Grid1p1(nx=width, lx=1.0, dt=0.5 / width, nt=rows + 1, bc="periodic")
-    norms = ResidualNorms(grid)
-    edges = sorted({0, rows, *[c for c in cuts if c < rows]})
-    for lo, hi in zip(edges, edges[1:]):
-        norms.add(a[lo:hi])
-    assert norms.l2_norm == float(np.sqrt(np.sum(a * a)) * math.sqrt(grid.dx * grid.dt))
+    norms, grid = residual_norms_of(a, sorted({c for c in cuts if c < rows}))
+    assert norms.l2_norm == math.sqrt(math.fsum(np.sum(a * a, axis=1))) * math.sqrt(grid.dx * grid.dt)
     assert norms.max_norm == float(np.max(np.abs(a)))
+
+
+def test_residual_norms_nan_row_reads_nan():
+    # Python's max(0.0, nan) is 0.0: a NaN residual must not vanish from the norms
+    a = np.ones((5, 8))
+    a[3, 2] = np.nan
+    norms, _ = residual_norms_of(a, cuts=(2,))
+    assert math.isnan(norms.max_norm) and math.isnan(norms.l2_norm)
+
+
+def test_residual_norms_overflowing_total_reads_inf():
+    # each row's sum of squares is finite (1.28e308), their total is not
+    norms, _ = residual_norms_of(np.full((3, 8), 4e153), cuts=(1,))
+    assert norms.l2_norm == math.inf and norms.max_norm == 4e153
+
+
+def test_residual_norms_read_before_the_last_row():
+    norms, grid = residual_norms_of(np.ones((3, 8)), interior_rows=4)
+    with pytest.raises(NumericError, match="before every interior row"):
+        norms.l2_norm
+    norms.add(np.ones((1, 8)))
+    assert norms.l2_norm == math.sqrt(32.0) * math.sqrt(grid.dx * grid.dt)
+
+
+def test_residual_norms_more_rows_than_the_interior():
+    norms, _ = residual_norms_of(np.ones((4, 8)))
+    with pytest.raises(NumericError, match="more residual rows"):
+        norms.add(np.ones((1, 8)))
 
 
 def test_non_finite_coefficients_poison_like_the_reference():
@@ -271,7 +311,7 @@ def stream_results(params, y0, v0, grid, action, xi):
     for w in stream_damped_wave(params, y0, v0, grid, action):
         wft, wfx = evaluate_current(xi, w, {})
         ft[w.levels], fx[w.levels] = wft[w.core], wfx[w.core]
-        dissipation_residual(wft, wfx, action.c_t, 0.0, w, norms)
+        dissipation_residual(wft, wfx, action.c_t, w, norms)
         P[w.levels], E[w.levels] = momentum_series(w), energy_series(w)
         s_t[w.levels] = w.s_t[w.core]
     return (ft, fx, norms.l2_norm, norms.max_norm, P, E, s_t), w.work
@@ -281,9 +321,10 @@ def whole_results(params, y0, v0, grid, L, xi):
     whole = integrate_damped_wave(params, y0, v0, grid)
     whole.s_t = integrate_action_coordinate(whole, L, CHART, {})
     ft, fx = evaluate_current(xi, whole, {})
-    rep = dissipation_residual(ft, fx, ActionCoordinate.of(L, CHART, {}).c_t, 0.0, whole)
-    arrays = [whole.y, whole.y_t, whole.y_x, whole.s_t, ft, fx, rep.residual]
-    return (ft, fx, rep.l2_norm, rep.max_norm, momentum_series(whole), energy_series(whole), whole.s_t), arrays
+    norms = ResidualNorms(grid)
+    residual = dissipation_residual(ft, fx, ActionCoordinate.of(L, CHART, {}).c_t, whole, norms)
+    arrays = [whole.y, whole.y_t, whole.y_x, whole.s_t, ft, fx, residual]
+    return (ft, fx, norms.l2_norm, norms.max_norm, momentum_series(whole), energy_series(whole), whole.s_t), arrays
 
 
 def assert_same_bits(got, want):
@@ -342,8 +383,8 @@ def test_windows_reuse_one_workspace():
     ) as compiled:
         for w in stream_damped_wave(params, y0, v0, grid):
             ft, fx = evaluate_current(xi, w, {})
-            rep = dissipation_residual(ft, fx, -0.1, 0.0, w, norms)
-            seen.append([a.base for a in (w.y, w.y_t, w.y_x, ft, fx, rep.residual)])
+            residual = dissipation_residual(ft, fx, -0.1, w, norms)
+            seen.append([a.base for a in (w.y, w.y_t, w.y_x, ft, fx, residual)])
     assert len(seen) > 3
     for bases in seen[1:]:
         assert all(a is b for a, b in zip(bases, seen[0]))
