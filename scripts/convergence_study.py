@@ -13,6 +13,7 @@ together with the fitted momentum-decay exponent.  Emits a JSON summary
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -78,8 +79,14 @@ def main() -> int:
             for r in results:
                 for row in r["norms"]:
                     fh.write(f"{r['gamma']},{row['nx']},{row['l2']!r}\n")
-    json.dump(results, sys.stdout, indent=2)
-    print()
+    try:
+        json.dump(results, sys.stdout, indent=2)
+        print()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout closed early (`| head`): exit 2 as mcft does; devnull takes the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     return 0
 
 

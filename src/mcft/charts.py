@@ -125,9 +125,9 @@ def _check_names(names: Sequence[str], what: str):
             raise ChartError(f"{what} name {n!r} is not an identifier")
 
 
-def jet_chart(bases: Sequence[str], fields: Sequence[str]) -> Chart:
-    """First-order jet chart extended by action coordinates:
-    (x^mu, y^a, y^a_mu, s^mu)."""
+def _bundle_chart(bases: Sequence[str], fields: Sequence[str], role: str, name) -> Chart:
+    """(x^mu, y^a, z^a_mu, s^mu), where z^a_mu has ``role`` and is named
+    ``name(a, mu)``."""
     _check_names(bases, "base")
     _check_names(fields, "field")
     if not fields:
@@ -135,12 +135,16 @@ def jet_chart(bases: Sequence[str], fields: Sequence[str]) -> Chart:
     coords = [Coordinate(b, "base", base=i) for i, b in enumerate(bases)]
     coords += [Coordinate(f, "field", field=a) for a, f in enumerate(fields)]
     coords += [
-        Coordinate(f"{f}_{b}", "velocity", field=a, base=mu)
-        for a, f in enumerate(fields)
-        for mu, b in enumerate(bases)
+        Coordinate(name(a, mu), role, field=a, base=mu) for a in range(len(fields)) for mu in range(len(bases))
     ]
     coords += [Coordinate(f"s_{b}", "action", base=mu) for mu, b in enumerate(bases)]
     return Chart(coords, len(bases))
+
+
+def jet_chart(bases: Sequence[str], fields: Sequence[str]) -> Chart:
+    """First-order jet chart extended by action coordinates:
+    (x^mu, y^a, y^a_mu, s^mu)."""
+    return _bundle_chart(bases, fields, "velocity", lambda a, mu: f"{fields[a]}_{bases[mu]}")
 
 
 def momentum_name(bases: Sequence[str], fields: Sequence[str], field: int, base: int) -> str:
@@ -152,19 +156,7 @@ def momentum_name(bases: Sequence[str], fields: Sequence[str], field: int, base:
 def ham_chart(bases: Sequence[str], fields: Sequence[str]) -> Chart:
     """Restricted multimomentum chart extended by action coordinates:
     (x^mu, y^a, p^mu_a, s^mu)."""
-    _check_names(bases, "base")
-    _check_names(fields, "field")
-    if not fields:
-        raise ChartError("at least one field required")
-    coords = [Coordinate(b, "base", base=i) for i, b in enumerate(bases)]
-    coords += [Coordinate(f, "field", field=a) for a, f in enumerate(fields)]
-    coords += [
-        Coordinate(momentum_name(bases, fields, a, mu), "momentum", field=a, base=mu)
-        for a, f in enumerate(fields)
-        for mu, b in enumerate(bases)
-    ]
-    coords += [Coordinate(f"s_{b}", "action", base=mu) for mu, b in enumerate(bases)]
-    return Chart(coords, len(bases))
+    return _bundle_chart(bases, fields, "momentum", lambda a, mu: momentum_name(bases, fields, a, mu))
 
 
 def generic_chart(names: Sequence[str], base_dim: int = 1) -> Chart:

@@ -33,6 +33,7 @@ from typing import Optional
 
 from .charts import Chart, jet_chart
 from .expr import Expr, ExprError, add, const, cos, exp, mul, pow_, sin, to_text, var
+from .forms import scaled_text, signed_sum_text
 from .lagrangian import LagrangianSystem, build_lagrangian_system
 
 KEYWORDS = {"coords", "fields", "params", "lagrangian", "symmetry", "scenario", "grid", "init", "bc"}
@@ -598,26 +599,10 @@ def _dsl_name_map(model: ModelFile):
 def _vf_text(comps: dict, model: ModelFile) -> str:
     nm = _dsl_name_map(model)
     order = {n: i for i, n in enumerate(model.chart.names())}
-    parts = []
-    for name in sorted(comps, key=lambda n: order.get(n, 99)):
-        c = comps[name]
-        if name.startswith("s_"):
-            dirn = f"d/ds[{name[2:]}]"
-        else:
-            dirn = f"d/d{name}"
-        s = to_text(c, nm)
-        if s == "1":
-            parts.append(dirn)
-        elif s == "-1":
-            parts.append(f"-{dirn}")
-        else:
-            if len(c.terms) > 1:
-                s = f"({s})"
-            parts.append(f"{s}*{dirn}")
-    out = parts[0]
-    for p in parts[1:]:
-        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-    return out
+    return signed_sum_text([
+        scaled_text(comps[name], f"d/ds[{name[2:]}]" if name.startswith("s_") else f"d/d{name}", nm, "*")
+        for name in sorted(comps, key=lambda n: order.get(n, 99))
+    ])
 
 
 def render(model: ModelFile) -> str:

@@ -211,7 +211,11 @@ class Multivector:
         self.degree = degree
         self._jacobian = None
         if factors is not None:
-            factors = tuple({i: _coerce(c) for i, c in f.items() if _coerce(c).terms} for f in factors)
+            factors = tuple({i: _coerce(c) for i, c in f.items()} for f in factors)
+            for f in factors:
+                for i in f:
+                    _check_index(chart.dim, 1, (i,))
+            factors = tuple({i: c for i, c in f.items() if c.terms} for f in factors)
             if len(factors) != degree:
                 raise FormError("factor count does not match degree")
             self.factors = factors
@@ -220,8 +224,7 @@ class Multivector:
             clean = {}
             for idx, c in table.items():
                 idx = tuple(idx)
-                if len(idx) != degree or list(idx) != sorted(set(idx)):
-                    raise FormError(f"bad multivector index {idx}")
+                _check_index(chart.dim, degree, idx)
                 c = _coerce(c)
                 if c.terms:
                     clean[idx] = c
@@ -635,29 +638,36 @@ def form_zero_check(a: Form, seed: int = 0, tol: float = 1e-9) -> CheckResult:
     return CheckResult(True, ZeroCheck.PROBABLY_ZERO if probed else ZeroCheck.ZERO, [])
 
 
-def form_to_text(a: Form, name_map=None) -> str:
-    if not a.table:
+def scaled_text(c: Expr, unit: str, name_map=None, sep: str = " ") -> str:
+    """``unit`` times the coefficient ``c``: the unit alone for 1, -unit
+    for -1, and otherwise c, parenthesized if it is a sum, then ``sep``
+    and the unit."""
+    s = to_text(c, name_map)
+    if s == "1":
+        return unit
+    if s == "-1":
+        return f"-{unit}"
+    return f"({s}){sep}{unit}" if len(c.terms) > 1 else f"{s}{sep}{unit}"
+
+
+def signed_sum_text(chunks) -> str:
+    """The chunks joined by " + ", or by " - " before a chunk that starts
+    with a minus sign, which it loses; "0" for none."""
+    if not chunks:
         return "0"
-    chunks = []
-    for idx, c in a.items():
-        dxs = "^".join(f"d{name_map(a.chart.coords[i].name) if name_map else a.chart.coords[i].name}" for i in idx)
-        if a.degree == 0:
-            chunks.append(to_text(c, name_map))
-            continue
-        if len(c.terms) == 1:
-            s = to_text(c, name_map)
-            if s == "1":
-                chunks.append(dxs)
-            elif s == "-1":
-                chunks.append(f"-{dxs}")
-            else:
-                chunks.append(f"{s} {dxs}")
-        else:
-            chunks.append(f"({to_text(c, name_map)}) {dxs}")
     out = chunks[0]
     for ch in chunks[1:]:
         out += f" - {ch[1:]}" if ch.startswith("-") else f" + {ch}"
     return out
+
+
+def form_to_text(a: Form, name_map=None) -> str:
+    if a.degree == 0:
+        return to_text(a.coeff(), name_map)
+    name = name_map or (lambda n: n)
+    return signed_sum_text(
+        [scaled_text(c, "^".join(f"d{name(a.chart.coords[i].name)}" for i in idx), name_map) for idx, c in a.items()]
+    )
 
 
 def form_to_json(a: Form, name_map=None) -> dict:
@@ -674,27 +684,10 @@ def form_to_json(a: Form, name_map=None) -> dict:
 
 
 def vector_to_text(v: Mapping[int, Expr], chart: Chart, name_map=None) -> str:
-    parts = []
-    for i in sorted(v):
-        c = v[i]
-        if not c.terms:
-            continue
-        dn = f"d/d{name_map(chart.coords[i].name) if name_map else chart.coords[i].name}"
-        s = to_text(c, name_map)
-        if s == "1":
-            parts.append(dn)
-        elif s == "-1":
-            parts.append(f"-{dn}")
-        elif len(c.terms) == 1:
-            parts.append(f"{s} {dn}")
-        else:
-            parts.append(f"({s}) {dn}")
-    if not parts:
-        return "0"
-    out = parts[0]
-    for p in parts[1:]:
-        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-    return out
+    name = name_map or (lambda n: n)
+    return signed_sum_text(
+        [scaled_text(v[i], f"d/d{name(chart.coords[i].name)}", name_map) for i in sorted(v) if v[i].terms]
+    )
 
 
 def multivector_to_text(X: Multivector, name_map=None) -> str:

@@ -8,7 +8,8 @@ discretized semi-implicitly,
 
 which keeps the scheme's symmetric second-order accuracy for any
 admissible gamma.  Currents xi are pulled back along the discrete
-section with central differences; the dissipation-law residual
+section with central differences, one component at a time (see
+``evaluate_current``); the dissipation-law residual
 
     d f^mu / dx^mu - (dL/ds^mu o psi) f^mu
 
@@ -403,9 +404,9 @@ def _power(base: np.ndarray, k: int, out: Optional[np.ndarray]) -> np.ndarray:
 
 
 class CompiledExpr:
-    """A canonical expression compiled onto numpy: the sum of its terms
-    c * base^k * ..., each product and sum rounded as Python evaluates
-    them left to right."""
+    """A canonical expression compiled onto numpy: 0.0 + the sum of its
+    terms c * base^k * ..., each product and sum rounded as Python
+    evaluates them left to right."""
 
     def __init__(self, e: Expr):
         from .expr import FuncAtom
@@ -429,19 +430,10 @@ class CompiledExpr:
         self.terms = [(float(c), [(compile_atom(a), k) for a, k in mono]) for mono, c in e.terms]
 
     def __call__(self, env, out=None, term=None, power=None):
-        """0.0 + the terms: ``sum_terms`` turned from -0.0 to +0.0."""
-        total = self.sum_terms(env, out, term, power)
-        if isinstance(total, np.ndarray):
-            total += 0.0
-            return total
-        return 0.0 + total
-
-    def sum_terms(self, env, out=None, term=None, power=None):
-        """The first term + the second + ..., a float, or an array in
+        """0.0 + the first term + the second + ..., a float, or an array in
         ``out``; an array term after the first is formed in ``term``, and
         each array power in ``power``.  A buffer left None is allocated.
-        Beside ``__call__`` it lacks only the 0.0 + that turns -0.0 into
-        +0.0."""
+        The 0.0 + turns a -0.0 result into +0.0."""
         total = None
         try:
             for c, factors in self.terms:
@@ -467,7 +459,10 @@ class CompiledExpr:
                     total = total + v
         except ZeroDivisionError:  # a scalar zero, such as a parameter, to a negative power
             raise NumericError("cannot evaluate the model at its parameter values: division by zero") from None
-        return 0.0 if total is None else total
+        if isinstance(total, np.ndarray):
+            total += 0.0
+            return total
+        return 0.0 if total is None else 0.0 + total
 
 
 def compile_expr(e: Expr) -> CompiledExpr:
@@ -500,7 +495,11 @@ def current_names(xi: Form) -> set:
 
 
 def evaluate_current(xi: Form, traj: Trajectory, bindings: Mapping[str, float]):
-    """Components f^t, f^x of the pulled-back current psi* xi = f^t dx - f^x dt."""
+    """f^t = sum_i c_i d/dx psi^i and f^x = -sum_i c_i d/dt psi^i, the
+    components of psi* xi = f^t dx - f^x dt for xi = sum_i c_i dpsi^i, each
+    summed from +0.0 in the order of xi's table.  A factor that is
+    identically zero (dt in f^t, dx in f^x, ds^x in both) is no part of the
+    sum: a coefficient, finite or not, reaches only its own components."""
     chart = xi.chart
     if xi.degree != 1:
         raise NumericError("current evaluation needs a 1-form (base dimension 2)")
@@ -528,53 +527,21 @@ def evaluate_current(xi: Form, traj: Trajectory, bindings: Mapping[str, float]):
     if traj.s_t is not None:
         dpsi["s_t"] = lambda: along(traj.s_t)
     coefficient, term, power = (traj.scratch(k) for k in range(3))
-    A, B = _Sum(traj.buffer("f^x"), term), _Sum(traj.buffer("f^t"), term)  # dt and dx components
+    ft, fx = traj.buffer("f^t"), traj.buffer("f^x")
+    ft.fill(0.0)
+    fx.fill(0.0)
     for (i,), coeff in xi.table.items():
         name = chart.coords[i].name
         if name not in dpsi:
             raise NumericError(f"current references {name!r}, absent from the trajectory")
-        # without __call__'s 0.0 +: the sums start from +0.0 themselves
-        cval = traj.compiled(coeff).sum_terms(env, coefficient, term, power)
+        c = traj.compiled(coeff)(env, coefficient, term, power)
         d_t, d_x = dpsi[name]()
-        A.add(cval, d_t)
-        B.add(cval, d_x)
-    A = A.total()
-    return B.total(), np.negative(A, out=A)
-
-
-class _Sum:
-    """zeros + c1 d1 + c2 d2 + ... into ``out``, bit for bit, without the
-    passes that cannot change it: a factor d = 1.0 is not applied, and a
-    term c * 0.0 is added only where c is not finite, since elsewhere it
-    is a signed zero and the sum, which starts at +0.0, is never -0.0.
-    For the same reason the sign of a zero c does not matter.  A product
-    c * d is formed in ``scratch``."""
-
-    def __init__(self, out: np.ndarray, scratch: np.ndarray):
-        self.out = out
-        self.scratch = scratch
-        self.started = False
-        self.poison = []  # c * 0.0 of the terms whose c is not finite
-
-    def add(self, c, d) -> None:
-        if isinstance(d, float) and d == 0.0:
-            # a sum that overflows only adds a poison term that changes nothing
-            if not np.isfinite(np.sum(c)):
-                self.poison.append(c * d)
-            return
-        term = c if isinstance(d, float) and d == 1.0 else np.multiply(c, d, out=self.scratch)
-        if self.started:
-            self.out += term
-        else:
-            np.add(term, 0.0, out=self.out)
-            self.started = True
-
-    def total(self) -> np.ndarray:
-        if not self.started:
-            self.out.fill(0.0)
-        for p in self.poison:
-            self.out += p
-        return self.out
+        for f, d in ((ft, d_x), (fx, d_t)):
+            if isinstance(d, np.ndarray):
+                f += np.multiply(c, d, out=term)
+            elif d:  # the constant 1; the constant 0 adds nothing
+                f += c
+    return ft, np.negative(fx, out=fx)
 
 
 class ResidualNorms:

@@ -148,6 +148,16 @@ class TestWedge:
             with pytest.raises(FormError, match=message):
                 Form(chart5(), 2, {idx: 1})
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [({"table": {(0, 99): 1}}, "axis out of range"), ({"table": {(1, 0): 1}}, "bad multi-index"),
+         ({"factors": [{99: 1}, {0: 1}]}, "axis out of range"), ({"factors": [{-1: 0}, {0: 1}]}, "axis out of range")],
+    )
+    def test_multivector_checks_its_axes_like_form(self, kwargs, message):
+        # an axis off the chart is refused at construction, not left for repr to trip on
+        with pytest.raises(FormError, match=message):
+            Multivector(chart5(), 2, **kwargs)
+
     def test_index_check_depends_on_chart_dimension(self):
         Form(chart5(), 2, {(0, 4): 1})
         with pytest.raises(FormError, match="axis out of range"):

@@ -29,3 +29,19 @@ def test_convergence_study_smoke():
 def test_noether_corpus_smoke():
     out = run_script("noether_corpus.py", "--size", "6")
     assert out.splitlines()[-1].startswith("43 candidates, 16 Noether, 0 law failures")
+
+
+def test_convergence_study_closed_stdout_exit_2_without_traceback():
+    # the reader closes the pipe before the report is written, as `| head -c 100` may
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, str(ROOT / "scripts" / "convergence_study.py"), "--gammas", "0.1", "--meshes", "16", "--t-final", "0.1"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 2, err
+    assert "Traceback" not in err and "BrokenPipeError" not in err
