@@ -7,6 +7,7 @@ and whether i_X bar_d(i_Y Theta) vanished identically over the full
 free-symbol solution family.
 """
 import argparse
+import os
 import sys
 import time
 
@@ -32,13 +33,19 @@ def main() -> int:
                 law = "holds" if check_dissipative(rep.current, fam, entry.system.sigma).holds else "FAILS"
             rows.append((entry.name, label, rep.classification, rep.sigma_invariant, law))
     w = max(len(r[1]) for r in rows)
-    print(f"{'system':<14} {'candidate':<{w}} {'classification':<16} {'sigma-inv':<9} law")
-    for name, label, cls, sig, law in rows:
-        print(f"{name:<14} {label:<{w}} {cls:<16} {str(sig):<9} {law}")
     n_noether = sum(1 for r in rows if r[2] != NOT_NOETHER)
     n_bad = sum(1 for r in rows if r[4] == "FAILS")
-    print(f"\n{len(rows)} candidates, {n_noether} Noether, {n_bad} law failures "
-          f"({time.perf_counter() - t0:.2f} s)")
+    try:
+        print(f"{'system':<14} {'candidate':<{w}} {'classification':<16} {'sigma-inv':<9} law")
+        for name, label, cls, sig, law in rows:
+            print(f"{name:<14} {label:<{w}} {cls:<16} {str(sig):<9} {law}")
+        print(f"\n{len(rows)} candidates, {n_noether} Noether, {n_bad} law failures "
+              f"({time.perf_counter() - t0:.2f} s)")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout closed early (`| head`): exit 2 as mcft does; devnull takes the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     return 1 if n_bad else 0
 
 

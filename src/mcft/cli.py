@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -419,7 +420,10 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use; each ``parse_args`` call
+    fills a new namespace, so no call's options carry over. Do not modify it."""
     p = argparse.ArgumentParser(prog="mcft", description="multicontact field-theory workbench")
     p.add_argument("--json", action="store_true", help="machine-readable report on stdout")
     p.add_argument("--paper-sign", action="store_true", help="use the published sign for prolonged velocity components")

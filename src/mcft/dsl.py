@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .charts import Chart, jet_chart
 from .expr import Expr, ExprError, add, const, cos, exp, mul, pow_, sin, to_text, var
@@ -52,8 +52,7 @@ class DslError(Exception):
         super().__init__(f"line {line}, col {col}: {message}")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # ident | number | op | eof
     text: str
     line: int
@@ -213,6 +212,8 @@ class _Parser:
 
     # -- token plumbing ----------------------------------------------------
     def peek(self, ahead: int = 0) -> Token:
+        if not ahead:  # next() never moves past eof, so pos is in range
+            return self.toks[self.pos]
         return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
 
     def next(self) -> Token:

@@ -320,6 +320,41 @@ class TestDeterminism:
             jsonschema.validate(json.loads(out), schema)
 
 
+def test_reused_parser_carries_no_state(tmp_path, monkeypatch):
+    import argparse
+
+    from mcft import cli
+
+    lifted = tmp_path / "lifted.mcft"
+    lifted.write_text(
+        "coords t x\nfields y\nparams rho=1 tau=1\n"
+        "lagrangian 0.5*(rho*dy[t]^2 - tau*dy[x]^2)\nsymmetry T: t*d/dy\n"
+    )
+    csv = str(tmp_path / "traj.csv")
+    pairs = [
+        (["--seed", "5", "check-symmetry", MODEL, "Y"], ["check-symmetry", MODEL, "Y"]),
+        (["--paper-sign", "check-symmetry", str(lifted), "T"], ["check-symmetry", str(lifted), "T"]),
+        (["--tol", "1e-6", "check-symmetry", MODEL, "S"], ["check-symmetry", MODEL, "S"]),
+        (["simulate", MODEL, "main", "--csv", csv], ["simulate", MODEL, "main"]),
+    ]
+    # each option is followed by its absence and the absence by the option
+    calls = [["--json", *argv] for with_, without in pairs for argv in (with_, without, with_)]
+    fresh = getattr(cli.build_parser, "__wrapped__", cli.build_parser)
+    with monkeypatch.context() as m:
+        m.setattr(cli, "build_parser", fresh)
+        want = [run_cli(*argv)[:2] for argv in calls]
+    assert [run_cli(*argv)[:2] for argv in calls] == want
+    assert json.loads(want[0][1])["seed"] == 5 and json.loads(want[1][1])["seed"] is None
+    assert want[3] != want[4]  # --paper-sign flips a prolonged component of T
+    assert json.loads(want[-3][1])["outputs"]["csv"] == csv and json.loads(want[-2][1])["outputs"]["csv"] is None
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+    assert run_cli("--json", "derive", MODEL)[0] == 0
+    assert not built, "main() built a parser again"
+
+
 class TestPaperSign:
     def test_flag_flips_prolonged_component(self, tmp_path):
         p = tmp_path / "lifted.mcft"

@@ -128,6 +128,14 @@ class TestTokenize:
     def test_trailing_comment_without_newline(self):
         assert _token_lines(tokenize("coords t # trailing")) == {1: "icoords@1 it@8 e@10"}
 
+    def test_token_is_immutable_and_compares_by_value(self):
+        tok = tokenize("rho")[0]
+        assert tok == tokenize("rho")[0] and hash(tok) == hash(tokenize("rho")[0])
+        assert tok != tokenize(" rho")[0]  # same text, another column
+        with pytest.raises(AttributeError):
+            tok.text = "tau"
+        assert tok.text == "rho"
+
     @pytest.mark.parametrize(
         "text, ch, line, col", [("coords t\n  x $ y", "$", 2, 5), ("x = 1e-3 ! 2", "!", 1, 10), ("a # c\n@", "@", 2, 1)]
     )

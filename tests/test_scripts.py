@@ -45,3 +45,18 @@ def test_convergence_study_closed_stdout_exit_2_without_traceback():
     proc.stderr.close()
     assert proc.wait() == 2, err
     assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+def test_noether_corpus_closed_stdout_exit_2_without_traceback():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, str(ROOT / "scripts" / "noether_corpus.py"), "--size", "2"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 2, err
+    assert "Traceback" not in err and "BrokenPipeError" not in err
