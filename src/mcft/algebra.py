@@ -16,7 +16,11 @@ comes first.  Every other row becomes (p*row - f*pivot_row)/prev, an
 exact division by the previous pivot.  Each pivot row ends holding the
 last pivot, so ``affine_numerators`` gives every solved unknown as one
 numerator over it (for a Legendre inverse, an adjugate row over the
-Hessian determinant), and ``solve_affine`` divides.
+Hessian determinant).  ``solve_affine`` calls it once per block of
+unknowns, two unknowns sharing a block when an equation holds both, and
+divides by that block's own last pivot: a velocity of a block-diagonal
+Hessian is over its own block's determinant, and no pivot of one block
+multiplies the rows of another.
 """
 from __future__ import annotations
 
@@ -124,10 +128,28 @@ def affine_numerators(equations: Sequence[Expr], unknowns: Sequence[Symbol]):
 
 
 def solve_affine(equations: Sequence[Expr], unknowns: Sequence[Symbol]) -> AffineSolution:
-    """Solve ``equations == 0`` for the unknowns: each numerator of
-    ``affine_numerators`` divided exactly by the shared pivot."""
-    numerators, free, pivot = affine_numerators(equations, unknowns)
-    return AffineSolution(solved={u: div_exact(n, pivot) for u, n in numerators.items()}, free=free)
+    """Solve ``equations == 0`` for the unknowns, each block over its own
+    pivot; solved and free unknowns keep the declared order."""
+    unknowns = list(unknowns)
+    root = {u: u for u in unknowns}
+
+    def find(u):
+        while root[u] is not u:
+            u = root[u]
+        return u
+
+    for e in equations:
+        held = [find(u) for u in e.symbols if u in root]
+        for u in held[1:]:
+            root[u] = held[0]
+    blocks, solved = {}, {}
+    for e in equations:
+        blocks.setdefault(next((find(u) for u in e.symbols if u in root), None), []).append(e)
+    for r, block in blocks.items():
+        numerators, _free, pivot = affine_numerators(block, [u for u in unknowns if find(u) is r])
+        solved.update((u, div_exact(n, pivot)) for u, n in numerators.items())
+    free = [u for u in unknowns if u not in solved]
+    return AffineSolution(solved={u: solved[u] for u in unknowns if u in solved}, free=free)
 
 
 def det(matrix: Sequence[Sequence[Expr]]) -> Expr:

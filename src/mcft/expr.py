@@ -519,7 +519,7 @@ def diff(e, v) -> Expr:
     s = v if isinstance(v, Symbol) else _coerce(v).single_symbol
     parts = []
     for mono, c in e.terms:
-        for a, k in mono:
+        for i, (a, k) in enumerate(mono):
             if isinstance(a, Symbol):
                 if a != s:
                     continue
@@ -528,15 +528,23 @@ def diff(e, v) -> Expr:
                 da = _atom_diff(a, s)
                 if not da.terms:
                     continue
-            rest = dict(mono)
-            rest[a] = k - 1
-            parts.append(mul(_expr_from_factors(_norm(c * k), rest), da))
+            # lowering one exponent in place keeps the monomial sorted; a sum
+            # atom's exponent is negative, so it is never raised to expand
+            rest = mono[:i] + ((a, k - 1),) + mono[i + 1 :] if k != 1 else mono[:i] + mono[i + 1 :]
+            parts.append(mul(Expr(((rest, _norm(c * k)),)), da))
     return add(*parts) if parts else ZERO
 
 
 def diff_held(e, s) -> Expr:
     """de/ds, differentiating only when ``e`` is present and holds ``s``."""
     return diff(e, s) if e is not None and s in e.symbols else ZERO
+
+
+def _holds_name(atom: Atom, m: dict) -> bool:
+    """Whether ``atom`` is, or holds, a symbol named in ``m``."""
+    if isinstance(atom, Symbol):
+        return atom.name in m
+    return any(s.name in m for s in (atom.arg if isinstance(atom, FuncAtom) else atom.expr).symbols)
 
 
 def _atom_subst(atom: Atom, m: dict) -> Expr:
@@ -560,15 +568,23 @@ def substitute(e, mapping: Mapping, _normalized: bool = False) -> Expr:
         m = mapping  # already name -> Expr
     if not m:
         return e
-    parts = []
+    # a term with no mapped atom passes through; in the others the unmapped
+    # atoms keep their places and only the mapped ones are multiplied in
+    kept, parts = [], []
     for mono, c in e.terms:
-        acc = const(c)
-        for a, k in mono:
+        rest, hits = [], []
+        for ak in mono:
+            (hits if _holds_name(ak[0], m) else rest).append(ak)
+        if not hits:
+            kept.append((mono, c))
+            continue
+        acc = Expr(((tuple(rest), c),))
+        for a, k in hits:
             acc = mul(acc, pow_(_atom_subst(a, m), k))
             if not acc.terms:
                 break
         parts.append(acc)
-    return add(*parts) if parts else ZERO
+    return add(Expr(tuple(kept)), *parts) if parts else e
 
 
 class _Resample(Exception):

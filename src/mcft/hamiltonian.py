@@ -3,8 +3,9 @@
 For a regular Lagrangian the fiber derivative p^mu_a = dL/dy^a_mu is
 inverted exactly.  The relations are affine in the velocities, p = K v + b
 with K the Hessian, so ``solve_affine`` returns each velocity as its
-numerator divided exactly by the one shared pivot, +-det(K).  L is
-quadratic in v, so H is a polynomial plus one numerator over det(K):
+numerator divided exactly by the pivot of its Hessian block, +-det of
+that block (+-det(K) when K does not split).  L is quadratic in v, so H
+is a polynomial plus one numerator over each block's determinant:
 
     H       = (p - b).v/2 - L|_{v=0}
     Theta_H = -p^mu_a dy^a ^ d^{m-1}x_mu + H d^m x + ds^mu ^ d^{m-1}x_mu

@@ -14,8 +14,12 @@ and solves the contraction equations
     i_X Theta_L = 0,   i_X bar_d Theta_L = 0,   i_X omega = 1
 
 for semi-holonomic multivector fields exactly, returning the solved
-family with its free component functions.  A system derives d Theta and
-bar_d Theta once, on first use, for ``solve_sopde_family`` and
+family with its free component functions.  The solution is checked in
+the contraction coefficients already formed for the ansatz: contraction
+is a polynomial in the components, affine in the ansatz unknowns, so
+substituting the solution there tests the same identities as contracting
+the solved family again.  A system derives d Theta and bar_d Theta
+once, on first use, for ``solve_sopde_family`` and
 ``verify_sigma_property``; ``symmetry.classify`` takes Lie derivatives of
 Theta, omega and sigma directly.
 
@@ -304,7 +308,9 @@ def semi_holonomic_ansatz(sys: MulticontactSystem, field_component, conjugate_ax
 
 def solve_sopde_family(sys: LagrangianSystem) -> SolutionFamily:
     """Solve i_X Theta_L = 0 and i_X bar_d Theta_L = 0 over the
-    semi-holonomic ansatz."""
+    semi-holonomic ansatz, then substitute the solution into the
+    coefficients of both contractions of the ansatz; a coefficient that is
+    not structurally zero afterwards fails the check."""
     if not sys.is_regular:
         raise LagrangianError("singular Lagrangian: the ansatz equations need not be solvable")
     chart = sys.chart
@@ -323,8 +329,8 @@ def solve_sopde_family(sys: LagrangianSystem) -> SolutionFamily:
         fam = SolutionFamily.solve(sys, factors, unknowns, eqs)
     except InconsistentSystemError as exc:
         raise LagrangianError(f"contraction equations are inconsistent: {exc}") from exc
-    X = fam.multivector()
-    for label, f in (("i_X Theta_L", contract(X, sys.theta)), ("i_X bar_d Theta_L", contract(X, sys.bar_d_theta()))):
+    for label, formed in (("i_X Theta_L", c0), ("i_X bar_d Theta_L", c1)):
+        f = Form(chart, formed.degree, {i: substitute(c, fam.solved) for i, c in formed.table.items()})
         if f.table:
             raise LagrangianError(f"solved family does not annihilate {label}: {_residual_summary(f)}")
     return fam

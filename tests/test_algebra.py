@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mcft.algebra import InconsistentSystemError, det, solve_affine
+from mcft.algebra import InconsistentSystemError, NonlinearSystemError, det, solve_affine
 from mcft.dsl import parse
 from mcft.expr import ExprError, add, const, mul, pow_, substitute, sym, var
+from mcft.hamiltonian import legendre
 from mcft.lagrangian import Regularity
 
 SYMS = [var(n, "param") for n in ("a", "b", "c")]
@@ -151,3 +152,50 @@ def test_singular_laurent_hessian_reads_singular(case):
     sys_ = model.system()
     assert sys_.hessian_det == const(0)
     assert sys_.regularity is Regularity.SINGULAR
+
+
+# ---------------------------------------------------------------------------
+# Block-wise elimination: two unknowns share a block when an equation holds
+# both, and each block is solved over its own pivot.
+
+BLOCK_UNKNOWNS = [sym(n, "aux") for n in ("A1", "A2", "A3", "A4", "A5")]
+A1, A2, A3, A4, A5 = (var(u.name, "aux") for u in BLOCK_UNKNOWNS)
+
+
+def test_independent_blocks_keep_the_declared_order():
+    a, b, _ = SYMS
+    # the {A2, A4} block comes first among the equations, and A3 is in none
+    eqs = [a * A2 - A4 - 1, A1 + b * A5]
+    sol = solve_affine(eqs, BLOCK_UNKNOWNS)
+    assert list(sol.solved) == [BLOCK_UNKNOWNS[0], BLOCK_UNKNOWNS[1]]
+    assert sol.free == BLOCK_UNKNOWNS[2:]
+    assert sol.solved[BLOCK_UNKNOWNS[0]] == -b * A5
+    assert sol.solved[BLOCK_UNKNOWNS[1]] == (A4 + 1) / a
+
+
+def test_block_split_keeps_the_errors():
+    a, b, _ = SYMS
+    with pytest.raises(InconsistentSystemError):
+        solve_affine([A1 - a, A2 - b, a + 1], BLOCK_UNKNOWNS)
+    with pytest.raises(NonlinearSystemError):
+        solve_affine([A1 - a, A2 * A3 - b], BLOCK_UNKNOWNS)
+
+
+# L of two fields whose t- and x-Hessian blocks are both symbolic
+TWO_BLOCKS = (
+    "coords t x\nfields u v\nparams a b c d\nlagrangian 1/2*a*du[t]^2 + du[t]*dv[t] + 1/2*b*dv[t]^2"
+    " - 1/2*c*du[x]^2 - du[x]*dv[x] - 1/2*d*dv[x]^2 - 1/20*s[t]\n"
+)
+
+
+def test_each_velocity_is_over_its_own_block_determinant():
+    sys_ = parse(TWO_BLOCKS).system()
+    param = {s.name: s for s in sys_.lagrangian.symbols}
+    a, b, c, d = (var(n, "param", param[n].order) for n in "abcd")
+    lt = legendre(sys_)
+    # one pivot for both blocks gave 13 terms over (a*b - 1)*(c*d - 1)
+    assert len(lt.hamiltonian_system.hamiltonian.terms) == 7
+    for name, block_det in (("u_t", a * b - 1), ("v_t", a * b - 1), ("u_x", c * d - 1), ("v_x", c * d - 1)):
+        denominators = {(f, k) for mono, _ in lt.inverse[name].terms for f, k in mono if k < 0}
+        ((inverse_det, _),) = pow_(block_det, -1).terms
+        assert denominators == set(inverse_det)

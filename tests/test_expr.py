@@ -252,8 +252,8 @@ def _atom(e):
 
 
 def _rebuilt(e):
-    # substitution with a nonempty map builds every atom anew
-    return substitute(e, {x: x})
+    # canon builds every atom anew
+    return canon(e)
 
 
 class TestAtomCaches:
@@ -394,6 +394,43 @@ def ref_diff(e, s):
                 m = _ref_mono(rest, m2)
                 acc[m] = acc.get(m, 0) + c * k * c2
     return _ref_terms(acc)
+
+
+def ref_substitute(e, m):
+    """Substitution term by term with every atom rebuilt: symbols looked up
+    by name (``m``: name -> Expr), function and inverted-sum atoms
+    substituted inside and built anew."""
+
+    def atom(a):
+        if isinstance(a, Symbol):
+            return m.get(a.name, Expr((((((a, 1),)), 1),)))
+        if isinstance(a, FuncAtom):
+            return {"sin": sin, "cos": cos, "exp": exp}[a.fn](Expr(ref_substitute(a.arg, m)))
+        return Expr(ref_substitute(a.expr, m))
+
+    def power(v, k):  # a negative power atomizes, which only pow_ defines
+        return Expr(ref_mul(*[v] * k)) if k > 0 else pow_(v, k)
+
+    return ref_add(*(Expr(ref_mul(const(c), *(power(atom(a), k) for a, k in mono))) for mono, c in e.terms))
+
+
+W = var("w")
+
+
+@given(rational_exprs(), st.sampled_from(SYMS), st.sampled_from([const(0), const(2), x, y * z, x * x - z]))
+@settings(max_examples=80, deadline=None)
+def test_substitute_matches_rebuilding_reference_and_keeps_unmapped_atoms(e, v, tail):
+    # w is fresh, so an atom that held v holds w after substitution
+    g = add(W, tail)
+    out = substitute(e, {v: g})
+    assert out.terms == ref_substitute(e, {v.single_symbol.name: g})
+    before = [a for mono, _ in e.terms for a, _k in mono if not isinstance(a, Symbol)]
+    for mono, _ in out.terms:
+        for a, _k in mono:
+            inner = None if isinstance(a, Symbol) else a.arg if isinstance(a, FuncAtom) else a.expr
+            if inner is not None and W.single_symbol not in inner.symbols:
+                assert any(a is b for b in before)
+    assert substitute(e, {W: x}) is e
 
 
 @st.composite

@@ -5,9 +5,10 @@ import pytest
 
 from mcft.charts import jet_chart
 from mcft.corpus import corpus
-from mcft.expr import const, var
+from mcft.dsl import parse
+from mcft.expr import ZeroCheck, const, to_text, var
 from mcft.forms import Form, Multivector, contract, lie_derivative, one_form, schouten
-from mcft.hamiltonian import legendre
+from mcft.hamiltonian import hdw_multivector, legendre
 from mcft.lagrangian import build_lagrangian_system, solve_sopde_family
 from mcft.symmetry import (
     NOETHER,
@@ -246,3 +247,21 @@ class TestCorpus:
             for label, Y in e.candidates:
                 kinds.add(classify(Y, e.system).classification)
         assert STRONG_NOETHER in kinds and NOT_NOETHER in kinds
+
+
+def test_weighted_scaling_is_plain_noether_on_both_sides():
+    # L = y_t^2/2 scales by e^-eps under t -> e^eps t, y -> e^(eps/2) y, so
+    # L_Y Theta = 0 while L_Y omega = dt != 0
+    model = parse("coords t\nfields y\nlagrangian 1/2*dy[t]^2\nsymmetry D: t*d/dt + 1/2*y*d/dy\n")
+    sys_ = model.system()
+    hs = legendre(sys_).hamiltonian_system
+    currents = []
+    for system, Y, family in (
+        (sys_, jet_lift(model.candidate("D", sys_.chart)), solve_sopde_family(sys_)),
+        (hs, hamiltonian_lift(model.candidate("D", hs.chart)), hdw_multivector(hs)),
+    ):
+        rep = classify(Y, system)
+        assert rep.classification == NOETHER and rep.sigma_invariant
+        assert check_dissipative(rep.current, family, system.sigma).certainty is ZeroCheck.ZERO
+        currents.append(to_text(rep.current.coeff()))
+    assert currents == ["t*y_t^2/2 - y*y_t/2", "t*p_t^2/2 - y*p_t/2"]
