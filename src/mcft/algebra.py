@@ -24,8 +24,7 @@ multiplies the rows of another.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .expr import (
     Expr,
@@ -75,8 +74,7 @@ def _affine_row(e: Expr, column: dict) -> list:
     return [add(*p) for p in parts]
 
 
-@dataclass
-class AffineSolution:
+class AffineSolution(NamedTuple):
     solved: dict  # Symbol -> Expr over the free unknowns and other symbols
     free: list  # Symbols left free
 

@@ -12,8 +12,7 @@ lists with fixed naming conventions:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .expr import Expr, Symbol
 
@@ -22,8 +21,7 @@ class ChartError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Coordinate:
+class Coordinate(NamedTuple):
     name: str
     role: str
     field: Optional[int] = None  # index into the chart's field list

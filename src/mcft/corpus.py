@@ -9,8 +9,8 @@ action directions, and a couple of prolonged configuration fields.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .charts import jet_chart
 from .expr import add, const, mul
@@ -22,8 +22,7 @@ NONZERO = [Fraction(n) for n in (1, -1, 2, -2, 3)] + [Fraction(1, 2), Fraction(-
 ANY = NONZERO + [Fraction(0), Fraction(0)]
 
 
-@dataclass
-class CorpusEntry:
+class CorpusEntry(NamedTuple):
     name: str
     system: LagrangianSystem
     candidates: list  # (label, Multivector) pairs on the system chart

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import NamedTuple, Optional
@@ -130,16 +129,11 @@ def _number_fraction(tok: Token) -> Fraction:
         raise DslError(f"bad number {tok.text!r}", tok.line, tok.col) from None
 
 
-@dataclass
 class Scenario:
-    name: str
-    nx: int = 128
-    lx: Fraction = Fraction(1)
-    cfl: Fraction = Fraction(1, 2)
-    t_final: Fraction = Fraction(2)
-    bc: str = "periodic"
-    y0: Expr = field(default_factory=lambda: const(0))
-    v0: Expr = field(default_factory=lambda: const(0))
+    def __init__(self, name: str, nx: int = 128, lx: Fraction = Fraction(1), cfl: Fraction = Fraction(1, 2),
+                 t_final: Fraction = Fraction(2), bc: str = "periodic", y0: Expr = const(0), v0: Expr = const(0)):
+        self.name, self.nx, self.lx, self.cfl, self.t_final, self.bc, self.y0, self.v0 = (
+            name, nx, lx, cfl, t_final, bc, y0, v0)
 
     def __eq__(self, other):
         return isinstance(other, Scenario) and (
@@ -154,15 +148,13 @@ class Scenario:
         ) == (other.name, other.nx, other.lx, other.cfl, other.t_final, other.bc, other.y0, other.v0)
 
 
-@dataclass
 class ModelFile:
-    bases: list
-    fields: list
-    params: list  # (name, Fraction | None) in declaration order
-    lagrangian: Expr
-    symmetries: dict  # name -> dict coord-name -> Expr (configuration components)
-    scenarios: dict  # name -> Scenario
-    chart: Chart
+    def __init__(self, bases: list, fields: list, params: list, lagrangian: Expr, symmetries: dict, scenarios: dict,
+                 chart: Chart):
+        self.bases, self.fields, self.lagrangian, self.chart = bases, fields, lagrangian, chart
+        self.params = params  # (name, Fraction | None) in declaration order
+        self.symmetries = symmetries  # name -> dict coord-name -> Expr (configuration components)
+        self.scenarios = scenarios  # name -> Scenario
 
     def __eq__(self, other):
         return isinstance(other, ModelFile) and (

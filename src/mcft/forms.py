@@ -18,9 +18,8 @@ L_X = d i_X - (-1)^m i_X d.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cache
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .algebra import det
 from .charts import Chart
@@ -609,8 +608,7 @@ def pullback_along(mapping: Mapping[str, object], a: Form, source: Chart) -> For
 # Zero checks and rendering.
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     """A form's zero test: holds unless some coefficient is nonzero;
     certainty is the worst coefficient verdict; witnesses are the nonzero
     coefficients as (coordinate-name tuple, Expr) pairs."""

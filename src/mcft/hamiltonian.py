@@ -17,8 +17,8 @@ multivector family with the trace constraints imposed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 from .algebra import ZERO, InconsistentSystemError, NonlinearSystemError, solve_affine
 from .charts import Chart, ham_chart, momentum_name
 from .expr import (
@@ -65,8 +65,7 @@ class HamiltonianSystem(MulticontactSystem):
         return f"HamiltonianSystem(H={self.hamiltonian})"
 
 
-@dataclass
-class LegendreTransform:
+class LegendreTransform(NamedTuple):
     """The fiber derivative between a Lagrangian system and its
     Hamiltonian picture.
 
@@ -171,8 +170,7 @@ def hdw_multivector(hsys: HamiltonianSystem) -> SolutionFamily:
     return SolutionFamily.solve(hsys, factors, unknowns, equations)
 
 
-@dataclass
-class HdwResiduals:
+class HdwResiduals(NamedTuple):
     """Section-equation residuals over derivative placeholder symbols
     (named ``<coord>_<base>``, e.g. y_t, p_t_t, s_t_t)."""
 

@@ -29,9 +29,9 @@ the p-coordinates and H where this module passes dL/dy^a_mu and E_L.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
 from .algebra import InconsistentSystemError, det, solve_affine
 from .charts import Chart
 from .expr import (
@@ -217,8 +217,7 @@ def total_derivative(e: Expr, chart: Chart, mu: int) -> Expr:
     return add(*parts)
 
 
-@dataclass
-class EulerLagrangeResiduals:
+class EulerLagrangeResiduals(NamedTuple):
     """One residual per field (Herglotz-EL) plus the action residual
     sum_mu d s^mu/dx^mu - L."""
 
@@ -250,8 +249,7 @@ def herglotz_el_residuals(sys: LagrangianSystem) -> EulerLagrangeResiduals:
 # Semi-holonomic multivector solution families.
 
 
-@dataclass
-class SolutionFamily:
+class SolutionFamily(NamedTuple):
     """Solved semi-holonomic family: factor components with the linear
     constraints already substituted; leftover component functions appear
     as free symbols."""

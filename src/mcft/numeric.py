@@ -32,9 +32,8 @@ array of that size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -85,23 +84,16 @@ BLOCK_CELLS = 1 << 16  # cells per streamed block: 512 KB per float64 array, nea
 HALO = 2  # levels a window reads beyond its core: the residual at n reads y_t and s_t at n+-1, which read y at n+-2
 
 
-@dataclass(frozen=True)
 class Grid1p1:
     """Space-time grid on [0, Lx) x [0, nt*dt]."""
 
-    nx: int
-    lx: float
-    dt: float
-    nt: int
-    bc: str = "periodic"
-    wave_speed: float = 1.0
-
-    def __post_init__(self):
-        if self.nx < 8:
+    def __init__(self, nx: int, lx: float, dt: float, nt: int, bc: str = "periodic", wave_speed: float = 1.0):
+        self.nx, self.lx, self.dt, self.nt, self.bc, self.wave_speed = nx, lx, dt, nt, bc, wave_speed
+        if nx < 8:
             raise NumericError("need at least 8 spatial points")
-        if self.bc not in BCS:
-            raise NumericError(f"unknown boundary condition {self.bc!r}")
-        if self.dt <= 0 or self.nt < 2:
+        if bc not in BCS:
+            raise NumericError(f"unknown boundary condition {bc!r}")
+        if dt <= 0 or nt < 2:
             raise NumericError("need positive dt and at least two time steps (three levels for d/dt)")
         if self.wave_speed * self.dt / self.dx > 1.0 + 1e-12:
             raise CflError(
@@ -185,7 +177,6 @@ def _one_sided(out: np.ndarray, a: np.ndarray) -> None:
     out[-1:] += a[-3:-2]
 
 
-@dataclass
 class Trajectory:
     """A window of consecutive time levels of a discrete field solution:
     ``y[k]`` is level ``start + k``, and the rows ``core`` are the levels
@@ -198,17 +189,12 @@ class Trajectory:
     streamed window computes into its stream's ``work``; without one,
     every array is new."""
 
-    grid: Grid1p1
-    params: dict
-    y: np.ndarray  # shape (rows, nx)
-    s_t: Optional[np.ndarray] = None  # gauge: s_x = 0
-    start: int = 0
-    core: Optional[slice] = None  # default: every row
-    work: Optional[Workspace] = None
-
-    def __post_init__(self):
-        if self.core is None:
-            self.core = slice(0, self.y.shape[0])
+    def __init__(self, grid: Grid1p1, params: dict, y: np.ndarray, s_t: Optional[np.ndarray] = None,
+                 start: int = 0, core: Optional[slice] = None, work: Optional[Workspace] = None):
+        self.grid, self.params, self.start, self.work = grid, params, start, work
+        self.y = y  # shape (rows, nx)
+        self.s_t = s_t  # gauge: s_x = 0
+        self.core = slice(0, y.shape[0]) if core is None else core  # default: every row
 
     @property
     def levels(self) -> slice:
@@ -605,8 +591,7 @@ def dissipation_residual(ft: np.ndarray, fx: np.ndarray, source_t, traj: Traject
     return interior
 
 
-@dataclass(frozen=True)
-class ActionCoordinate:
+class ActionCoordinate(NamedTuple):
     """ds^t/dt = L o psi per column by the trapezoid rule, with
     s^t(0, .) = 0 and the gauge s^x = 0, for L = L0 + c_t s_t affine in
     s_t (handled implicitly)."""
@@ -707,8 +692,7 @@ def _evaluated(e: Expr, bindings: Mapping[str, float]) -> float:
         raise NumericError(f"cannot evaluate the model at its parameter values: {exc}") from None
 
 
-@dataclass(frozen=True)
-class DampedWave:
+class DampedWave(NamedTuple):
     """A Lagrangian of the damped-string shape, rho y_t^2/2 - tau y_x^2/2
     + c_t s_t + L_b(t, x), checked once and evaluated at its parameter
     values."""

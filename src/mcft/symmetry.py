@@ -23,7 +23,7 @@ and records sigma-invariance.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .charts import Chart
 from .expr import (
@@ -164,8 +164,7 @@ NOETHER = "noether"
 NOT_NOETHER = "not-noether"
 
 
-@dataclass
-class SymmetryReport:
+class SymmetryReport(NamedTuple):
     candidate: Multivector
     classification: str
     sigma_invariant: bool

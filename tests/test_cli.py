@@ -312,9 +312,12 @@ class TestDeterminism:
         )
         for argv in (
             ["--json", "derive", MODEL],
+            ["--json", "derive", "--hamiltonian", MODEL],
             ["--json", "check-symmetry", MODEL, "Y"],
+            ["--json", "current", MODEL, "Y"],
             ["--json", "sopde", MODEL],
             ["--json", "verify-law", MODEL, "Y", "main"],
+            ["--json", "simulate", MODEL, "main"],
         ):
             _, out, _ = run_cli(*argv)
             jsonschema.validate(json.loads(out), schema)
@@ -404,22 +407,34 @@ def test_blowup_in_simulate_leaves_no_csv(tmp_path):
     assert not csv.exists()
 
 
-@pytest.mark.parametrize(
-    "argv", [["derive"], ["check-symmetry", "Y"], ["current", "Y"], ["sopde"]], ids=lambda a: a[0]
-)
-def test_symbolic_verbs_do_not_import_numpy(argv):
+def _imported_after(argv, modules):
+    """Which of ``modules`` a fresh interpreter holds after ``mcft --json`` runs ``argv``."""
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     code = (
         "import contextlib, io, sys\n"
         "from mcft.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert main(['--json', {argv[0]!r}, {MODEL!r}, *{argv[1:]!r}]) == 0\n"
-        "print(sorted(m for m in ('numpy', 'mcft.numeric') if m in sys.modules))\n"
+        f"print(sorted(m for m in {modules!r} if m in sys.modules))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert r.returncode == 0, r.stderr
-    assert r.stdout.strip() == "[]"
+    return r.stdout.strip()
+
+
+@pytest.mark.parametrize(
+    "argv", [["derive"], ["check-symmetry", "Y"], ["current", "Y"], ["sopde"]], ids=lambda a: a[0]
+)
+def test_symbolic_verbs_do_not_import_numpy(argv):
+    # nor dataclasses, whose inspect/ast/dis chain a one-shot verb would pay for at import
+    assert _imported_after(argv, ("numpy", "mcft.numeric", "dataclasses", "inspect")) == "[]"
+
+
+@pytest.mark.parametrize("argv", [["verify-law", "Y", "main"], ["simulate", "main"]], ids=lambda a: a[0])
+def test_numeric_verbs_do_not_import_dataclasses(argv):
+    # numpy itself loads inspect
+    assert _imported_after(argv, ("dataclasses",)) == "[]"
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,7 @@ from mcft.forms import (
     contract,
     ext_d,
     form_to_text,
+    form_zero_check,
     lie_bracket,
     lie_derivative,
     one_form,
@@ -167,6 +168,13 @@ class TestWedge:
         ch = generic_chart(["a", "b"])
         w = wedge(wedge(one_form(ch, "a"), one_form(ch, "b")), one_form(ch, "a"))
         assert w.is_structurally_zero()
+
+    def test_zero_check_is_true_exactly_when_it_holds(self):
+        ch = chart5()
+        d1 = one_form(ch, "z1")
+        for f, holds in ((wedge(d1, d1), True), (d1.scale(ch.coord("z2")), False)):
+            check = form_zero_check(f)
+            assert check.holds is holds and bool(check) is holds
 
 
 class TestExteriorDerivative:

@@ -53,6 +53,20 @@ class TestGrid:
         with pytest.raises(CflError):
             Grid1p1(nx=64, lx=1.0, dt=0.1, nt=10, bc="periodic", wave_speed=2.0)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"nx": 4}, "need at least 8 spatial points"),
+            ({"bc": "neumann"}, "unknown boundary condition 'neumann'"),
+            ({"nt": 1}, "need positive dt and at least two time steps"),
+        ],
+        ids=["nx", "bc", "nt"],
+    )
+    def test_checks_on_construction(self, kwargs, message):
+        with pytest.raises(NumericError, match=message) as err:
+            Grid1p1(**{"nx": 64, "lx": 1.0, "dt": 0.5 / 64, "nt": 10, **kwargs})
+        assert not isinstance(err.value, CflError)
+
     def test_minimum_points(self):
         with pytest.raises(NumericError):
             make_grid(4, 1.0, 0.5, 1.0, 1.0)
