@@ -13,10 +13,12 @@ section with central differences, one component at a time (see
 
     d f^mu / dx^mu - (dL/ds^mu o psi) f^mu
 
-is reported with max and L2 norms over interior points, the L2 sum
-being math.fsum of each row's np.sum, whatever the blocks.  The action
-coordinate uses the gauge s^x = 0 and integrates ds^t/dt = L o psi by
-the trapezoid rule (implicitly in the affine s-coupling).
+is formed on the interior core rows alone and reported with max and L2
+norms, the L2 sum being math.fsum of each row's np.sum, whatever the
+blocks.  Over a power-of-two 2 dt or 2 dx, a difference is multiplied
+by the exact reciprocal: the bits of the division, at less cost.  The
+action coordinate uses the gauge s^x = 0 and integrates ds^t/dt = L o
+psi by the trapezoid rule (implicitly in the affine s-coupling).
 
 Every array function works on a ``Trajectory`` window: consecutive time
 levels, of which the rows ``core`` are the window's own and the others a
@@ -89,6 +91,9 @@ class Grid1p1:
 
     def __init__(self, nx: int, lx: float, dt: float, nt: int, bc: str = "periodic", wave_speed: float = 1.0):
         self.nx, self.lx, self.dt, self.nt, self.bc, self.wave_speed = nx, lx, dt, nt, bc, wave_speed
+        for name, v in (("domain length", lx), ("wave speed", wave_speed)):
+            if not 0.0 < v < math.inf:  # NaN too
+                raise NumericError(f"{name} must be positive and finite, got {v}")
         if nx < 8:
             raise NumericError("need at least 8 spatial points")
         if bc not in BCS:
@@ -165,16 +170,23 @@ class Workspace:
         return f
 
 
-def _one_sided(out: np.ndarray, a: np.ndarray) -> None:
+def _one_sided(out: np.ndarray, a: np.ndarray, scratch: np.ndarray) -> None:
     """(-3 a[0] + 4 a[1]) - a[2] and (3 a[-1] - 4 a[-2]) + a[-3] along the
     leading axis into out[0] and out[-1], rounded as Python evaluates
-    them; out[1] and out[-2] serve as scratch."""
+    them; ``scratch``, shaped as out[:1], holds each product 4 a[.]."""
     np.multiply(a[:1], -3.0, out=out[:1])
-    out[:1] += np.multiply(a[1:2], 4.0, out=out[1:2])
+    out[:1] += np.multiply(a[1:2], 4.0, out=scratch)
     out[:1] -= a[2:3]
     np.multiply(a[-1:], 3.0, out=out[-1:])
-    out[-1:] -= np.multiply(a[-2:-1], 4.0, out=out[-2:-1])
+    out[-1:] -= np.multiply(a[-2:-1], 4.0, out=scratch)
     out[-1:] += a[-3:-2]
+
+
+def _scale(out: np.ndarray, h: float) -> np.ndarray:
+    """out / h in place; where h is a power of two whose reciprocal is a
+    double, as out * (1/h): the same real number, so the same bits."""
+    r = 1.0 / h
+    return np.multiply(out, r, out=out) if math.frexp(h)[0] == 0.5 and math.isfinite(r) else np.true_divide(out, h, out=out)
 
 
 class Trajectory:
@@ -217,21 +229,22 @@ class Trajectory:
 
     def d_dt(self, a: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         out = np.empty_like(a) if out is None else out
-        _one_sided(out, a)  # before the rows it borrows are written
+        _one_sided(out, a, out[1:2])  # before the rows it borrows are written
         np.subtract(a[2:], a[:-2], out=out[1:-1])
-        out /= 2.0 * self.grid.dt
-        return out
+        return _scale(out, 2.0 * self.grid.dt)
 
     def d_dx(self, a: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        out = np.empty_like(a) if out is None else out
+        out = np.empty(a.shape) if out is None else out
+        if not out.flags.c_contiguous:
+            raise NumericError("d_dx writes into a C-contiguous array")
+        # one pass over the flattened rows; the edge columns, where it runs from one row into the next, are written after it
+        np.subtract(a.reshape(-1)[2:], a.reshape(-1)[:-2], out=out.reshape(-1)[1:-1])
         if self.grid.bc == "periodic":
             np.subtract(a[..., 1], a[..., -1], out=out[..., 0])
             np.subtract(a[..., 0], a[..., -2], out=out[..., -1])
         else:
-            _one_sided(np.moveaxis(out, -1, 0), np.moveaxis(a, -1, 0))
-        np.subtract(a[..., 2:], a[..., :-2], out=out[..., 1:-1])
-        out /= 2.0 * self.grid.dx
-        return out
+            _one_sided(out.T, a.T, np.empty((1,) + a.shape[:-1]))  # rows of the transposed window are its columns
+        return _scale(out, 2.0 * self.grid.dx)
 
     @cached_property
     def y_t(self) -> np.ndarray:
@@ -513,21 +526,26 @@ def evaluate_current(xi: Form, traj: Trajectory, bindings: Mapping[str, float]):
     if traj.s_t is not None:
         dpsi["s_t"] = lambda: along(traj.s_t)
     coefficient, term, power = (traj.scratch(k) for k in range(3))
-    ft, fx = traj.buffer("f^t"), traj.buffer("f^x")
-    ft.fill(0.0)
-    fx.fill(0.0)
+    f, started = [traj.buffer("f^t"), traj.buffer("f^x")], [False, False]
     for (i,), coeff in xi.table.items():
         name = chart.coords[i].name
         if name not in dpsi:
             raise NumericError(f"current references {name!r}, absent from the trajectory")
-        c = traj.compiled(coeff)(env, coefficient, term, power)
         d_t, d_x = dpsi[name]()
-        for f, d in ((ft, d_x), (fx, d_t)):
-            if isinstance(d, np.ndarray):
-                f += np.multiply(c, d, out=term)
-            elif d:  # the constant 1; the constant 0 adds nothing
-                f += c
-    return ft, np.negative(fx, out=fx)
+        parts = [(k, d) for k, d in ((0, d_x), (1, d_t)) if isinstance(d, np.ndarray) or d]  # the constant 0 adds nothing
+        # the coefficient of dt or dx, where it is the first term of its component, is evaluated into it, as 0.0 + it
+        alone = len(parts) == 1 and not isinstance(parts[0][1], np.ndarray) and not started[parts[0][0]]
+        c = traj.compiled(coeff)(env, f[parts[0][0]] if alone else coefficient, term, power)
+        for k, d in parts:
+            if started[k]:
+                f[k] += np.multiply(c, d, out=term) if isinstance(d, np.ndarray) else c
+            elif c is not f[k]:  # the first term, written as 0.0 + it: a -0.0 reads +0.0
+                np.add(np.multiply(c, d, out=f[k]) if isinstance(d, np.ndarray) else c, 0.0, out=f[k])
+            started[k] = True
+    for k in (0, 1):
+        if not started[k]:
+            f[k].fill(0.0)
+    return f[0], np.negative(f[1], out=f[1])
 
 
 class ResidualNorms:
@@ -553,15 +571,15 @@ class ResidualNorms:
         if self._squares is None or len(self._squares) < n:
             self._squares = np.empty(interior.shape)
         squares = self._squares[:n]
-        # np.maximum, not max(): a NaN residual must read NaN
-        self._max = np.maximum(self._max, np.max(np.abs(interior, out=squares)))
+        # max |r| as max(max r, -min r); np.maximum, not max(): a NaN residual must read NaN
+        self._max = np.maximum(self._max, np.maximum(np.max(interior), -np.min(interior)))
         np.multiply(interior, interior, out=squares)
         np.add.reduce(squares, axis=1, out=self._rows[self._added : self._added + n])
         self._added += n
 
     @property
     def max_norm(self) -> float:
-        return float(self._max)
+        return float(self._max) + 0.0  # where every r is zero, max(max r, -min r) may be -0.0
 
     @property
     def l2_norm(self) -> float:
@@ -576,17 +594,19 @@ class ResidualNorms:
 
 def dissipation_residual(ft: np.ndarray, fx: np.ndarray, source_t, traj: Trajectory, norms: ResidualNorms) -> np.ndarray:
     """Central-difference divergence of the current minus the dissipation
-    source (dL/ds^t o psi) f^t on the interior points of the window's
-    core, folded into ``norms``; returns those points.  The gauge
+    source (dL/ds^t o psi) f^t, formed on the interior points of the
+    window's core alone, folded into ``norms``; returns those points.  The gauge
     s^x = 0 needs L free of s^x, so dL/ds^x f^x is zero."""
     if ft.shape != traj.y.shape or fx.shape != traj.y.shape:
         raise NumericError("current arrays must match the trajectory shape")
-    r = traj.d_dt(ft, traj.buffer("residual"))
-    r += traj.d_dx(fx, traj.scratch(0))
-    r -= np.multiply(source_t, ft, out=traj.scratch(0))
-    # the core rows of the interior levels 1..nt-1
-    rows = slice(max(traj.core.start, 1 - traj.start), min(traj.core.stop, traj.grid.nt - traj.start))
-    interior = r[rows, :] if traj.grid.bc == "periodic" else r[rows, 1:-1]
+    # the core rows of the interior levels 1..nt-1, whose neighbours are in the window
+    lo, hi = max(traj.core.start, 1 - traj.start), min(traj.core.stop, traj.grid.nt - traj.start)
+    r = np.subtract(ft[lo + 1 : hi + 1], ft[lo - 1 : hi - 1], out=traj.buffer("residual", hi - lo))
+    _scale(r, 2.0 * traj.grid.dt)
+    r_x = traj.d_dx(fx[lo:hi], traj.scratch(0, hi - lo))
+    r += r_x
+    r -= np.multiply(source_t, ft[lo:hi], out=r_x)
+    interior = r if traj.grid.bc == "periodic" else r[:, 1:-1]
     norms.add(interior)
     return interior
 

@@ -59,8 +59,14 @@ class TestGrid:
             ({"nx": 4}, "need at least 8 spatial points"),
             ({"bc": "neumann"}, "unknown boundary condition 'neumann'"),
             ({"nt": 1}, "need positive dt and at least two time steps"),
+            # a negative dx, a ZeroDivisionError in the CFL check, a negative CFL number
+            ({"lx": -1.0}, "domain length must be positive and finite, got -1.0"),
+            ({"lx": 0.0}, "domain length must be positive and finite, got 0.0"),
+            ({"lx": math.inf}, "domain length must be positive and finite, got inf"),
+            ({"wave_speed": -5}, "wave speed must be positive and finite, got -5"),
+            ({"wave_speed": math.nan}, "wave speed must be positive and finite, got nan"),
         ],
-        ids=["nx", "bc", "nt"],
+        ids=["nx", "bc", "nt", "lx-negative", "lx-zero", "lx-inf", "wave_speed-negative", "wave_speed-nan"],
     )
     def test_checks_on_construction(self, kwargs, message):
         with pytest.raises(NumericError, match=message) as err:

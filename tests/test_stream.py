@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import math
+import pathlib
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -443,3 +444,145 @@ def test_stencils_in_place_match_their_formulas(a, bc):
     for out in (None, np.full_like(a, np.nan)):
         assert np.array_equal(bits(traj.d_dx(a, out)), bits(want_x / (2.0 * dx)))
     assert np.array_equal(bits(traj.d_dx(a[1])), bits(want_x[1] / (2.0 * dx)))
+
+
+def test_scale_by_exact_reciprocal_matches_division():
+    # every power-of-two spacing, from those whose reciprocal overflows to
+    # those whose reciprocal is subnormal, and some others, on values whose
+    # quotients are subnormal, overflow to inf, or are zeros of either sign
+    rng = np.random.default_rng(18)
+    a = np.concatenate([rng.standard_normal(6) * s for s in (5e-324, 1e-310, 1e-300, 1.0, 1e300, 1.7e308)])
+    a = np.concatenate([a, [0.0, -0.0, math.inf, -math.inf]])
+    spacings = [2.0**k for k in range(-1074, 1024)] + [0.3, 1 / 3, 1e-5, 7.0, 3.0 * 2.0**-1070, 1e300, math.pi]
+    with np.errstate(over="ignore", under="ignore"):
+        for h in spacings:
+            assert np.array_equal(bits(numeric._scale(a.copy(), h)), bits(a / h)), h
+
+
+@pytest.mark.parametrize("bc", BCS)
+@pytest.mark.parametrize("dt", [2.0**-12, 2.0**-1020, 2.0**-1070, 2.0**600, 0.3 / 64, 1e-5 / 3])
+def test_stencils_match_division_on_extreme_values(dt, bc):
+    # d/dt and d/dx of values whose differences, over 2 dt and 2 dx, are
+    # subnormal or overflow to inf: the bits of the division formula,
+    # whether the spacing is a power of two (dx is dt or 3 dt) or not
+    rng = np.random.default_rng(1)
+    a = rng.standard_normal((5, 8)) * np.array([1e-320, 1e-300, 1.0, 1e300, 1e307])[:, None]
+    for dx in (dt, 3.0 * dt):
+        traj = Trajectory(grid=Grid1p1(nx=8, lx=8 * dx, dt=dt, nt=4, bc=bc), params={}, y=a)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            want_t = np.empty_like(a)
+            want_t[1:-1] = a[2:] - a[:-2]
+            want_t[0] = -3.0 * a[0] + 4.0 * a[1] - a[2]
+            want_t[-1] = 3.0 * a[-1] - 4.0 * a[-2] + a[-3]
+            want_x = np.empty_like(a)
+            want_x[:, 1:-1] = a[:, 2:] - a[:, :-2]
+            if bc == "periodic":
+                want_x[:, 0] = a[:, 1] - a[:, -1]
+                want_x[:, -1] = a[:, 0] - a[:, -2]
+            else:
+                want_x[:, 0] = -3.0 * a[:, 0] + 4.0 * a[:, 1] - a[:, 2]
+                want_x[:, -1] = 3.0 * a[:, -1] - 4.0 * a[:, -2] + a[:, -3]
+            assert np.array_equal(bits(traj.d_dt(a)), bits(want_t / (2.0 * dt)))
+            assert np.array_equal(bits(traj.d_dx(a)), bits(want_x / (2.0 * dx)))
+
+
+def test_first_term_of_a_component_reads_plus_zero():
+    # y is static on the first rows, so y_t = +0.0 there while y_x is not
+    # zero: (-2 y_t) y_x is -0.0 where y_x < 0, and -y_t is -0.0 where
+    # y_t = +0.0.  Each component is summed from +0.0 as in a reference
+    # that starts from zeros, so neither reads -0.0 where the sum is zero
+    grid = Grid1p1(nx=16, lx=1.0, dt=0.5 / 16, nt=7, bc="periodic")
+    profile = np.sin(2 * math.pi * grid.x)
+    y = np.array([profile] * 4 + [profile * (1 + 0.1 * k) for k in range(1, 5)])
+    c = CHART.coord
+    for table in (
+        {(CHART.axis("y"),): -2 * c("y_t")},
+        {(CHART.axis("y"),): const(-1)},
+        {(CHART.axis("x"),): -2 * c("y_t"), (CHART.axis("y"),): const(-1), (CHART.axis("t"),): c("y_x")},
+    ):
+        traj = Trajectory(grid=grid, params={}, y=y, s_t=np.zeros(y.shape))
+        xi = Form(CHART, 1, table)
+        ft, fx = evaluate_current(xi, traj, {})
+        ref_ft, ref_fx = reference_current(xi, traj)
+        assert (traj.y_t == 0.0).any() and (np.signbit(ft) & (ft == 0.0)).sum() == 0
+        assert np.array_equal(bits(ft), bits(ref_ft)) and np.array_equal(bits(fx), bits(ref_fx))
+
+
+def reference_residual(ft, fx, source_t, traj):
+    """The residual as it was formed on the whole window: d_dt of every
+    row plus d_dx minus the source, then the interior core rows."""
+    r = traj.d_dt(ft) + traj.d_dx(fx) - source_t * ft
+    rows = slice(max(traj.core.start, 1 - traj.start), min(traj.core.stop, traj.grid.nt - traj.start))
+    return r[rows] if traj.grid.bc == "periodic" else r[rows, 1:-1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    nx=st.integers(8, 30),
+    nt=st.integers(2, 40),
+    lx=st.sampled_from([1.0, 3.0]),
+    bc=st.sampled_from(BCS),
+    block_rows=st.integers(1, 6),
+    table=currents,
+)
+def test_interior_residual_matches_whole_window_formula(nx, nt, lx, bc, block_rows, table):
+    # on the whole trajectory and on windows of a few rows: the residual
+    # formed on the interior core rows alone, and its norms, bit for bit
+    grid = Grid1p1(nx=nx, lx=lx, dt=0.5 * lx / nx, nt=nt, bc=bc)
+    params = {"rho": 1.0, "tau": 1.0, "gamma": 0.3}
+    y0 = np.sin(2 * math.pi * grid.x / lx) + 0.2 * np.cos(4 * math.pi * grid.x / lx)
+    v0 = 0.4 + 0.1 * np.sin(6 * math.pi * grid.x / lx)
+    L = lagrangian(Fraction(3, 10))
+    action = ActionCoordinate.of(L, CHART, {})
+    xi = current_form(table)
+    whole = integrate_damped_wave(params, y0, v0, grid)
+    whole.s_t = integrate_action_coordinate(whole, L, CHART, {})
+
+    def windows():
+        yield whole
+        with mock.patch.object(numeric, "BLOCK_CELLS", block_rows * nx):
+            yield from stream_damped_wave(params, y0, v0, grid, action)
+
+    norms, want_max, want_rows = [ResidualNorms(grid), ResidualNorms(grid)], [0.0, 0.0], [[], []]
+    with np.errstate(all="ignore"):
+        for w in windows():
+            k = 0 if w is whole else 1
+            ft, fx = evaluate_current(xi, w, {})
+            want = reference_residual(ft, fx, action.c_t, w)
+            assert np.array_equal(bits(dissipation_residual(ft, fx, action.c_t, w, norms[k])), bits(want))
+            if len(want):
+                want_max[k] = np.maximum(want_max[k], np.max(np.abs(want)))
+            want_rows[k] += list(np.sum(want * want, axis=1))
+        for k in (0, 1):
+            l2 = math.sqrt(math.fsum(want_rows[k])) * math.sqrt(grid.dx * grid.dt)
+            assert bits(norms[k].max_norm) == bits(float(want_max[k])) and bits(norms[k].l2_norm) == bits(l2)
+
+
+def test_residual_norms_of_zeros_read_plus_zero():
+    # max(max r, -min r) of zeros of either sign is +0.0, as max |r| is
+    for a in (np.zeros((2, 8)), np.full((2, 8), -0.0), np.array([[0.0, -0.0] * 4, [-0.0] * 8])):
+        norms, _ = residual_norms_of(a)
+        assert bits(norms.max_norm) == bits(0.0) and norms.l2_norm == 0.0
+
+
+NONPOW2 = pathlib.Path(__file__).resolve().parent / "goldens" / "nonpow2"
+
+
+@pytest.mark.parametrize("path", sorted(NONPOW2.glob("*.json")), ids=lambda p: p.stem)
+def test_nonpow2_verb_matches_golden(path):
+    # verify-law and simulate on grids whose spacings are not powers of two,
+    # where d/dt and d/dx divide: byte for byte the output captured before
+    # the residual was formed on interior rows and the spacings scaled by
+    # exact reciprocals
+    golden = json.loads(path.read_text(encoding="utf-8"))
+    argv = [a.format(model=NONPOW2.with_suffix(".mcft")) for a in golden["argv"]]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["--json", *argv])
+    assert (code, out.getvalue()) == (golden["exit"], golden["stdout"])
+
+
+def test_nonpow2_goldens_present():
+    assert sorted(p.stem for p in NONPOW2.glob("*.json")) == [
+        "simulate-drift", "simulate-wall", "verify-law-T-drift", "verify-law-X-wall", "verify-law-Y-drift", "verify-law-Y-wall",
+    ]
