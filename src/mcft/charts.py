@@ -2,7 +2,8 @@
 
 A chart is an ordered list of named coordinates, each tagged with a role
 (base x^mu, field y^a, velocity y^a_mu, momentum p^mu_a, action s^mu, or
-generic).  Jet and Hamiltonian charts are built from base/field name
+generic), and builds one shared ``Expr`` per coordinate, which ``coord``
+returns.  Jet and Hamiltonian charts are built from base/field name
 lists with fixed naming conventions:
 
     velocity of field ``y`` along base ``t``  ->  ``y_t``
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional, Sequence
 
-from .expr import Expr, Symbol
+from .expr import Expr, Symbol, _coerce
 
 
 class ChartError(Exception):
@@ -50,6 +51,7 @@ class Chart:
         self.symbols = tuple(Symbol(c.name, c.role if c.role in
                                     ("base", "field", "velocity", "momentum", "action") else "generic", i)
                              for i, c in enumerate(coords))
+        self._exprs = tuple(_coerce(s) for s in self.symbols)
         self._axis = {c.name: i for i, c in enumerate(coords)}
         # axis tables read by the role lookups below; the first axis wins
         self._by_role: dict = {}
@@ -82,10 +84,8 @@ class Chart:
         return self.symbols[self.axis(name)]
 
     def coord(self, name: str) -> Expr:
-        """The coordinate as an expression."""
-        from .expr import _coerce
-
-        return _coerce(self.symbol(name))
+        """The coordinate as an expression, one shared object per name."""
+        return self._exprs[self.axis(name)]
 
     @property
     def base_axes(self) -> list[int]:

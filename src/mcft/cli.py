@@ -243,10 +243,14 @@ def _numeric_failures():
 
 def _mesh(wave, scenario, bindings, nx):
     """Grid and initial data of a scenario on an nx-point mesh."""
-    from .numeric import make_grid
+    from .numeric import NumericError, make_grid
 
     c = math.sqrt(wave.tau / wave.rho)
-    grid = make_grid(nx, float(scenario.lx), float(scenario.cfl), float(scenario.t_final), c, scenario.bc)
+    try:
+        sizes = [float(v) for v in (scenario.lx, scenario.cfl, scenario.t_final)]
+    except OverflowError:
+        raise NumericError("grid lx, cfl or t is too large for a float") from None
+    grid = make_grid(nx, *sizes, c, scenario.bc)
     return (grid, *_initial_arrays(scenario, grid.x, bindings))
 
 

@@ -93,7 +93,7 @@ def tokenize(text: str) -> list:
             j = i
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            toks.append(Token("ident", text[i:j], line, col))
+            toks.append(tuple.__new__(Token, ("ident", text[i:j], line, col)))
             col += j - i
             i = j
             continue
@@ -109,20 +109,24 @@ def tokenize(text: str) -> list:
                     j = k
                     while j < n and text[j].isdigit():
                         j += 1
-            toks.append(Token("number", text[i:j], line, col))
+            toks.append(tuple.__new__(Token, ("number", text[i:j], line, col)))
             col += j - i
             i = j
             continue
         if ch not in _OPS:
             raise DslError(f"unexpected character {ch!r}", line, col)
-        toks.append(Token("op", ch, line, col))
+        toks.append(tuple.__new__(Token, ("op", ch, line, col)))
         i += 1
         col += 1
-    toks.append(Token("eof", "", line, col))
+    toks.append(tuple.__new__(Token, ("eof", "", line, col)))
     return toks
 
 
-def _number_fraction(tok: Token) -> Fraction:
+def _number_value(tok: Token) -> int | Fraction:
+    """A number token's exact value: an ``int`` for decimal digits alone
+    (``isdigit`` would admit ``²``), else a ``Fraction`` via ``Decimal``."""
+    if tok.text.isdecimal():
+        return int(tok.text)
     try:
         return Fraction(Decimal(tok.text))
     except InvalidOperation:
@@ -327,13 +331,13 @@ class _Parser:
             num = self.next()
         if num.kind != "number":
             raise DslError("expected a number", num.line, num.col)
-        value = sign * _number_fraction(num)
+        value = Fraction(sign * _number_value(num))
         if self.peek().kind == "op" and self.peek().text == "/":
             self.next()
             den = self.next()
             if den.kind != "number":
                 raise DslError("expected a denominator", den.line, den.col)
-            d = _number_fraction(den)
+            d = _number_value(den)
             if d == 0:
                 raise DslError("zero denominator", den.line, den.col)
             value /= d
@@ -422,7 +426,7 @@ class _Parser:
     def parse_atom(self, allow) -> Expr:
         t = self.next()
         if t.kind == "number":
-            return const(_number_fraction(t))
+            return const(_number_value(t))
         if t.kind == "op" and t.text == "(":
             e = self.parse_expr(allow)
             self.expect_op(")")

@@ -23,8 +23,11 @@ Products and sums hand back what they need not rebuild: a nonzero
 rational factor only rescales coefficients (the monomials, and so their
 order, are unchanged), a factor of 1 or a lone nonzero operand of
 ``add``/``mul`` is returned as is, and only two non-constant factors are
-multiplied term by term.  ``canon`` rebuilds an expression without these
-shortcuts and is the reference the property tests hold them to.
+multiplied term by term: two monomials of at most one factor each give
+the other side, an exponent sum or two atoms in key order, longer ones
+are merged and sorted, and fewer than two terms are left unsorted.
+``canon`` rebuilds an expression without these shortcuts and is the
+reference the property tests hold them to.
 
 Atoms are immutable and shared by reference between expressions, so
 each computes once what cannot change: its hash at construction, its
@@ -326,6 +329,8 @@ def sym(name: str, role: str = "generic", order: int = 0) -> Symbol:
 def _from_dict(d: dict) -> Expr:
     # No coefficient in ``d`` is zero: a monomial enters with the nonzero
     # coefficient it has, and one whose sum cancels is deleted (``_accumulate``).
+    if len(d) < 2:
+        return Expr(tuple(d.items()))
     return Expr(tuple(sorted(d.items(), key=lambda mc: _mono_key(mc[0]))))
 
 
@@ -407,8 +412,17 @@ def _product(a: Expr, b: Expr) -> Expr:
     acc: dict = {}
     for m1, c1 in a.terms:
         for m2, c2 in b.terms:
-            factors = _merge_factors(m1, m2)
-            mono = tuple(sorted(((f, k) for f, k in factors.items() if k), key=lambda fk: fk[0].key))
+            if not m1 or not m2:
+                mono = m1 or m2
+            elif len(m1) == 1 and len(m2) == 1:
+                (a1, k1), (a2, k2) = m1[0], m2[0]
+                if a1 == a2:
+                    mono = ((a1, k1 + k2),) if k1 + k2 else ()
+                else:
+                    mono = m1 + m2 if a1.key < a2.key else m2 + m1
+            else:
+                factors = _merge_factors(m1, m2)
+                mono = tuple(sorted(((f, k) for f, k in factors.items() if k), key=lambda fk: fk[0].key))
             _accumulate(acc, mono, _norm(c1 * c2))
     return _from_dict(acc)
 

@@ -57,6 +57,7 @@ from .forms import (
     one_form,
     volume_form,
     wedge,
+    _merge_sign,
 )
 
 
@@ -77,24 +78,22 @@ def check_symbols(chart: Chart, e: Expr, what: str):
             raise LagrangianError(f"{what} references unknown symbol {s.name!r}")
 
 
-def d_minus_one_x(chart: Chart, mu: int) -> Form:
-    """d^{m-1}x_mu = i_{d/dx^mu} d^m x."""
-    X = Multivector(chart, 1, factors=[{chart.base_axes[mu]: const(1)}])
-    return contract(X, volume_form(chart))
-
-
 def multicontact_theta(chart: Chart, momenta: dict, energy: Expr) -> Form:
     """Theta = -p^mu_a dy^a ^ d^{m-1}x_mu + E d^m x + ds^mu ^ d^{m-1}x_mu
-    for momenta p^mu_a keyed by (field, base) and the energy E."""
-    theta = wedge(volume_form(chart), Form.function(chart, energy))
+    for momenta p^mu_a keyed by (field, base) and the energy E, written
+    as one table: d^{m-1}x_mu = i_{d/dx^mu} d^m x is (-1)^mu times the
+    base axes without x^mu, and a wedge with it adds its merge sign."""
+    base = chart.base_axes
+    table = {tuple(base): energy}
+    rests = [(const((-1) ** mu), tuple(base[:mu] + base[mu + 1 :])) for mu in range(chart.base_dim)]
     for a, fa in enumerate(chart.field_axes):
-        dy = one_form(chart, chart.coords[fa].name)
-        for mu in range(chart.base_dim):
-            theta = theta + wedge(dy, d_minus_one_x(chart, mu)).scale(mul(const(-1), momenta[(a, mu)]))
-    for mu in range(chart.base_dim):
-        ds = one_form(chart, chart.coords[chart.action_axis(mu)].name)
-        theta = theta + wedge(ds, d_minus_one_x(chart, mu))
-    return theta
+        for mu, (sign, rest) in enumerate(rests):
+            merge, idx = _merge_sign((fa,), rest)
+            table[idx] = mul(sign, merge, const(-1), momenta[(a, mu)])
+    for mu, (sign, rest) in enumerate(rests):
+        merge, idx = _merge_sign((chart.action_axis(mu),), rest)
+        table[idx] = mul(sign, merge)
+    return Form(chart, chart.base_dim, table)
 
 
 class MulticontactSystem:

@@ -86,14 +86,19 @@ BLOCK_CELLS = 1 << 16  # cells per streamed block: 512 KB per float64 array, nea
 HALO = 2  # levels a window reads beyond its core: the residual at n reads y_t and s_t at n+-1, which read y at n+-2
 
 
+def _check_positive(*named) -> None:
+    """Raise unless every (name, value) pair holds a positive finite value."""
+    for name, v in named:
+        if not 0.0 < v < math.inf:  # NaN too
+            raise NumericError(f"{name} must be positive and finite, got {v}")
+
+
 class Grid1p1:
     """Space-time grid on [0, Lx) x [0, nt*dt]."""
 
     def __init__(self, nx: int, lx: float, dt: float, nt: int, bc: str = "periodic", wave_speed: float = 1.0):
         self.nx, self.lx, self.dt, self.nt, self.bc, self.wave_speed = nx, lx, dt, nt, bc, wave_speed
-        for name, v in (("domain length", lx), ("wave speed", wave_speed)):
-            if not 0.0 < v < math.inf:  # NaN too
-                raise NumericError(f"{name} must be positive and finite, got {v}")
+        _check_positive(("domain length", lx), ("wave speed", wave_speed))
         if nx < 8:
             raise NumericError("need at least 8 spatial points")
         if bc not in BCS:
@@ -123,10 +128,9 @@ def make_grid(nx: int, lx: float, cfl: float, t_final: float, wave_speed: float,
         raise CflError(f"CFL factor must lie in (0, 1], got {cfl}")
     if nx < 8:
         raise NumericError("need at least 8 spatial points")
-    if lx <= 0:
-        raise NumericError(f"domain length must be positive, got {lx}")
-    dx = lx / nx
-    dt = cfl * dx / wave_speed
+    _check_positive(("domain length", lx), ("final time", t_final), ("wave speed", wave_speed))
+    dt = cfl * (lx / nx) / wave_speed  # 0 when it underflows, NaN for a NaN cfl
+    _check_positive(("time step", dt), ("step count", t_final / dt if dt else math.inf))
     nt = max(1, round(t_final / dt))
     return Grid1p1(nx=nx, lx=lx, dt=dt, nt=nt, bc=bc, wave_speed=wave_speed)
 

@@ -255,10 +255,21 @@ def test_division_by_zero_in_model_exit_2(tmp_path):
     assert r.stderr == f"error: {p}: line 3, col 27: division by zero\n"
 
 
+def test_superscript_digit_exit_2(tmp_path):
+    p = tmp_path / "superscript.mcft"
+    p.write_text("coords t x\nfields y\nlagrangian \u00b2*dy[t]^2\n", encoding="utf-8")
+    r = run_subprocess("derive", str(p))
+    assert r.returncode == 2
+    assert r.stderr == f"error: {p}: line 3, col 12: bad number '\u00b2'\n"
+
+
 DEGENERATE = {
     "nx0": ("grid cfl=0.5 lx=1 nx=0 t=1; init y0 = 0", "at least 8 spatial points"),
     "lx0": ("grid cfl=0.5 lx=0 nx=16 t=1; init y0 = 0", "domain length must be positive"),
     "pole": ("grid cfl=0.5 lx=1 nx=16 t=1; init y0 = 1/x", "initial data y0 is not finite"),
+    # past the largest float: an OverflowError in the conversion, not a traceback
+    "lx1e400": ("grid cfl=0.5 lx=1e400 nx=16 t=1; init y0 = 0", "grid lx, cfl or t is too large for a float"),
+    "t1e400": ("grid cfl=0.5 lx=1 nx=16 t=1e400; init y0 = 0", "grid lx, cfl or t is too large for a float"),
 }
 
 

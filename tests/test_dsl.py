@@ -95,6 +95,15 @@ class TestParse:
         m = parse("coords t x\nfields y\nparams eps=1e-3\nlagrangian eps*dy[t]^2")
         assert m.params[0][1] == Fraction(1, 1000)
 
+    def test_decimal_digits_of_any_script_are_integers(self):
+        # an integer literal is read by int() when every character is a
+        # decimal digit; a superscript digit is a digit but not a decimal one
+        m = parse("coords t x\nfields y\nparams k=\u0663\nlagrangian \u0663*k*dy[t]^2")
+        assert m.params[0][1] == Fraction(3) and type(m.params[0][1]) is Fraction
+        assert m.lagrangian == parse("coords t x\nfields y\nparams k=3\nlagrangian 9*dy[t]^2/3*k").lagrangian
+        with pytest.raises(DslError, match="bad number '\u00b2'"):
+            parse("coords t x\nfields y\nlagrangian \u00b2*dy[t]^2")
+
 
 def _token_lines(toks):
     """Tokens per line as ``<kind initial><text>@<col>``, space separated."""

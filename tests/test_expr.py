@@ -433,11 +433,27 @@ def test_substitute_matches_rebuilding_reference_and_keeps_unmapped_atoms(e, v, 
     assert substitute(e, {W: x}) is e
 
 
+# a Symbol, FuncAtom or SumAtom base for the one-factor product shortcut
+ONE_FACTOR_BASES = [x, y, z, sin(y), exp(x), x + 1, y * z - x]
+
+
+@st.composite
+def one_factor(draw, coeff):
+    """``coeff * a^k`` for one atom a; a sum atom only with k < 0, so two of
+    them multiply to an exponent sum, and x * x^-1 cancels to 1."""
+    base = draw(st.sampled_from(ONE_FACTOR_BASES))
+    k = draw(st.integers(-2, 2).filter(bool))
+    return mul(const(coeff), pow_(base, -abs(k) if len(base.terms) > 1 else k))
+
+
 @st.composite
 def operands(draw):
     """0, +-1, other rational constants, single-term monomials with negative
-    exponents, inverted-sum quotients and general expressions."""
-    kind = draw(st.sampled_from(["zero", "one", "minus_one", "rational", "monomial", "inverted", "expr"]))
+    exponents, one-factor terms and sums of them, inverted-sum quotients and
+    general expressions."""
+    kind = draw(
+        st.sampled_from(["zero", "one", "minus_one", "rational", "monomial", "factor", "factors", "inverted", "expr"])
+    )
     if kind == "zero":
         return const(0)
     if kind == "one":
@@ -450,6 +466,10 @@ def operands(draw):
     if kind == "monomial":
         powers = [pow_(v, draw(st.integers(-3, 3))) for v in SYMS]
         return mul(const(coeff), *powers)
+    if kind == "factor":
+        return draw(one_factor(coeff))
+    if kind == "factors":
+        return add(*draw(st.lists(one_factor(coeff), min_size=2, max_size=4)), const(coeff))
     if kind == "inverted":
         den = add(draw(st.sampled_from([x, y * z, sin(y)])), mul(const(coeff), draw(st.sampled_from([y, z, const(1)]))))
         return div_exact(add(draw(exprs()), z), den)
@@ -469,6 +489,16 @@ def test_fast_paths_match_term_by_term_reference(a, b, c, v):
     assert add(a, b, c).terms == ref_add(a, b, c)
     assert diff(a, v).terms == ref_diff(a, v.single_symbol)
     assert diff(b, v).terms == ref_diff(b, v.single_symbol)
+
+
+def test_one_factor_products_merge_sort_and_cancel():
+    inv = pow_(x + 1, -1)
+    assert mul(x, pow_(x, -1)) == ONE and mul(pow_(sin(y), 2), pow_(sin(y), -2)) == ONE
+    assert mul(inv, pow_(x + 1, -2)).terms == pow_(x + 1, -3).terms
+    assert mul(pow_(x + 1, -2), inv).terms == ref_mul(pow_(x + 1, -2), inv)
+    for a, b in [(x, y), (z, sin(y)), (exp(x), inv), (y, inv), (x + y, z + sin(x)), (x - 2, x + inv)]:
+        assert mul(a, b).terms == ref_mul(a, b)
+        assert mul(b, a).terms == ref_mul(b, a)
 
 
 class TestPassThrough:

@@ -3,14 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from mcft.charts import jet_chart
-from mcft.expr import ZeroCheck, const, evaluate, free_symbols, substitute, to_text, var
+from mcft.charts import ham_chart, jet_chart
+from mcft.expr import ZeroCheck, add, const, evaluate, free_symbols, mul, substitute, to_text, var
 from mcft.forms import Form, Multivector, contract, one_form, volume_form, wedge
 from mcft.lagrangian import (
     LagrangianError,
     Regularity,
     build_lagrangian_system,
     herglotz_el_residuals,
+    multicontact_theta,
     semi_holonomic_ansatz,
     solve_sopde_family,
     verify_sigma_property,
@@ -86,6 +87,49 @@ class TestBuild:
                 X = Multivector.vector(ch, {a: 1})
                 Y = Multivector.vector(ch, {b: 1})
                 assert contract(Y, contract(X, string_system.theta)).is_structurally_zero()
+
+
+def _reference_theta(chart, momenta, energy):
+    """Theta from its defining wedges, with d^{m-1}x_mu = i_{d/dx^mu} d^m x."""
+
+    def d_minus_one_x(mu):
+        return contract(Multivector(chart, 1, factors=[{chart.base_axes[mu]: const(1)}]), volume_form(chart))
+
+    theta = wedge(volume_form(chart), Form.function(chart, energy))
+    for a, fa in enumerate(chart.field_axes):
+        dy = one_form(chart, chart.coords[fa].name)
+        for mu in range(chart.base_dim):
+            theta = theta + wedge(dy, d_minus_one_x(mu)).scale(mul(const(-1), momenta[(a, mu)]))
+    for mu in range(chart.base_dim):
+        theta = theta + wedge(one_form(chart, chart.coords[chart.action_axis(mu)].name), d_minus_one_x(mu))
+    return theta
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("make", [jet_chart, ham_chart], ids=["jet", "ham"])
+def test_theta_table_matches_wedge_contract_reference(make, m, n):
+    chart = make(["t", "x", "r", "q"][:m], ["u", "v", "w"][:n])
+    slot = chart.velocity_axis if make is jet_chart else chart.momentum_axis
+    momenta = {}
+    for a, fa in enumerate(chart.field_axes):
+        for mu in range(m):
+            z = chart.coord(chart.coords[slot(a, mu)].name)
+            p = add(mul(const(a + mu + 1), z), chart.symbols[fa])
+            # one zero momentum, which leaves its index out of both tables
+            momenta[(a, mu)] = const(0) if (a, mu) == (n - 1, m - 1) else p
+    energy = const(0) if n == 2 else add(*(mul(p, p) for p in momenta.values()), chart.symbols[0])
+    got, want = multicontact_theta(chart, momenta, energy), _reference_theta(chart, momenta, energy)
+    assert [(i, c.terms) for i, c in got.items()] == [(i, c.terms) for i, c in want.items()]
+    assert list(got.table) == list(want.table)  # the order later layers iterate in
+
+
+def test_coord_is_one_shared_expr_per_name():
+    chart = jet_chart(["t", "x"], ["y", "z"])
+    for c, s in zip(chart.coords, chart.symbols):
+        e = chart.coord(c.name)
+        assert e is chart.coord(c.name)
+        assert e == var(c.name, s.role, s.order) and e.single_symbol is s
 
 
 class TestResiduals:

@@ -73,6 +73,24 @@ class TestGrid:
             Grid1p1(**{"nx": 64, "lx": 1.0, "dt": 0.5 / 64, "nt": 10, **kwargs})
         assert not isinstance(err.value, CflError)
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            # a ZeroDivisionError, a ValueError and an OverflowError before these checks
+            ((64, 1.0, 0.5, 1.0, 0.0), "wave speed must be positive and finite, got 0.0"),
+            ((64, math.nan, 0.5, 1.0, 1.0), "domain length must be positive and finite, got nan"),
+            ((64, 1.0, 0.5, math.inf, 1.0), "final time must be positive and finite, got inf"),
+            ((64, 1.0, 0.5, -1.0, 1.0), "final time must be positive and finite, got -1.0"),
+            ((64, 1e-300, 0.5, 1.0, 1e300), "time step must be positive and finite, got 0.0"),
+            ((64, 1e-8, 0.5, 1e300, 1.0), "step count must be positive and finite, got inf"),
+        ],
+        ids=["wave_speed-zero", "lx-nan", "t_final-inf", "t_final-negative", "dt-underflow", "steps-overflow"],
+    )
+    def test_make_grid_checks_before_dt_and_nt(self, args, message):
+        with pytest.raises(NumericError, match=message) as err:
+            make_grid(*args)
+        assert not isinstance(err.value, CflError)
+
     def test_minimum_points(self):
         with pytest.raises(NumericError):
             make_grid(4, 1.0, 0.5, 1.0, 1.0)
