@@ -12,9 +12,10 @@ Consequences baked into this representation:
 * structural equality of canonical forms decides equality for
   polynomial expressions and for rational expressions whose
   denominators are monomials;
-* ``is_zero`` falls back to randomized numeric probing when function
-  atoms or inverted-sum atoms are present, reporting ``PROBABLY_ZERO``
-  instead of a proven ``ZERO``.
+* ``is_zero`` decides every expression without function atoms exactly,
+  inverted sums included, by clearing its denominators; it falls back to
+  randomized numeric probing only when sin/cos/exp atoms are present,
+  reporting ``PROBABLY_ZERO`` instead of a proven ``ZERO``.
 
 There is deliberately no simplification beyond canonicalization: no
 factoring, no trigonometric rewriting.
@@ -665,14 +666,12 @@ def free_symbols(e) -> set:
 
 
 def _needs_probing(e: Expr) -> bool:
-    def walk(x: Expr) -> bool:
-        for mono, _ in x.terms:
-            for a, _k in mono:
-                if isinstance(a, FuncAtom) or isinstance(a, SumAtom):
-                    return True
-        return False
-
-    return walk(e)
+    """Whether a function atom occurs in e at any depth."""
+    return any(
+        isinstance(a, FuncAtom) or (isinstance(a, SumAtom) and _needs_probing(a.expr))
+        for mono, _ in e.terms
+        for a, _k in mono
+    )
 
 
 class ZeroCheck(Enum):
@@ -684,25 +683,31 @@ class ZeroCheck(Enum):
         return self is not ZeroCheck.NONZERO
 
 
-def is_zero(e, seed: int = 0, tol: float = 1e-9, samples: int = 16) -> ZeroCheck:
+PROBE_SAMPLES = 16  # points a function-bearing expression must vanish at
+
+
+def is_zero(e, seed: int = 0, tol: float = 1e-9) -> ZeroCheck:
     """Trichotomous zero test.
 
-    Canonical form decides polynomial and monomial-denominator cases
-    exactly; function-bearing (or inverted-sum) expressions are probed at
-    ``samples`` random points per symbol range [-2, 2].
+    An expression without function atoms is a rational function: it is
+    zero exactly when multiplying out its denominators, inverted sums
+    included, leaves no terms.  Expressions holding sin/cos/exp atoms are
+    probed at ``PROBE_SAMPLES`` random points per symbol range [-2, 2].
     """
     e = _coerce(e)
     if not e.terms:
         return ZeroCheck.ZERO
+    if all(type(a) is Symbol for mono, _ in e.terms for a, _k in mono):
+        return ZeroCheck.NONZERO  # a Laurent polynomial: its canonical form is unique
     if not _needs_probing(e):
-        return ZeroCheck.NONZERO
+        return ZeroCheck.NONZERO if clear_denominators([e])[0][0].terms else ZeroCheck.ZERO
     rng = random.Random(seed)
     syms = sorted(free_symbols(e), key=lambda s: s.key)
     done = 0
     attempts = 0
-    while done < samples:
+    while done < PROBE_SAMPLES:
         attempts += 1
-        if attempts > 100 * samples:
+        if attempts > 100 * PROBE_SAMPLES:
             raise ExprError(f"probing failed to find well-conditioned points for {e}")
         b = {s.name: rng.uniform(-2.0, 2.0) for s in syms}
         try:

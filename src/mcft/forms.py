@@ -22,10 +22,9 @@ from functools import cache
 from typing import Mapping, NamedTuple
 
 from .algebra import det
-from .charts import Chart
+from .charts import Chart, base_chart
 from .expr import (
     Expr,
-    Symbol,
     ZeroCheck,
     add,
     const,
@@ -474,7 +473,7 @@ class SectionMap:
     Components are expressions in the base coordinates; any non-base,
     non-parameter symbol appearing in them is treated as an opaque
     function of the base, whose partial derivatives become fresh
-    placeholder symbols named ``D[<name>,<base>]``.  For holonomic
+    placeholder symbols (``d_placeholder``).  For holonomic
     sections the field placeholders are bound to the section's velocity
     components automatically.
     """
@@ -497,26 +496,27 @@ class SectionMap:
         self.holonomic = holonomic
 
     @classmethod
-    def symbolic_holonomic(cls, chart: Chart, field_names: Mapping[str, str] | None = None) -> "SectionMap":
+    def symbolic_holonomic(cls, chart: Chart) -> "SectionMap":
         """Generic holonomic section: each field is an opaque function
         symbol, velocities are its derivative placeholders, actions are
         opaque symbols."""
         comp: dict = {}
         for c in chart.coords:
-            if c.role == "field":
+            if c.role in ("field", "action"):
                 comp[c.name] = var(c.name, "aux")
-            elif c.role == "action":
-                comp[c.name] = var(c.name, "aux")
-        for i, c in enumerate(chart.coords):
-            if c.role == "velocity":
-                fname = chart.coords[chart.field_axes[c.field]].name
-                bname = chart.coords[chart.base_axes[c.base]].name
-                comp[c.name] = var(f"D[{fname},{bname}]", "aux")
+            elif c.role == "velocity":
+                comp[c.name] = _velocity_placeholder(chart, c)
         return cls(chart, comp, holonomic=True)
 
 
 def d_placeholder(name: str, base: str) -> Expr:
+    """The placeholder symbol D[name,base] for d name / d base."""
     return var(f"D[{name},{base}]", "aux")
+
+
+def _velocity_placeholder(chart: Chart, c) -> Expr:
+    """The d_placeholder of a velocity coordinate c's field and base."""
+    return d_placeholder(chart.coords[chart.field_axes[c.field]].name, chart.coords[chart.base_axes[c.base]].name)
 
 
 def _section_differential(e: Expr, chart: Chart) -> list:
@@ -536,44 +536,34 @@ def _section_differential(e: Expr, chart: Chart) -> list:
     return out
 
 
+def _pull(a: Form, target: Chart, subs: Mapping, diffs: Mapping) -> Form:
+    """Sum over a's coefficients of the substituted coefficient wedged with
+    the pulled-back differentials ``diffs`` of its index, on ``target``."""
+    out = Form.zero(target, a.degree)
+    for idx, c in a.table.items():
+        term = Form.function(target, substitute(c, subs))
+        for i in idx:
+            term = wedge(term, diffs[i])
+        out = out + term
+    return out
+
+
 def pullback(section: SectionMap, a: Form) -> Form:
     """Pull a form back along a section of the bundle over the base."""
     chart = section.chart
     if a.chart != chart:
         raise FormError("form does not live on the section's target chart")
-    base = base_chart_of(chart)
+    base = base_chart(chart)
     subs = {chart.symbols[i]: e for i, e in section.components.items()}
     diffs = {}
     for i in range(chart.dim):
         coeffs = _section_differential(section.components[i], chart)
         diffs[i] = Form(base, 1, {(mu,): c for mu, c in enumerate(coeffs)})
-    out = Form.zero(base, a.degree)
-    for idx, c in a.table.items():
-        term = Form.function(base, substitute(c, subs))
-        for i in idx:
-            term = wedge(term, diffs[i])
-        out = out + term
+    out = _pull(a, base, subs, diffs)
     if section.holonomic:
-        binds = {}
-        for i, c in enumerate(chart.coords):
-            if c.role == "velocity":
-                fname = chart.coords[chart.field_axes[c.field]].name
-                bname = chart.coords[chart.base_axes[c.base]].name
-                binds[Symbol(f"D[{fname},{bname}]", "aux")] = section.components[i]
+        binds = {_velocity_placeholder(chart, c): section.components[i] for i, c in enumerate(chart.coords) if c.role == "velocity"}
         out = Form(base, out.degree, {i: substitute(cc, binds) for i, cc in out.table.items()})
     return out
-
-
-_BASE_CACHE: dict = {}
-
-
-def base_chart_of(chart: Chart) -> Chart:
-    key = chart
-    if key not in _BASE_CACHE:
-        from .charts import base_chart
-
-        _BASE_CACHE[key] = base_chart(chart)
-    return _BASE_CACHE[key]
 
 
 def pullback_along(mapping: Mapping[str, object], a: Form, source: Chart) -> Form:
@@ -595,13 +585,7 @@ def pullback_along(mapping: Mapping[str, object], a: Form, source: Chart) -> For
         i: Form(source, 1, {(j,): d for j, d in ((j, diff(e, source.symbols[j])) for j in range(source.dim)) if d.terms})
         for i, e in comp.items()
     }
-    out = Form.zero(source, a.degree)
-    for idx, c in a.table.items():
-        term = Form.function(source, substitute(c, subs))
-        for i in idx:
-            term = wedge(term, diffs[i])
-        out = out + term
-    return out
+    return _pull(a, source, subs, diffs)
 
 
 # ---------------------------------------------------------------------------

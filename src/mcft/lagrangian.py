@@ -51,6 +51,7 @@ from .forms import (
     CheckResult,
     Form,
     Multivector,
+    bar_d,
     contract,
     ext_d,
     form_zero_check,
@@ -118,7 +119,7 @@ class MulticontactSystem:
 
     @cached_property
     def _bar_d_theta(self) -> Form:
-        return self.d_theta + wedge(self.sigma, self.theta)
+        return bar_d(self.theta, self.sigma)
 
     def bar_d_theta(self) -> Form:
         return self._bar_d_theta
@@ -306,8 +307,8 @@ def semi_holonomic_ansatz(sys: MulticontactSystem, field_component, conjugate_ax
 def solve_sopde_family(sys: LagrangianSystem) -> SolutionFamily:
     """Solve i_X Theta_L = 0 and i_X bar_d Theta_L = 0 over the
     semi-holonomic ansatz, then substitute the solution into the
-    coefficients of both contractions of the ansatz; a coefficient that is
-    not structurally zero afterwards fails the check."""
+    coefficients of both contractions of the ansatz; a coefficient read
+    nonzero by the zero test afterwards fails the check."""
     if not sys.is_regular:
         raise LagrangianError("singular Lagrangian: the ansatz equations need not be solvable")
     chart = sys.chart
@@ -328,20 +329,20 @@ def solve_sopde_family(sys: LagrangianSystem) -> SolutionFamily:
         raise LagrangianError(f"contraction equations are inconsistent: {exc}") from exc
     for label, formed in (("i_X Theta_L", c0), ("i_X bar_d Theta_L", c1)):
         f = Form(chart, formed.degree, {i: substitute(c, fam.solved) for i, c in formed.table.items()})
-        if f.table:
-            raise LagrangianError(f"solved family does not annihilate {label}: {_residual_summary(f)}")
+        if not (check := form_zero_check(f)):
+            raise LagrangianError(f"solved family does not annihilate {label}: {_residual_summary(check.witnesses)}")
     return fam
 
 
-def _residual_summary(f: Form) -> str:
+def _residual_summary(witnesses) -> str:
     """Each nonzero component's index, term count and first 200 characters;
     the full residuals of inverted-sum families run to hundreds of kilobytes."""
     parts = []
-    for idx, c in f.items():
+    for names, c in witnesses:
         text = to_text(c)
         if len(text) > 200:
             text = text[:200] + "..."
-        index = "^".join(f"d{f.chart.coords[i].name}" for i in idx) or "1"
+        index = "^".join(f"d{name}" for name in names) or "1"
         parts.append(f"{index}: {len(c.terms)} terms: {text}")
     return "; ".join(parts)
 

@@ -131,22 +131,10 @@ def make_grid(nx: int, lx: float, cfl: float, t_final: float, wave_speed: float,
     _check_positive(("domain length", lx), ("final time", t_final), ("wave speed", wave_speed))
     dt = cfl * (lx / nx) / wave_speed  # 0 when it underflows, NaN for a NaN cfl
     _check_positive(("time step", dt), ("step count", t_final / dt if dt else math.inf))
+    if t_final / dt > np.iinfo(np.intp).max:
+        raise NumericError(f"step count {t_final / dt:.3g} exceeds the largest array length")
     nt = max(1, round(t_final / dt))
     return Grid1p1(nx=nx, lx=lx, dt=dt, nt=nt, bc=bc, wave_speed=wave_speed)
-
-
-def _d2x(y: np.ndarray, bc: str, out: np.ndarray) -> np.ndarray:
-    """(y[i+1] - 2 y[i]) + y[i-1] of a row into ``out``, edges wrapped or
-    zero."""
-    twice = np.multiply(y, 2.0)
-    np.subtract(y[2:], twice[1:-1], out=out[1:-1])
-    out[1:-1] += y[:-2]
-    if bc == "periodic":
-        out[0] = y[1] - twice[0] + y[-1]
-        out[-1] = y[0] - twice[-1] + y[-2]
-    else:
-        out[0] = out[-1] = 0.0
-    return out
 
 
 class Workspace:
@@ -300,10 +288,6 @@ def _leapfrog(params: dict, y0: np.ndarray, v0: np.ndarray, grid: Grid1p1, level
     lam2 = c2 * dt * dt / (dx * dx)
     nt, size, dirichlet = grid.nt, levels.shape[0], grid.bc == "dirichlet-zero"
     d2, damp = np.empty(grid.nx, dtype=float), np.empty(grid.nx, dtype=float)
-    levels[0] = y0
-    levels[1] = y0 + dt * v0 + 0.5 * dt * dt * (c2 * _d2x(y0, grid.bc, d2) / (dx * dx) - gamma * v0)
-    if dirichlet:
-        levels[1, 0] = levels[1, -1] = 0.0
     a_plus = 1.0 + 0.5 * gamma * dt
     a_minus = 1.0 - 0.5 * gamma * dt
     # the same doubles as 0-d arrays, which numpy takes without converting them every level
@@ -314,6 +298,12 @@ def _leapfrog(params: dict, y0: np.ndarray, v0: np.ndarray, grid: Grid1p1, level
     # edge values it gives are overwritten by 0, and the ghosts are not kept
     ghost = np.empty(grid.nx + 2, dtype=float)
     inner, right, left = ghost[1:-1], ghost[2:], ghost[:-2]
+    levels[0] = inner[...] = y0
+    ghost[0], ghost[-1] = y0[-1], y0[0]
+    add(subtract(right, multiply(y0, two), d2), left, d2)
+    levels[1] = y0 + dt * v0 + 0.5 * dt * dt * (c2 * d2 / (dx * dx) - gamma * v0)
+    if dirichlet:
+        levels[1, 0] = levels[1, -1] = 0.0
     finite = np.empty(levels.shape, dtype=bool)
     first, i, n = 0, 1, 1  # level of row 0, last row written, its level
     prev, cur = levels[0], levels[1]

@@ -69,7 +69,6 @@ def _config_components(Y: Multivector):
     comp = Y.factors[0]
     f = {}
     F = {}
-    g = {}
     for i, c in comp.items():
         role = chart.coords[i].role
         if role == "base":
@@ -80,19 +79,18 @@ def _config_components(Y: Multivector):
             F[i] = c
         elif role == "action":
             _component_symbol_check(chart, c, ("action",), "an action component g^mu")
-            g[i] = c
         elif c.terms:
             raise SymmetryError(
                 f"configuration vector field has a {role} component along {chart.coords[i].name}"
             )
-    return f, F, g
+    return f, F
 
 
 def jet_lift(Y: Multivector, paper_sign: bool = False) -> Multivector:
     """Prolong a configuration vector field on a jet chart to the
     velocity axes."""
     chart = Y.chart
-    f, F, g = _config_components(Y)
+    f, F = _config_components(Y)
     comp = dict(Y.factors[0])
     m = chart.base_dim
     for a, fa in enumerate(chart.field_axes):
@@ -122,7 +120,7 @@ def hamiltonian_lift(Y: Multivector) -> Multivector:
     """Canonical lift of a configuration vector field on a Hamiltonian
     chart to the momentum axes."""
     chart = Y.chart
-    f, F, g = _config_components(Y)
+    f, F = _config_components(Y)
     comp = dict(Y.factors[0])
     m = chart.base_dim
     for a, fa in enumerate(chart.field_axes):
@@ -150,7 +148,7 @@ def hamiltonian_lift(Y: Multivector) -> Multivector:
                 if dF.terms:
                     p_mu_b = chart.coord(chart.coords[chart.momentum_axis(b, mu)].name)
                     parts.append(mul(const(-1), dF, p_mu_b))
-            comp_val = add(*parts) if parts else const(0)
+            comp_val = add(*parts)
             if comp_val.terms:
                 comp[chart.momentum_axis(a, mu)] = comp_val
     return Multivector(chart, 1, factors=[comp])

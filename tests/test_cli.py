@@ -199,15 +199,35 @@ class TestSimulate:
 PARAMETRIC_N2 = pathlib.Path(__file__).resolve().parent / "goldens" / "parametric_n2.mcft"
 
 
-def test_sopde_self_check_error_is_bounded():
-    # inverted sums in the residual do not cancel structurally: exit 3 with a
-    # per-component summary instead of the full nested expressions
+def test_sopde_self_check_error_is_bounded(monkeypatch):
+    # a solve that drops one term of its first solved unknown leaves a residual
+    # of inverted sums: exit 3 with a per-component summary instead of the
+    # full nested expressions
+    from mcft import lagrangian
+    from mcft.algebra import AffineSolution, solve_affine
+    from mcft.expr import Expr
+
+    def dropping(equations, unknowns):
+        sol = solve_affine(equations, unknowns)
+        (s, e), *_ = sol.solved.items()
+        return AffineSolution({**sol.solved, s: Expr(e.terms[1:])}, sol.free)
+
+    monkeypatch.setattr(lagrangian, "solve_affine", dropping)
     code, out, err = run_cli("--json", "sopde", str(PARAMETRIC_N2))
     assert code == 3
     assert out == ""
     assert err.startswith("error: solved family does not annihilate ")
     assert "dt: " in err and " terms: " in err
     assert len(err.encode()) < 4096
+
+
+@pytest.mark.parametrize("model", ["parametric_n2", "coupled_n3"])
+def test_sopde_passes_its_self_check_on_inverted_sums(model):
+    # the solved family's residuals hold inverted sums that cancel only once
+    # their denominators are cleared
+    code, out, err = run_cli("--json", "sopde", str(PARAMETRIC_N2.parent / f"{model}.mcft"))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["command"] == "sopde"
 
 
 def run_subprocess(*argv):
@@ -270,6 +290,8 @@ DEGENERATE = {
     # past the largest float: an OverflowError in the conversion, not a traceback
     "lx1e400": ("grid cfl=0.5 lx=1e400 nx=16 t=1; init y0 = 0", "grid lx, cfl or t is too large for a float"),
     "t1e400": ("grid cfl=0.5 lx=1 nx=16 t=1e400; init y0 = 0", "grid lx, cfl or t is too large for a float"),
+    # a float, but t/dt = 3.2e301 steps is no array length
+    "t1e300": ("grid cfl=0.5 lx=1 nx=16 t=1e300; init y0 = 0", "exceeds the largest array length"),
 }
 
 

@@ -129,6 +129,57 @@ class TestIsZero:
         assert is_zero(e, seed=42) is is_zero(e, seed=42)
 
 
+def _a1_by_elimination_and_cramer():
+    """A1 of [[b^2, a + 1/a, 1], [a, a + 1/a, 0], [a/3, 0, a]] A = [2, 0, 0]
+    by elimination and by Cramer's rule, as two different expressions."""
+    from mcft.algebra import solve_affine
+
+    a, b = var("a", "param"), var("b", "param")
+    m = [[b**2, a + 1 / a, const(1)], [a, a + 1 / a, const(0)], [a / 3, const(0), a]]
+    rhs = [const(2), const(0), const(0)]
+
+    def det3(r):
+        return (
+            r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
+            - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
+            + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0])
+        )
+
+    unknowns = [Symbol(f"A{i}", "aux") for i in (1, 2, 3)]
+    eqs = [add(*(c * var(u.name, "aux") for c, u in zip(row, unknowns)), -r) for row, r in zip(m, rhs)]
+    cramer = det3([[r] + row[1:] for row, r in zip(m, rhs)]) / det3(m)
+    return solve_affine(eqs, unknowns).solved[unknowns[0]], cramer
+
+
+class TestExactZeroOverInvertedSums:
+    """Without function atoms an expression is a rational function, decided
+    exactly by clearing its denominators; probing is left to sin/cos/exp."""
+
+    a, b = var("a", "param"), var("b", "param")
+
+    def identities(self):
+        a, b = self.a, self.b
+        solved, cramer = _a1_by_elimination_and_cramer()
+        return [
+            solved - cramer,
+            1 / (1 + 1 / (1 + 1 / a)) - (a + 1) / (2 * a + 1),
+            (a**2 - b**2) / (a + b) - (a - b),
+        ]
+
+    def test_identities_read_zero(self):
+        for e in self.identities():
+            assert e.terms  # not cancelled by canonical form alone
+            assert is_zero(e) is ZeroCheck.ZERO
+
+    def test_perturbed_identities_read_nonzero(self):
+        a, b = self.a, self.b
+        for e in self.identities():
+            assert is_zero(e + 1 / (a + b + 3)) is ZeroCheck.NONZERO
+
+    def test_function_inside_an_inverted_sum_is_still_probed(self):
+        assert is_zero(1 / (1 + sin(x) ** 2) - 1 / (2 - cos(x) ** 2)) is ZeroCheck.PROBABLY_ZERO
+
+
 class TestCanonicalForm:
     def test_power_expansion(self):
         assert (x + y) ** 2 == x**2 + 2 * x * y + y**2

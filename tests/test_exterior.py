@@ -452,6 +452,15 @@ class TestPullback:
         )
         assert got == want
 
+    def test_holonomic_section_binds_derivative_placeholders(self, string_chart):
+        # y is an opaque function of the base, so dy pulls back to D[y,t] dt +
+        # D[y,x] dx, which a holonomic section reads as its velocity components
+        v, w = var("v", "aux"), var("w", "aux")
+        comp = {"y": var("y", "aux"), "y_t": v, "y_x": w, "s_t": var("s_t", "aux"), "s_x": var("s_x", "aux")}
+        psi = SectionMap(string_chart, comp, holonomic=True)
+        base = psi_base(string_chart)
+        assert pullback(psi, one_form(string_chart, "y")) == one_form(base, "t").scale(v) + one_form(base, "x").scale(w)
+
     def test_chain_rule_closed_form(self, string_chart):
         # section with closed-form components: y = t*x over the base
         t_, x_ = string_chart.coord("t"), string_chart.coord("x")
@@ -485,9 +494,9 @@ class TestPullback:
 
 
 def psi_base(chart):
-    from mcft.forms import base_chart_of
+    from mcft.charts import base_chart
 
-    return base_chart_of(chart)
+    return base_chart(chart)
 
 
 # ---------------------------------------------------------------------------

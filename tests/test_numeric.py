@@ -17,7 +17,6 @@ from mcft.numeric import (
     CflError,
     Grid1p1,
     Trajectory,
-    _d2x,
     NumericError,
     ResidualNorms,
     compile_expr,
@@ -121,8 +120,6 @@ def _roll_d_dx(a, dx):
     bc=st.sampled_from(BCS),
 )
 def test_slice_stencils_match_roll_formulas(a, bc):
-    for row in a:
-        assert np.array_equal(_d2x(row, bc, np.full_like(row, np.nan)), _roll_d2x(row, bc))
     nt, nx = a.shape[0] - 1, a.shape[1]
     tr = Trajectory(grid=Grid1p1(nx=nx, lx=1.0, dt=0.5 / nx, nt=nt, bc="periodic"), params={}, y=a)
     assert np.array_equal(tr.d_dx(a), _roll_d_dx(a, tr.grid.dx))
