@@ -26,7 +26,6 @@ from .expr import (
 from .forms import (
     Form,
     Multivector,
-    SectionMap,
     bar_d,
     contract,
     ext_d,
@@ -35,7 +34,6 @@ from .forms import (
     lie_bracket,
     lie_derivative,
     one_form,
-    pullback,
     pullback_along,
     schouten,
     volume_form,
@@ -59,7 +57,6 @@ from .hamiltonian import (
 )
 from .symmetry import (
     SymmetryReport,
-    check_conserved,
     check_dissipative,
     classify,
     hamiltonian_lift,

@@ -161,7 +161,3 @@ def generic_chart(names: Sequence[str], base_dim: int = 1) -> Chart:
     """Unstructured chart for generic exterior-calculus work."""
     _check_names(names, "coordinate")
     return Chart([Coordinate(n, "generic") for n in names], base_dim)
-
-
-def base_chart(chart: Chart) -> Chart:
-    return Chart([c for c in chart.coords if c.role == "base"], chart.base_dim)

@@ -11,7 +11,8 @@ One verb per pipeline stage:
 
 Exit codes: 0 success, 1 failed check / not-noether, 2 usage, parse,
 numeric or I/O errors (stdout closed early too), 3 singular Lagrangian
-(with --hamiltonian), failed sopde self-check or CFL violation.
+(with --hamiltonian, or for sopde), failed sopde self-check or CFL
+violation.
 JSON reports (--json) are deterministic for a fixed --seed: no wall-clock
 content; timing goes to stderr in human mode only.
 """

@@ -22,7 +22,7 @@ from functools import cache
 from typing import Mapping, NamedTuple
 
 from .algebra import det
-from .charts import Chart, base_chart
+from .charts import Chart
 from .expr import (
     Expr,
     ZeroCheck,
@@ -34,7 +34,6 @@ from .expr import (
     mul,
     substitute,
     to_text,
-    var,
     _coerce,
 )
 
@@ -464,106 +463,7 @@ def bar_d(a: Form, sigma: Form) -> Form:
 
 
 # ---------------------------------------------------------------------------
-# Pullbacks.
-
-
-class SectionMap:
-    """A section of the bundle over the base coordinates.
-
-    Components are expressions in the base coordinates; any non-base,
-    non-parameter symbol appearing in them is treated as an opaque
-    function of the base, whose partial derivatives become fresh
-    placeholder symbols (``d_placeholder``).  For holonomic
-    sections the field placeholders are bound to the section's velocity
-    components automatically.
-    """
-
-    def __init__(self, chart: Chart, components: Mapping[str, object], holonomic: bool = False):
-        self.chart = chart
-        comp = {}
-        for i, c in enumerate(chart.coords):
-            if c.role == "base":
-                comp[i] = var(c.name, "base", i)
-        for name, e in components.items():
-            comp[chart.axis(name)] = _coerce(e)
-        missing = [c.name for i, c in enumerate(chart.coords) if i not in comp]
-        if missing:
-            raise FormError(f"section leaves coordinates unassigned: {missing}")
-        for i, c in enumerate(chart.coords):
-            if c.role == "base" and comp[i] != var(c.name, "base", i):
-                raise FormError(f"base coordinate {c.name} must map to itself")
-        self.components = comp
-        self.holonomic = holonomic
-
-    @classmethod
-    def symbolic_holonomic(cls, chart: Chart) -> "SectionMap":
-        """Generic holonomic section: each field is an opaque function
-        symbol, velocities are its derivative placeholders, actions are
-        opaque symbols."""
-        comp: dict = {}
-        for c in chart.coords:
-            if c.role in ("field", "action"):
-                comp[c.name] = var(c.name, "aux")
-            elif c.role == "velocity":
-                comp[c.name] = _velocity_placeholder(chart, c)
-        return cls(chart, comp, holonomic=True)
-
-
-def d_placeholder(name: str, base: str) -> Expr:
-    """The placeholder symbol D[name,base] for d name / d base."""
-    return var(f"D[{name},{base}]", "aux")
-
-
-def _velocity_placeholder(chart: Chart, c) -> Expr:
-    """The d_placeholder of a velocity coordinate c's field and base."""
-    return d_placeholder(chart.coords[chart.field_axes[c.field]].name, chart.coords[chart.base_axes[c.base]].name)
-
-
-def _section_differential(e: Expr, chart: Chart) -> list:
-    """d(e) along the base: list of coefficient exprs per base axis."""
-    base_syms = [chart.symbols[i] for i in chart.base_axes]
-    base_names = {s.name for s in base_syms}
-    out = []
-    for mu, bs in enumerate(base_syms):
-        parts = [diff(e, bs)]
-        for s in sorted(free_symbols(e), key=lambda s: s.key):
-            if s.name in base_names or s.role == "param":
-                continue
-            de = diff(e, s)
-            if de.terms:
-                parts.append(mul(de, d_placeholder(s.name, bs.name)))
-        out.append(add(*parts))
-    return out
-
-
-def _pull(a: Form, target: Chart, subs: Mapping, diffs: Mapping) -> Form:
-    """Sum over a's coefficients of the substituted coefficient wedged with
-    the pulled-back differentials ``diffs`` of its index, on ``target``."""
-    out = Form.zero(target, a.degree)
-    for idx, c in a.table.items():
-        term = Form.function(target, substitute(c, subs))
-        for i in idx:
-            term = wedge(term, diffs[i])
-        out = out + term
-    return out
-
-
-def pullback(section: SectionMap, a: Form) -> Form:
-    """Pull a form back along a section of the bundle over the base."""
-    chart = section.chart
-    if a.chart != chart:
-        raise FormError("form does not live on the section's target chart")
-    base = base_chart(chart)
-    subs = {chart.symbols[i]: e for i, e in section.components.items()}
-    diffs = {}
-    for i in range(chart.dim):
-        coeffs = _section_differential(section.components[i], chart)
-        diffs[i] = Form(base, 1, {(mu,): c for mu, c in enumerate(coeffs)})
-    out = _pull(a, base, subs, diffs)
-    if section.holonomic:
-        binds = {_velocity_placeholder(chart, c): section.components[i] for i, c in enumerate(chart.coords) if c.role == "velocity"}
-        out = Form(base, out.degree, {i: substitute(cc, binds) for i, cc in out.table.items()})
-    return out
+# Pullback.
 
 
 def pullback_along(mapping: Mapping[str, object], a: Form, source: Chart) -> Form:
@@ -585,7 +485,13 @@ def pullback_along(mapping: Mapping[str, object], a: Form, source: Chart) -> For
         i: Form(source, 1, {(j,): d for j, d in ((j, diff(e, source.symbols[j])) for j in range(source.dim)) if d.terms})
         for i, e in comp.items()
     }
-    return _pull(a, source, subs, diffs)
+    out = Form.zero(source, a.degree)
+    for idx, c in a.table.items():
+        term = Form.function(source, substitute(c, subs))
+        for i in idx:
+            term = wedge(term, diffs[i])
+        out = out + term
+    return out
 
 
 # ---------------------------------------------------------------------------

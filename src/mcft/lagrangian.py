@@ -18,10 +18,11 @@ family with its free component functions.  The solution is checked in
 the contraction coefficients already formed for the ansatz: contraction
 is a polynomial in the components, affine in the ansatz unknowns, so
 substituting the solution there tests the same identities as contracting
-the solved family again.  A system derives d Theta and bar_d Theta
-once, on first use, for ``solve_sopde_family`` and
-``verify_sigma_property``; ``symmetry.classify`` takes Lie derivatives of
-Theta, omega and sigma directly.
+the solved family again.  A system derives d Theta once, and
+bar_d Theta = d Theta + sigma ^ Theta from it, on first use, for
+``solve_sopde_family`` and ``verify_sigma_property``;
+``symmetry.classify`` takes Lie derivatives of Theta, omega and sigma
+directly.
 
 The Theta construction (``multicontact_theta``), the solution family
 and its ansatz are shared with the Hamiltonian picture, which passes
@@ -51,7 +52,6 @@ from .forms import (
     CheckResult,
     Form,
     Multivector,
-    bar_d,
     contract,
     ext_d,
     form_zero_check,
@@ -119,7 +119,7 @@ class MulticontactSystem:
 
     @cached_property
     def _bar_d_theta(self) -> Form:
-        return bar_d(self.theta, self.sigma)
+        return self.d_theta + wedge(self.sigma, self.theta)
 
     def bar_d_theta(self) -> Form:
         return self._bar_d_theta

@@ -223,8 +223,3 @@ def check_dissipative(xi: Form, family, sigma: Form, seed: int = 0, tol: float =
     if xi.degree != X.degree - 1:
         raise SymmetryError(f"dissipative-form check needs degree {X.degree - 1}, got {xi.degree}")
     return form_zero_check(contract(X, bar_d(xi, sigma)), seed=seed, tol=tol)
-
-
-def check_conserved(xi: Form, family, seed: int = 0, tol: float = 1e-9) -> CheckResult:
-    """i_X d xi = 0 over the whole family, free symbols symbolic."""
-    return check_dissipative(xi, family, Form.zero(xi.chart, 1), seed=seed, tol=tol)

@@ -11,7 +11,6 @@ from mcft.forms import (
     Form,
     FormError,
     Multivector,
-    SectionMap,
     bar_d,
     contract,
     ext_d,
@@ -20,7 +19,6 @@ from mcft.forms import (
     lie_bracket,
     lie_derivative,
     one_form,
-    pullback,
     pullback_along,
     schouten,
     volume_form,
@@ -425,56 +423,13 @@ class TestBarD:
 
 
 class TestPullback:
-    def test_base_coordinates_fixed(self, string_chart):
-        psi = SectionMap.symbolic_holonomic(string_chart)
-        assert pullback(psi, one_form(string_chart, "t")) == one_form(psi_base(string_chart), "t")
-
-    def test_top_degree_coefficient_composition(self, string_chart):
-        psi = SectionMap.symbolic_holonomic(string_chart)
-        f = string_chart.coord("y_t") * string_chart.coord("y_x")
-        a = volume_form(string_chart).scale(f)
-        got = pullback(psi, a)
-        base = psi_base(string_chart)
-        dyt = var("D[y,t]", "aux")
-        dyx = var("D[y,x]", "aux")
-        assert got == volume_form(base).scale(dyt * dyx)
-
-    def test_current_pullback_string(self, string_system, params):
-        ch = string_system.chart
-        rho, tau = params["rho"], params["tau"]
-        Y = Multivector.vector(ch, {"y": 1})
-        xi = contract(Y, string_system.theta)
-        psi = SectionMap.symbolic_holonomic(ch)
-        got = pullback(psi, xi)
-        base = psi_base(ch)
-        want = one_form(base, "x").scale(-rho * var("D[y,t]", "aux")) + one_form(base, "t").scale(
-            -tau * var("D[y,x]", "aux")
-        )
-        assert got == want
-
-    def test_holonomic_section_binds_derivative_placeholders(self, string_chart):
-        # y is an opaque function of the base, so dy pulls back to D[y,t] dt +
-        # D[y,x] dx, which a holonomic section reads as its velocity components
-        v, w = var("v", "aux"), var("w", "aux")
-        comp = {"y": var("y", "aux"), "y_t": v, "y_x": w, "s_t": var("s_t", "aux"), "s_x": var("s_x", "aux")}
-        psi = SectionMap(string_chart, comp, holonomic=True)
-        base = psi_base(string_chart)
-        assert pullback(psi, one_form(string_chart, "y")) == one_form(base, "t").scale(v) + one_form(base, "x").scale(w)
-
     def test_chain_rule_closed_form(self, string_chart):
-        # section with closed-form components: y = t*x over the base
-        t_, x_ = string_chart.coord("t"), string_chart.coord("x")
-        comp = {
-            "y": t_ * x_,
-            "y_t": x_,
-            "y_x": t_,
-            "s_t": const(0),
-            "s_x": const(0),
-        }
-        psi = SectionMap(string_chart, comp)
-        got = pullback(psi, one_form(string_chart, "y"))
-        base = psi_base(string_chart)
-        want = one_form(base, "t").scale(base.coord("x")) + one_form(base, "x").scale(base.coord("t"))
+        # the map y = t*x over the (t, x) chart pulls dy back to x dt + t dx
+        base = generic_chart(["t", "x"])
+        t_, x_ = base.coord("t"), base.coord("x")
+        mapping = {"t": t_, "x": x_, "y": t_ * x_, "y_t": x_, "y_x": t_, "s_t": 0, "s_x": 0}
+        got = pullback_along(mapping, one_form(string_chart, "y"), base)
+        want = one_form(base, "t").scale(x_) + one_form(base, "x").scale(t_)
         assert got == want
 
     def test_pullback_along_map(self):
@@ -486,17 +441,19 @@ class TestPullback:
         want = wedge(one_form(src, "u"), one_form(src, "v")).scale(2 * src.coord("u"))
         assert got == want
 
-    def test_wrong_chart_rejected(self, string_chart):
-        psi = SectionMap.symbolic_holonomic(string_chart)
-        other = generic_chart(["q1", "q2"])
-        with pytest.raises(FormError):
-            pullback(psi, one_form(other, "q1"))
-
-
-def psi_base(chart):
-    from mcft.charts import base_chart
-
-    return base_chart(chart)
+    @pytest.mark.parametrize(
+        "mapping, message",
+        [
+            (lambda u: {"a": u}, "misses target coordinate b"),
+            (lambda u: {"a": u, "b": u * var("w", "aux")}, "uses foreign symbol w"),
+        ],
+        ids=["missing-coordinate", "foreign-symbol"],
+    )
+    def test_bad_map_rejected(self, mapping, message):
+        src = generic_chart(["u", "v"])
+        dst = generic_chart(["a", "b"])
+        with pytest.raises(FormError, match=message):
+            pullback_along(mapping(src.coord("u")), one_form(dst, "a"), src)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from mcft.charts import jet_chart, momentum_name
 from mcft.corpus import corpus
 from mcft.dsl import parse
 from mcft.expr import ExprError, ZeroCheck, add, const, free_symbols, mul, substitute, sym, to_text, var
-from mcft.forms import Form, Multivector, contract, one_form, pullback_along, volume_form, wedge
+from mcft.forms import Form, Multivector, contract, form_zero_check, one_form, pullback_along, volume_form, wedge
 from mcft.hamiltonian import (
     HamiltonianSystem,
     LegendreError,
@@ -346,6 +346,16 @@ def test_hdw_family_annihilates_theta_h_at_rational_parameters(path):
             # a polynomial and zero is decided by its canonical form
             at = {n: const(Fraction(rng.randint(1, 9), rng.randint(1, 5))) for n, _ in model.params}
             assert all(not substitute(c, at).terms for _, c in form.items())
+
+
+@pytest.mark.parametrize("path", PARAMETRIC_MODELS, ids=[p.stem for p in PARAMETRIC_MODELS])
+def test_legendre_pulls_theta_h_back_to_theta_l_exactly(path):
+    # FL* Theta_H and Theta_L differ in form (H keeps inverted sums), so
+    # their difference is decided by the exact zero test, not by ==
+    sys_ = parse(path.read_text(encoding="utf-8")).system()
+    lt = legendre(sys_)
+    pulled = pullback_along(lt.forward, lt.hamiltonian_system.theta, sys_.chart)
+    assert form_zero_check(pulled - sys_.theta).certainty is ZeroCheck.ZERO
 
 
 def test_coupled_n3_hamiltonian_within_twice_sympy_size():

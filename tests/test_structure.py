@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from mcft import forms
+from mcft import forms, lagrangian
 from mcft.corpus import corpus
 from mcft.dsl import parse
 from mcft.expr import ZeroCheck, is_zero
@@ -42,6 +42,21 @@ def test_cached_forms_are_built_once(fresh_system):
     s = fresh_system
     assert s.d_theta is s.d_theta
     assert s.bar_d_theta() is s.bar_d_theta()
+
+
+def test_bar_d_theta_reuses_the_cached_d_theta(monkeypatch, string_text):
+    # reading d Theta and bar_d Theta takes ext_d(Theta) once between them
+    calls = []
+
+    def counting_ext_d(a):
+        calls.append(a)
+        return ext_d(a)
+
+    monkeypatch.setattr(forms, "ext_d", counting_ext_d)
+    monkeypatch.setattr(lagrangian, "ext_d", counting_ext_d)
+    s = parse(string_text).system()
+    s.d_theta, s.bar_d_theta()
+    assert len(calls) == 1
 
 
 def test_systems_built_back_to_back_share_no_cache(string_chart, params):
