@@ -2,9 +2,10 @@
 
 A chart is an ordered list of named coordinates, each tagged with a role
 (base x^mu, field y^a, velocity y^a_mu, momentum p^mu_a, action s^mu, or
-generic), and builds one shared ``Expr`` per coordinate, which ``coord``
-returns.  Jet and Hamiltonian charts are built from base/field name
-lists with fixed naming conventions:
+generic), and builds one shared ``Expr`` per coordinate: ``exprs`` holds
+them by axis and ``coord`` returns one by name.  Jet and Hamiltonian
+charts are built from base/field name lists with fixed naming
+conventions:
 
     velocity of field ``y`` along base ``t``  ->  ``y_t``
     action along base ``t``                   ->  ``s_t``
@@ -51,7 +52,7 @@ class Chart:
         self.symbols = tuple(Symbol(c.name, c.role if c.role in
                                     ("base", "field", "velocity", "momentum", "action") else "generic", i)
                              for i, c in enumerate(coords))
-        self._exprs = tuple(_coerce(s) for s in self.symbols)
+        self.exprs = tuple(_coerce(s) for s in self.symbols)
         self._axis = {c.name: i for i, c in enumerate(coords)}
         # axis tables read by the role lookups below; the first axis wins
         self._by_role: dict = {}
@@ -85,7 +86,7 @@ class Chart:
 
     def coord(self, name: str) -> Expr:
         """The coordinate as an expression, one shared object per name."""
-        return self._exprs[self.axis(name)]
+        return self.exprs[self.axis(name)]
 
     @property
     def base_axes(self) -> list[int]:

@@ -57,7 +57,7 @@ def _load_model(path: str) -> ModelFile:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliFailure(f"cannot read {path}: {exc}", 2) from exc
     try:
         return parse(text)

@@ -36,7 +36,7 @@ def random_quadratic_system(rng: random.Random, index: int, n_fields: int | None
     terms = []
     for a in range(n):
         for mu in range(2):
-            v = chart.coord(chart.coords[chart.velocity_axis(a, mu)].name)
+            v = chart.exprs[chart.velocity_axis(a, mu)]
             terms.append(mul(const(rng.choice(NONZERO) / 2), v, v))
             lin = rng.choice(ANY)
             if lin:
@@ -44,7 +44,7 @@ def random_quadratic_system(rng: random.Random, index: int, n_fields: int | None
     for mu in range(2):
         c = rng.choice(ANY)
         if c:
-            terms.append(mul(const(-c), chart.coord(chart.coords[chart.action_axis(mu)].name)))
+            terms.append(mul(const(-c), chart.exprs[chart.action_axis(mu)]))
     # base-dependent source, sometimes x-dependent only, sometimes both
     for bname in bases:
         c = rng.choice(ANY)

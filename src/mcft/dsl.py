@@ -418,9 +418,10 @@ class _Parser:
                 self.next()
                 sign = -1
             num = self.next()
-            if num.kind != "number" or "." in num.text or "e" in num.text or "E" in num.text:
+            k = _number_value(num) if num.kind == "number" else None
+            if type(k) is not int:
                 raise DslError("exponent must be an integer literal", num.line, num.col)
-            return _power(base, sign * int(num.text), caret)
+            return _power(base, sign * k, caret)
         return base
 
     def parse_atom(self, allow) -> Expr:

@@ -70,7 +70,68 @@ def _check_index(dim: int, degree: int, idx: tuple) -> None:
         raise FormError(f"axis out of range in {idx}")
 
 
-class Form:
+def _coefficients(chart: Chart, degree: int, table: Mapping[tuple, object]) -> dict:
+    """The table with every index checked and zero coefficients dropped."""
+    clean = {}
+    for idx, c in table.items():
+        idx = tuple(idx)
+        _check_index(chart.dim, degree, idx)
+        c = _coerce(c)
+        if c.terms:
+            clean[idx] = c
+    return clean
+
+
+def _summed(parts: Mapping[tuple, list]) -> dict:
+    """Each index's list of terms summed in one add."""
+    return {idx: add(*terms) for idx, terms in parts.items()}
+
+
+class _Table:
+    """Arithmetic on a coefficient table over increasing multi-indices,
+    shared by forms and multivector fields: a subclass reads its table
+    through ``_coeffs`` and builds a result of its own kind through
+    ``_like``."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and other.chart == self.chart
+            and other.degree == self.degree
+            and other._coeffs() == self._coeffs()
+        )
+
+    def __hash__(self):
+        return hash((self.chart, self.degree, tuple(sorted(self._coeffs().items()))))
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        if other.chart != self.chart or other.degree != self.degree:
+            raise FormError(f"cannot add {type(self).__name__.lower()}s of different charts or degrees")
+        parts: dict = {}
+        for table in (self._coeffs(), other._coeffs()):
+            for idx, c in table.items():
+                parts.setdefault(idx, []).append(c)
+        return self._like(_summed(parts))
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, f):
+        f = _coerce(f)
+        return self._like({i: mul(f, c) for i, c in self._coeffs().items()})
+
+    def is_structurally_zero(self) -> bool:
+        return not self._coeffs()
+
+
+class Form(_Table):
     """Differential k-form: mapping increasing multi-index -> coefficient."""
 
     __slots__ = ("chart", "degree", "table")
@@ -78,16 +139,15 @@ class Form:
     def __init__(self, chart: Chart, degree: int, table: Mapping[tuple, Expr]):
         if degree < 0:
             raise FormError("negative form degree")
-        clean = {}
-        for idx, c in table.items():
-            idx = tuple(idx)
-            _check_index(chart.dim, degree, idx)
-            c = _coerce(c)
-            if c.terms:
-                clean[idx] = c
         self.chart = chart
         self.degree = degree
-        self.table = clean
+        self.table = _coefficients(chart, degree, table)
+
+    def _coeffs(self) -> dict:
+        return self.table
+
+    def _like(self, table) -> "Form":
+        return Form(self.chart, self.degree, table)
 
     @classmethod
     def zero(cls, chart: Chart, degree: int = 0) -> "Form":
@@ -102,40 +162,6 @@ class Form:
 
     def coeff(self, *axes) -> Expr:
         return self.table.get(tuple(axes), ZERO_E)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Form)
-            and other.chart == self.chart
-            and other.degree == self.degree
-            and other.table == self.table
-        )
-
-    def __hash__(self):
-        return hash((self.chart, self.degree, tuple(self.items())))
-
-    def __add__(self, other):
-        if not isinstance(other, Form):
-            return NotImplemented
-        if other.chart != self.chart or other.degree != self.degree:
-            raise FormError("cannot add forms of different charts or degrees")
-        out = dict(self.table)
-        for idx, c in other.table.items():
-            out[idx] = add(out.get(idx, ZERO_E), c)
-        return Form(self.chart, self.degree, out)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, f) -> "Form":
-        f = _coerce(f)
-        return Form(self.chart, self.degree, {i: mul(f, c) for i, c in self.table.items()})
-
-    def is_structurally_zero(self) -> bool:
-        return not self.table
 
     def __repr__(self):
         return f"Form({form_to_text(self)})"
@@ -160,15 +186,13 @@ def wedge(a: Form, b: Form) -> Form:
     k = a.degree + b.degree
     if k > a.chart.dim:
         return Form.zero(a.chart, k)
-    out: dict = {}
+    parts: dict = {}
     for ia, ca in a.table.items():
         for ib, cb in b.table.items():
             sign, merged = _merge_sign(ia, ib)
-            if sign is None:
-                continue
-            term = mul(sign, ca, cb)
-            out[merged] = add(out.get(merged, ZERO_E), term)
-    return Form(a.chart, k, out)
+            if sign is not None:
+                parts.setdefault(merged, []).append(mul(sign, ca, cb))
+    return Form(a.chart, k, _summed(parts))
 
 
 def ext_d(a: Form) -> Form:
@@ -176,7 +200,7 @@ def ext_d(a: Form) -> Form:
     chart = a.chart
     if a.degree >= chart.dim:
         return Form.zero(chart, a.degree + 1)
-    out: dict = {}
+    parts: dict = {}
     for idx, c in a.table.items():
         for i, s in enumerate(chart.symbols):
             if i in idx or s not in c.symbols:
@@ -185,17 +209,15 @@ def ext_d(a: Form) -> Form:
             if not dc.terms:
                 continue
             below = sum(1 for j in idx if j < i)
-            merged = tuple(sorted(idx + (i,)))
-            term = mul(_SIGN[below & 1], dc)
-            out[merged] = add(out.get(merged, ZERO_E), term)
-    return Form(chart, a.degree + 1, out)
+            parts.setdefault(tuple(sorted(idx + (i,))), []).append(mul(_SIGN[below & 1], dc))
+    return Form(chart, a.degree + 1, _summed(parts))
 
 
 # ---------------------------------------------------------------------------
 # Multivector fields.
 
 
-class Multivector:
+class Multivector(_Table):
     """Degree-m multivector field: a decomposable wedge list of vector
     fields, or an expanded antisymmetric table."""
 
@@ -218,18 +240,11 @@ class Multivector:
             self.factors = factors
             self._table = None
         elif table is not None:
-            clean = {}
-            for idx, c in table.items():
-                idx = tuple(idx)
-                _check_index(chart.dim, degree, idx)
-                c = _coerce(c)
-                if c.terms:
-                    clean[idx] = c
             self.factors = None
-            self._table = clean
+            self._table = _coefficients(chart, degree, table)
             if degree == 1:
                 # a degree-1 table is a vector field, hence decomposable
-                self.factors = ({i[0]: c for i, c in clean.items()},)
+                self.factors = ({i[0]: c for i, c in self._table.items()},)
         else:
             raise FormError("need factors or table")
 
@@ -263,39 +278,10 @@ class Multivector:
             self._table = _expand_factors(self.chart, self.factors)
         return self._table
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Multivector)
-            and other.chart == self.chart
-            and other.degree == self.degree
-            and other.table() == self.table()
-        )
+    _coeffs = table
 
-    def __hash__(self):
-        return hash((self.chart, self.degree, tuple(sorted(self.table().items()))))
-
-    def __add__(self, other):
-        if not isinstance(other, Multivector):
-            return NotImplemented
-        if other.chart != self.chart or other.degree != self.degree:
-            raise FormError("cannot add multivectors of different charts or degrees")
-        out = dict(self.table())
-        for idx, c in other.table().items():
-            out[idx] = add(out.get(idx, ZERO_E), c)
-        return Multivector(self.chart, self.degree, table=out)
-
-    def scale(self, f) -> "Multivector":
-        f = _coerce(f)
-        return Multivector(self.chart, self.degree, table={i: mul(f, c) for i, c in self.table().items()})
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def is_structurally_zero(self) -> bool:
-        return not self.table()
+    def _like(self, table) -> "Multivector":
+        return Multivector(self.chart, self.degree, table=table)
 
     def __repr__(self):
         return f"Multivector({multivector_to_text(self)})"
@@ -325,7 +311,7 @@ def _contract_vector(v: Mapping[int, Expr], a: Form) -> Form:
             if comp is None or not comp.terms:
                 continue
             parts.setdefault(idx[:pos] + idx[pos + 1 :], []).append(mul(_SIGN[pos & 1], comp, c))
-    return Form(a.chart, a.degree - 1, {idx: add(*p) for idx, p in parts.items()})
+    return Form(a.chart, a.degree - 1, _summed(parts))
 
 
 def contract(X: Multivector, a: Form) -> Form:
@@ -339,7 +325,7 @@ def contract(X: Multivector, a: Form) -> Form:
         for f in X.factors:  # X_1 fills the first slot
             out = _contract_vector(f, out)
         return out
-    out: dict = {}
+    parts: dict = {}
     for I, cX in X.table().items():
         for J, cA in a.table.items():
             if not set(I) <= set(J):
@@ -349,10 +335,8 @@ def contract(X: Multivector, a: Form) -> Form:
             for i in I:
                 parity += remaining.index(i)
                 remaining.remove(i)
-            term = mul(_SIGN[parity & 1], cX, cA)
-            key = tuple(remaining)
-            out[key] = add(out.get(key, ZERO_E), term)
-    return Form(a.chart, a.degree - X.degree, out)
+            parts.setdefault(tuple(remaining), []).append(mul(_SIGN[parity & 1], cX, cA))
+    return Form(a.chart, a.degree - X.degree, _summed(parts))
 
 
 def _lie_vector(X: Multivector, a: Form) -> Form:
@@ -381,7 +365,7 @@ def _lie_vector(X: Multivector, a: Form) -> Form:
                 pos = bisect_left(rest, l)
                 merged = rest[:pos] + (l,) + rest[pos:]
                 parts.setdefault(merged, []).append(mul(_SIGN[(pos - r) & 1], c, dxi))
-    return Form(a.chart, a.degree, {idx: add(*p) for idx, p in parts.items()})
+    return Form(a.chart, a.degree, _summed(parts))
 
 
 def lie_derivative(X: Multivector, a: Form) -> Form:
@@ -435,7 +419,7 @@ def schouten(X: Multivector, Y: Multivector) -> Multivector:
     chart = X.chart
     m, n = X.degree, Y.degree
     deg = m + n - 1
-    acc: dict = {}
+    parts: dict = {}
     for i in range(m):
         Xi = Multivector(chart, 1, factors=[X.factors[i]])
         for j in range(n):
@@ -449,10 +433,9 @@ def schouten(X: Multivector, Y: Multivector) -> Multivector:
                 + [Y.factors[r] for r in range(n) if r != j]
             )
             sign = _SIGN[(i + j) & 1]
-            piece = _expand_factors(chart, rest)
-            for idx, c in piece.items():
-                acc[idx] = add(acc.get(idx, ZERO_E), mul(sign, c))
-    return Multivector(chart, deg, table=acc)
+            for idx, c in _expand_factors(chart, rest).items():
+                parts.setdefault(idx, []).append(mul(sign, c))
+    return Multivector(chart, deg, table=_summed(parts))
 
 
 def bar_d(a: Form, sigma: Form) -> Form:

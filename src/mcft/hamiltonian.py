@@ -55,7 +55,7 @@ class HamiltonianSystem(MulticontactSystem):
         check_symbols(chart, H, "Hamiltonian")
         self.hamiltonian = H
         momenta = {
-            (a, mu): chart.coord(chart.coords[chart.momentum_axis(a, mu)].name)
+            (a, mu): chart.exprs[chart.momentum_axis(a, mu)]
             for a in range(len(chart.field_axes))
             for mu in range(chart.base_dim)
         }
@@ -140,7 +140,7 @@ def momentum_trace_rhs(hsys: HamiltonianSystem, a: int) -> Expr:
     H = hsys.hamiltonian
     parts = [diff(H, chart.symbols[chart.field_axes[a]])]
     for mu in range(hsys.m):
-        p = chart.coord(chart.coords[chart.momentum_axis(a, mu)].name)
+        p = chart.exprs[chart.momentum_axis(a, mu)]
         parts.append(mul(p, diff(H, chart.symbols[chart.action_axis(mu)])))
     return mul(const(-1), add(*parts))
 
@@ -151,7 +151,7 @@ def action_trace_rhs(hsys: HamiltonianSystem) -> Expr:
     parts = []
     for a in range(hsys.n):
         for mu in range(hsys.m):
-            p = chart.coord(chart.coords[chart.momentum_axis(a, mu)].name)
+            p = chart.exprs[chart.momentum_axis(a, mu)]
             parts.append(mul(p, _dH_dp(hsys, a, mu)))
     return add(*parts, mul(const(-1), hsys.hamiltonian))
 

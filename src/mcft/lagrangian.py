@@ -55,7 +55,6 @@ from .forms import (
     contract,
     ext_d,
     form_zero_check,
-    one_form,
     volume_form,
     wedge,
     _merge_sign,
@@ -107,11 +106,8 @@ class MulticontactSystem:
         self.n = len(chart.field_axes)
         self.omega = volume_form(chart)
         self.theta = multicontact_theta(chart, momenta, energy)
-        sigma = Form.zero(chart, 1)
-        for mu in range(self.m):
-            d_ds = diff_held(density, chart.symbols[chart.action_axis(mu)])
-            sigma = sigma + one_form(chart, chart.coords[chart.base_axes[mu]].name).scale(mul(const(sign), d_ds))
-        self.sigma = sigma
+        d_ds = [diff_held(density, chart.symbols[chart.action_axis(mu)]) for mu in range(self.m)]
+        self.sigma = Form(chart, 1, {(x,): mul(const(sign), d) for x, d in zip(chart.base_axes, d_ds)})
 
     @cached_property
     def d_theta(self) -> Form:
@@ -145,7 +141,7 @@ class LagrangianSystem(MulticontactSystem):
         }
         self.energy = add(
             *[
-                mul(self.momenta[(a, mu)], chart.coord(chart.coords[chart.velocity_axis(a, mu)].name))
+                mul(self.momenta[(a, mu)], chart.exprs[chart.velocity_axis(a, mu)])
                 for a in range(n)
                 for mu in range(m)
             ],
@@ -205,7 +201,7 @@ def total_derivative(e: Expr, chart: Chart, mu: int) -> Expr:
         fa = chart.field_axes[a]
         d = diff_held(e, chart.symbols[fa])
         if d.terms:
-            parts.append(mul(chart.coord(chart.coords[chart.velocity_axis(a, mu)].name), d))
+            parts.append(mul(chart.exprs[chart.velocity_axis(a, mu)], d))
         for nu in range(chart.base_dim):
             dv = diff_held(e, chart.symbols[chart.velocity_axis(a, nu)])
             if dv.terms:
@@ -314,7 +310,7 @@ def solve_sopde_family(sys: LagrangianSystem) -> SolutionFamily:
     chart = sys.chart
     factors, unknowns = semi_holonomic_ansatz(
         sys,
-        lambda a, mu: chart.coord(chart.coords[chart.velocity_axis(a, mu)].name),
+        lambda a, mu: chart.exprs[chart.velocity_axis(a, mu)],
         chart.velocity_axis,
     )
     X = Multivector(chart, sys.m, factors=factors)

@@ -96,19 +96,15 @@ def _check_positive(*named) -> None:
 class Grid1p1:
     """Space-time grid on [0, Lx) x [0, nt*dt]."""
 
-    def __init__(self, nx: int, lx: float, dt: float, nt: int, bc: str = "periodic", wave_speed: float = 1.0):
-        self.nx, self.lx, self.dt, self.nt, self.bc, self.wave_speed = nx, lx, dt, nt, bc, wave_speed
-        _check_positive(("domain length", lx), ("wave speed", wave_speed))
+    def __init__(self, nx: int, lx: float, dt: float, nt: int, bc: str = "periodic"):
+        self.nx, self.lx, self.dt, self.nt, self.bc = nx, lx, dt, nt, bc
+        _check_positive(("domain length", lx))
         if nx < 8:
             raise NumericError("need at least 8 spatial points")
         if bc not in BCS:
             raise NumericError(f"unknown boundary condition {bc!r}")
         if dt <= 0 or nt < 2:
             raise NumericError("need positive dt and at least two time steps (three levels for d/dt)")
-        if self.wave_speed * self.dt / self.dx > 1.0 + 1e-12:
-            raise CflError(
-                f"CFL number {self.wave_speed * self.dt / self.dx:.3f} exceeds 1"
-            )
 
     @property
     def dx(self) -> float:
@@ -134,7 +130,7 @@ def make_grid(nx: int, lx: float, cfl: float, t_final: float, wave_speed: float,
     if t_final / dt > np.iinfo(np.intp).max:
         raise NumericError(f"step count {t_final / dt:.3g} exceeds the largest array length")
     nt = max(1, round(t_final / dt))
-    return Grid1p1(nx=nx, lx=lx, dt=dt, nt=nt, bc=bc, wave_speed=wave_speed)
+    return Grid1p1(nx=nx, lx=lx, dt=dt, nt=nt, bc=bc)
 
 
 class Workspace:

@@ -101,13 +101,11 @@ def jet_lift(Y: Multivector, paper_sign: bool = False) -> Multivector:
             for b, fb in enumerate(chart.field_axes):
                 dF = diff_held(Fa, chart.symbols[fb])
                 if dF.terms:
-                    parts.append(mul(chart.coord(chart.coords[chart.velocity_axis(b, mu)].name), dF))
+                    parts.append(mul(chart.exprs[chart.velocity_axis(b, mu)], dF))
             for nu in range(m):
                 dfn = diff_held(f.get(chart.base_axes[nu]), chart.symbols[bmu])
                 if dfn.terms:
-                    parts.append(
-                        mul(const(-1), chart.coord(chart.coords[chart.velocity_axis(a, nu)].name), dfn)
-                    )
+                    parts.append(mul(const(-1), chart.exprs[chart.velocity_axis(a, nu)], dfn))
             phi = add(*parts)
             if paper_sign:
                 phi = mul(const(-1), phi)
@@ -132,7 +130,7 @@ def hamiltonian_lift(Y: Multivector) -> Multivector:
                 bnu = chart.base_axes[nu]
                 dfmu = diff_held(fmu, chart.symbols[bnu])
                 if dfmu.terms:
-                    p_nu_a = chart.coord(chart.coords[chart.momentum_axis(a, nu)].name)
+                    p_nu_a = chart.exprs[chart.momentum_axis(a, nu)]
                     parts.append(mul(dfmu, p_nu_a))
             div_f = add(
                 *[
@@ -140,13 +138,13 @@ def hamiltonian_lift(Y: Multivector) -> Multivector:
                     for nu in range(m)
                 ]
             )
-            p_mu_a = chart.coord(chart.coords[chart.momentum_axis(a, mu)].name)
+            p_mu_a = chart.exprs[chart.momentum_axis(a, mu)]
             if div_f.terms:
                 parts.append(mul(const(-1), div_f, p_mu_a))
             for b, fb in enumerate(chart.field_axes):
                 dF = diff_held(F.get(fb), chart.symbols[fa])
                 if dF.terms:
-                    p_mu_b = chart.coord(chart.coords[chart.momentum_axis(b, mu)].name)
+                    p_mu_b = chart.exprs[chart.momentum_axis(b, mu)]
                     parts.append(mul(const(-1), dF, p_mu_b))
             comp_val = add(*parts)
             if comp_val.terms:

@@ -68,6 +68,13 @@ class TestDerive:
         code, _, err = run_cli("derive", "/nonexistent/file.mcft")
         assert code == 2
 
+    def test_file_not_utf8_exit_2(self, tmp_path):
+        p = tmp_path / "latin1.mcft"
+        p.write_bytes(b"coords t x\nfields y\nlagrangian \xff\n")
+        code, _, err = run_cli("derive", str(p))
+        assert code == 2
+        assert err.startswith(f"error: cannot read {p}: ")
+
 
 class TestCheckSymmetry:
     def test_field_shift(self):

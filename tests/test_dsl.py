@@ -103,6 +103,14 @@ class TestParse:
         assert m.lagrangian == parse("coords t x\nfields y\nparams k=3\nlagrangian 9*dy[t]^2/3*k").lagrangian
         with pytest.raises(DslError, match="bad number '\u00b2'"):
             parse("coords t x\nfields y\nlagrangian \u00b2*dy[t]^2")
+        # an exponent is read by the same reader and must come out an int
+        with pytest.raises(DslError, match="bad number '\u00b2'"):
+            parse("coords t x\nfields y\nlagrangian dy[t]^\u00b2")
+        cubed = parse("coords t x\nfields y\nlagrangian dy[t]^3").lagrangian
+        assert parse("coords t x\nfields y\nlagrangian dy[t]^\u0663").lagrangian == cubed
+        for exponent in ("2.0", "2e0", "x"):
+            with pytest.raises(DslError, match="exponent must be an integer literal"):
+                parse(f"coords t x\nfields y\nlagrangian dy[t]^{exponent}")
 
 
 def _token_lines(toks):

@@ -422,6 +422,52 @@ class TestBarD:
         assert got == want
 
 
+# ---------------------------------------------------------------------------
+# Table arithmetic shared by forms and multivector fields.
+
+
+def _table_multivector(chart, degree, table):
+    return Multivector(chart, degree, table=table)
+
+
+@pytest.mark.parametrize(
+    "make, kind", [(Form, "forms"), (_table_multivector, "multivectors")], ids=["form", "multivector"]
+)
+class TestTableArithmetic:
+    def sample(self, make, chart=None, degree=2, reverse=False):
+        ch = chart or chart5()
+        table = [((0, 1), ch.coord("z1")), ((1, 2), mul(const(2), ch.coord("z2"))), ((0, 2), const(0))]
+        if reverse:
+            table.reverse()
+        return make(ch, degree, {idx: c for idx, c in table if len(idx) == degree})
+
+    def test_sum_across_charts_or_degrees_raises(self, make, kind):
+        a = self.sample(make)
+        for other in (self.sample(make, chart=generic_chart(["z1", "z2", "z3"])), self.sample(make, degree=1)):
+            with pytest.raises(FormError, match=f"cannot add {kind} of different charts or degrees"):
+                a + other
+
+    def test_sum_with_the_other_kind_raises(self, make, kind):
+        a = self.sample(make)
+        other = self.sample(_table_multivector if make is Form else Form)
+        with pytest.raises(TypeError):
+            a + other
+        with pytest.raises(TypeError):
+            other + a
+        assert a != other
+
+    def test_equal_objects_hash_equal(self, make, kind):
+        a, b = self.sample(make), self.sample(make, reverse=True)
+        assert a == b and hash(a) == hash(b)
+        assert a + a == a.scale(2) and hash(a + a) == hash(a.scale(2))
+
+    def test_difference_with_itself_is_structurally_zero(self, make, kind):
+        a = self.sample(make)
+        assert not a.is_structurally_zero()
+        assert (a - a).is_structurally_zero()
+        assert (a - a).degree == a.degree and (a - a).chart == a.chart
+
+
 class TestPullback:
     def test_chain_rule_closed_form(self, string_chart):
         # the map y = t*x over the (t, x) chart pulls dy back to x dt + t dx
