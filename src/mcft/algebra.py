@@ -3,24 +3,33 @@
 Used for solving the contraction equations of semi-holonomic multivector
 ansatze, inverting Legendre relations, and Hessian determinant tests.
 Systems are affine in the unknown symbols; coefficients are arbitrary
-expressions.  ``solve_affine`` and ``det`` share one fraction-free
-(Bareiss) Gauss-Jordan elimination, ``_eliminate`` (E. H. Bareiss, Math.
-Comp. 22, 1968).  Each row is first multiplied by the monomial that
-clears the negative exponents of its coefficients, so that they are
-polynomials; an equation's constant part rides along as it is.  Columns
-follow the declared unknown order, so the earliest unknowns become the
-dependent ones and later unknowns stay free, which pins the
+expressions.  Each row is first multiplied by the monomial that clears
+the negative exponents of its coefficients, so that they are
+polynomials; an equation's constant part rides along as it is.
+
+``solve_affine`` runs a fraction-free (Bareiss) Gauss-Jordan
+elimination, ``_eliminate`` (E. H. Bareiss, Math. Comp. 22, 1968).
+Columns follow the declared unknown order, so the earliest unknowns
+become the dependent ones and later unknowns stay free, which pins the
 parametrization of solution families.  A column's pivot row is the
 unused one whose entry is rational, else has the fewest terms, else
 comes first.  Every other row becomes (p*row - f*pivot_row)/prev, an
 exact division by the previous pivot.  Each pivot row ends holding the
 last pivot, so ``affine_numerators`` gives every solved unknown as one
 numerator over it (for a Legendre inverse, an adjugate row over the
-Hessian determinant).  ``solve_affine`` calls it once per block of
+Hessian determinant); a leftover equation is inconsistent when the zero
+test reads it nonzero.  ``solve_affine`` calls it once per block of
 unknowns, two unknowns sharing a block when an equation holds both, and
 divides by that block's own last pivot: a velocity of a block-diagonal
 Hessian is over its own block's determinant, and no pivot of one block
 multiplies the rows of another.
+
+``det`` divides nothing: it expands the cleared rows by minors, each
+minor of the first k rows built from those of the first k - 1.  The
+determinant of the cleared rows is a polynomial, whose canonical form is
+unique, so the expansion returns the expression that elimination would,
+without the exact divisions by each previous pivot that dominate
+elimination on symbolic entries.
 """
 from __future__ import annotations
 
@@ -36,6 +45,7 @@ from .expr import (
     div_exact,
     mul,
     free_symbols,
+    is_zero,
     pow_,
 )
 
@@ -116,7 +126,7 @@ def affine_numerators(equations: Sequence[Expr], unknowns: Sequence[Symbol]):
     rows = [clear_denominators(row[:-1], row[-1:])[0] for row in rows if any(x.terms for x in row)]
     pivots, last = _eliminate(rows, len(unknowns))
     used = {r for _, r in pivots}
-    residuals = [row[-1] for i, row in enumerate(rows) if i not in used and row[-1].terms]
+    residuals = [row[-1] for i, row in enumerate(rows) if i not in used and not is_zero(row[-1])]
     if residuals:
         raise InconsistentSystemError(residuals)
     solved_cols = {c for c, _ in pivots}
@@ -151,12 +161,22 @@ def solve_affine(equations: Sequence[Expr], unknowns: Sequence[Symbol]) -> Affin
 
 
 def det(matrix: Sequence[Sequence[Expr]]) -> Expr:
-    """The last pivot of ``_eliminate``, signed by the order of the pivot
-    rows and divided by the monomials that cleared the rows."""
+    """Expand by minors, division-free: the minors of the first k cleared
+    rows over each k-subset of columns (a bitmask) come from those of the
+    first k - 1 rows, entry times minor, signed by the chosen columns
+    that lie right of the entry's.  The full minor is divided by the
+    monomials that cleared the rows."""
     cleared = [clear_denominators(row) for row in matrix]
-    pivots, last = _eliminate([row for row, _ in cleared], len(matrix))
-    if len(pivots) < len(matrix):
+    minors = {0: ONE}
+    for row, _ in cleared:
+        parts: dict = {}
+        for cols, minor in minors.items():
+            for j, x in enumerate(row):
+                if x.terms and not cols >> j & 1:
+                    sign = MINUS_ONE if (cols >> j).bit_count() & 1 else ONE
+                    parts.setdefault(cols | 1 << j, []).append(mul(sign, x, minor))
+        minors = {cols: minor for cols, p in parts.items() if (minor := add(*p)).terms}
+    if not minors:
         return ZERO
-    order = [r for _, r in pivots]
-    swaps = sum(a > b for i, a in enumerate(order) for b in order[i + 1 :])
-    return mul(const((-1) ** swaps), last, *(inverse for _, inverse in cleared))
+    (full,) = minors.values()
+    return mul(full, *(inverse for _, inverse in cleared))

@@ -13,7 +13,8 @@ is a polynomial plus one numerator over each block's determinant:
 
 The Herglotz-Hamilton-de Donder-Weyl data comes in two shapes: residuals
 for sections (over derivative placeholder symbols) and the decomposable
-multivector family with the trace constraints imposed.
+multivector family with the trace constraints imposed.  Both read the
+partial derivatives of H from the system, which takes each one once.
 """
 from __future__ import annotations
 
@@ -46,7 +47,8 @@ class LegendreError(Exception):
 
 
 class HamiltonianSystem(MulticontactSystem):
-    """Hamiltonian chart + H with the multicontact data cached."""
+    """Hamiltonian chart + H with the multicontact data and the partial
+    derivatives of H cached."""
 
     def __init__(self, chart: Chart, H):
         from .expr import _coerce
@@ -60,6 +62,13 @@ class HamiltonianSystem(MulticontactSystem):
             for mu in range(chart.base_dim)
         }
         super().__init__(chart, momenta, H, H, 1)
+        self._dH: dict = {}
+
+    def dH(self, axis: int) -> Expr:
+        """dH/dz for the coordinate z on ``axis``, differentiated on first use."""
+        if axis not in self._dH:
+            self._dH[axis] = diff(self.hamiltonian, self.chart.symbols[axis])
+        return self._dH[axis]
 
     def __repr__(self):
         return f"HamiltonianSystem(H={self.hamiltonian})"
@@ -131,17 +140,16 @@ def legendre(sys: LagrangianSystem) -> LegendreTransform:
 
 
 def _dH_dp(hsys: HamiltonianSystem, a: int, mu: int) -> Expr:
-    return diff(hsys.hamiltonian, hsys.chart.symbols[hsys.chart.momentum_axis(a, mu)])
+    return hsys.dH(hsys.chart.momentum_axis(a, mu))
 
 
 def momentum_trace_rhs(hsys: HamiltonianSystem, a: int) -> Expr:
     """-(dH/dy^a + p^mu_a dH/ds^mu)"""
     chart = hsys.chart
-    H = hsys.hamiltonian
-    parts = [diff(H, chart.symbols[chart.field_axes[a]])]
+    parts = [hsys.dH(chart.field_axes[a])]
     for mu in range(hsys.m):
         p = chart.exprs[chart.momentum_axis(a, mu)]
-        parts.append(mul(p, diff(H, chart.symbols[chart.action_axis(mu)])))
+        parts.append(mul(p, hsys.dH(chart.action_axis(mu))))
     return mul(const(-1), add(*parts))
 
 

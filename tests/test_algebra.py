@@ -1,19 +1,24 @@
 """Exact linear algebra: ``det`` against a Laplace cofactor reference and
 ``solve_affine`` against Cramer's rule, over rational, monomial, Laurent
 and multi-term entries."""
+import math
+import pathlib
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mcft import algebra
 from mcft.algebra import InconsistentSystemError, NonlinearSystemError, det, solve_affine
 from mcft.dsl import parse
-from mcft.expr import ExprError, add, const, mul, pow_, substitute, sym, var
+from mcft.expr import ExprError, add, const, div_exact, mul, pow_, substitute, sym, var
 from mcft.hamiltonian import legendre
 from mcft.lagrangian import Regularity
 
 SYMS = [var(n, "param") for n in ("a", "b", "c")]
 UNKNOWNS = [sym(n, "aux") for n in ("A1", "A2", "A3")]
+GOLDENS = pathlib.Path(__file__).resolve().parent / "goldens"
 
 
 def cofactor_det(matrix):
@@ -71,6 +76,54 @@ def test_det_mixes_rational_and_symbolic_pivots():
     assert det(m) == cofactor_det(m)
     assert det([]) == const(1)
     assert det([[const(0), a], [const(0), b]]) == const(0)
+
+
+@st.composite
+def large_matrices(draw):
+    # every other entry zero on average, so that the reference stays quick
+    n = draw(st.integers(5, 6))
+    return [[draw(st.just(const(0)) | entries) for _ in range(n)] for _ in range(n)]
+
+
+@given(large_matrices())
+@settings(max_examples=20, deadline=None)
+def test_det_matches_cofactor_expansion_at_5_and_6(m):
+    assert det(m) == cofactor_det(m)
+
+
+def dense_affine(n, seed):
+    """An n x n matrix whose every entry is k0 + k1*a + k2*b + k3*c, each k
+    a nonzero rational."""
+    rng = random.Random(seed)
+    a, b, c = SYMS
+
+    def k():
+        return const(Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 2, 3))))
+
+    return [[add(k(), mul(k(), a), mul(k(), b), mul(k(), c)) for _ in range(n)] for _ in range(n)]
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_det_of_a_dense_affine_symbolic_matrix(n):
+    m = dense_affine(n, seed=n)
+    d = det(m)
+    # degree n in three symbols: every one of its monomials is there
+    assert len(d.terms) == math.comb(n + 3, 3)
+    assert d == cofactor_det(m)
+
+
+@pytest.mark.parametrize("name", ["parametric_n2", "coupled_n3"])
+def test_det_of_a_symbolic_hessian_divides_nothing(monkeypatch, name):
+    sys_ = parse((GOLDENS / f"{name}.mcft").read_text()).system()
+    calls = []
+
+    def counting_div_exact(num, den):
+        calls.append(den)
+        return div_exact(num, den)
+
+    monkeypatch.setattr(algebra, "div_exact", counting_div_exact)
+    assert det(sys_.hessian) == sys_.hessian_det
+    assert calls == []
 
 
 @st.composite

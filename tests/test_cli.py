@@ -237,6 +237,24 @@ def test_sopde_passes_its_self_check_on_inverted_sums(model):
     assert json.loads(out)["command"] == "sopde"
 
 
+# a regular Lagrangian with inverted sums in two kinetic coefficients and in
+# the u_t-v_x coupling
+INVERTED_SUMS = (
+    "coords t x\nfields u v\nparams a b\nlagrangian 1/2*du[t]^2/(1+u^2) + a*du[t]*dv[x]/(b+v) - 1/2*du[x]^2"
+    " + 1/2*dv[t]^2 - 1/2*dv[x]^2/(1+a*u) + du[x]*dv[t]*v - s[t]/10\n"
+)
+
+
+def test_sopde_leftover_equations_that_cancel_are_consistent(tmp_path):
+    # the equations left over after elimination hold inverted sums that cancel
+    # only once their denominators are cleared: the zero test reads them zero
+    p = tmp_path / "inverted_sums.mcft"
+    p.write_text(INVERTED_SUMS)
+    code, out, err = run_cli("--json", "sopde", str(p))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["outputs"]["free"] == ["A7", "A8", "A10", "B5", "B6", "B7", "B8", "B9", "B10"]
+
+
 def run_subprocess(*argv):
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

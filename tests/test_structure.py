@@ -8,12 +8,12 @@ from fractions import Fraction
 
 import pytest
 
-from mcft import forms, lagrangian
+from mcft import forms, hamiltonian, lagrangian
 from mcft.corpus import corpus
 from mcft.dsl import parse
-from mcft.expr import ZeroCheck, is_zero
+from mcft.expr import ZeroCheck, diff, is_zero
 from mcft.forms import bar_d, contract, ext_d, lie_derivative
-from mcft.hamiltonian import legendre
+from mcft.hamiltonian import hdw_multivector, hdw_residuals, legendre
 from mcft.lagrangian import build_lagrangian_system
 from mcft.symmetry import NOETHER, NOT_NOETHER, STRONG_NOETHER, classify, hamiltonian_lift
 
@@ -57,6 +57,24 @@ def test_bar_d_theta_reuses_the_cached_d_theta(monkeypatch, string_text):
     s = parse(string_text).system()
     s.d_theta, s.bar_d_theta()
     assert len(calls) == 1
+
+
+def test_hdw_data_differentiates_H_once_per_coordinate(monkeypatch, string_text):
+    # the HDW residuals and multivector family read dH/dp, dH/dy and dH/ds
+    # from the system, which takes each derivative on first use
+    hsys = legendre(parse(string_text).system()).hamiltonian_system
+    calls = []
+
+    def counting_diff(e, v):
+        calls.append(v)
+        return diff(e, v)
+
+    monkeypatch.setattr(hamiltonian, "diff", counting_diff)
+    hdw_residuals(hsys), hdw_multivector(hsys), hdw_residuals(hsys)
+    chart = hsys.chart
+    coordinates = [chart.momentum_axis(0, mu) for mu in range(hsys.m)] + [chart.field_axes[0]]
+    coordinates += [chart.action_axis(mu) for mu in range(hsys.m)]
+    assert Counter(calls) == Counter(chart.symbols[i] for i in coordinates)
 
 
 def test_systems_built_back_to_back_share_no_cache(string_chart, params):
