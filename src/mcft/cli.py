@@ -28,7 +28,7 @@ import sys
 import time
 
 from .dsl import DslError, ModelFile, parse
-from .expr import to_text
+from .expr import EvalError, to_text
 from .forms import form_to_json, form_to_text, vector_to_text
 from .hamiltonian import LegendreError, hdw_residuals, legendre
 from .lagrangian import (
@@ -231,14 +231,15 @@ def _scenario(model: ModelFile, name: str):
 
 @contextlib.contextmanager
 def _numeric_failures():
-    """Exit 3 for a CFL violation, 2 for any other numeric error."""
+    """Exit 3 for a CFL violation, 2 for any other numeric error, such as
+    a parameter default past the largest float."""
     from .numeric import CflError, NumericError
 
     try:
         yield
     except CflError as exc:
         raise CliFailure(str(exc), 3) from exc
-    except NumericError as exc:
+    except (NumericError, EvalError) as exc:
         raise CliFailure(str(exc), 2) from exc
 
 
@@ -300,10 +301,10 @@ def cmd_verify_law(args) -> int:
     Y = _candidate(model, args.name, sys_.chart, args.paper_sign)
     rep = classify(Y, sys_, seed=args.seed or 0, tol=args.tol)
     xi = rep.current
-    bindings = model.param_defaults()
     meshes = [scenario.nx, 2 * scenario.nx, 4 * scenario.nx]
     norms = []
     with _numeric_failures():
+        bindings = model.param_defaults()
         wave = damped_wave(sys_, bindings)
         gamma = wave.gamma
         # s_t costs a recurrence over the whole trajectory: only a current that reads it pays for it
@@ -394,8 +395,8 @@ def cmd_simulate(args) -> int:
     model = _load_model(args.model)
     sys_ = model.system()
     scenario = _scenario(model, args.scenario)
-    bindings = model.param_defaults()
     with _numeric_failures():
+        bindings = model.param_defaults()
         wave = damped_wave(sys_, bindings)
         grid, y0, v0 = _mesh(wave, scenario, bindings, scenario.nx)
         windows = stream_damped_wave(wave.params, y0, v0, grid, wave.action)

@@ -30,17 +30,19 @@ from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .charts import Chart, jet_chart
-from .expr import Expr, ExprError, add, const, cos, exp, mul, pow_, sin, to_text, var
-from .forms import scaled_text, signed_sum_text
+from .charts import Chart, ChartError, jet_chart
+from .expr import EvalError, Expr, ExprError, add, const, cos, exp, mul, pow_, sin, to_text, var
+from .forms import Multivector, scaled_text, signed_sum_text
 from .lagrangian import LagrangianSystem, build_lagrangian_system
 
-KEYWORDS = {"coords", "fields", "params", "lagrangian", "symmetry", "scenario", "grid", "init", "bc"}
+DECLARATIONS = ("coords", "fields", "params", "lagrangian", "symmetry", "scenario")
+KEYWORDS = {*DECLARATIONS, "grid", "init", "bc"}
 FUNCTIONS = {"sin": sin, "cos": cos, "exp": exp}
 PI = var("pi", "param", 10_000)
 
 BC_NAMES = {"periodic": "periodic", "dirichlet0": "dirichlet-zero"}
 BC_RENDER = {v: k for k, v in BC_NAMES.items()}
+GRID_KEYS = {"nx": "nx", "lx": "lx", "cfl": "cfl", "t": "t_final"}  # grid key -> Scenario field
 
 
 class DslError(Exception):
@@ -133,61 +135,44 @@ def _number_value(tok: Token) -> int | Fraction:
         raise DslError(f"bad number {tok.text!r}", tok.line, tok.col) from None
 
 
-class Scenario:
-    def __init__(self, name: str, nx: int = 128, lx: Fraction = Fraction(1), cfl: Fraction = Fraction(1, 2),
-                 t_final: Fraction = Fraction(2), bc: str = "periodic", y0: Expr = const(0), v0: Expr = const(0)):
-        self.name, self.nx, self.lx, self.cfl, self.t_final, self.bc, self.y0, self.v0 = (
-            name, nx, lx, cfl, t_final, bc, y0, v0)
-
-    def __eq__(self, other):
-        return isinstance(other, Scenario) and (
-            self.name,
-            self.nx,
-            self.lx,
-            self.cfl,
-            self.t_final,
-            self.bc,
-            self.y0,
-            self.v0,
-        ) == (other.name, other.nx, other.lx, other.cfl, other.t_final, other.bc, other.y0, other.v0)
+class Scenario(NamedTuple):
+    name: str
+    nx: int = 128
+    lx: Fraction = Fraction(1)
+    cfl: Fraction = Fraction(1, 2)
+    t_final: Fraction = Fraction(2)
+    bc: str = "periodic"
+    y0: Expr = const(0)
+    v0: Expr = const(0)
 
 
-class ModelFile:
-    def __init__(self, bases: list, fields: list, params: list, lagrangian: Expr, symmetries: dict, scenarios: dict,
-                 chart: Chart):
-        self.bases, self.fields, self.lagrangian, self.chart = bases, fields, lagrangian, chart
-        self.params = params  # (name, Fraction | None) in declaration order
-        self.symmetries = symmetries  # name -> dict coord-name -> Expr (configuration components)
-        self.scenarios = scenarios  # name -> Scenario
-
-    def __eq__(self, other):
-        return isinstance(other, ModelFile) and (
-            self.bases == other.bases
-            and self.fields == other.fields
-            and self.params == other.params
-            and self.lagrangian == other.lagrangian
-            and self.symmetries == other.symmetries
-            and self.scenarios == other.scenarios
-        )
+class ModelFile(NamedTuple):
+    bases: list
+    fields: list
+    params: list  # (name, Fraction | None) in declaration order
+    lagrangian: Expr
+    symmetries: dict  # name -> dict coord-name -> Expr (configuration components)
+    scenarios: dict  # name -> Scenario
+    chart: Chart
 
     def param_defaults(self) -> dict:
         out = {}
         for n, v in self.params:
             if v is not None:
-                out[n] = float(v)
+                try:
+                    out[n] = float(v)
+                except OverflowError:
+                    raise EvalError(f"parameter {n!r} is too large for a float") from None
         out["pi"] = math.pi
         return out
 
     def system(self) -> LagrangianSystem:
         return build_lagrangian_system(self.chart, self.lagrangian)
 
-    def candidate(self, name: str, chart: Chart):
+    def candidate(self, name: str, chart: Chart) -> Multivector:
         """The named symmetry candidate as a vector field on ``chart``
         (jet or Hamiltonian chart over the same bases/fields)."""
-        from .forms import Multivector
-
-        comps = self.symmetries[name]
-        return Multivector.vector(chart, comps)
+        return Multivector.vector(chart, self.symmetries[name])
 
     def model_hash(self) -> str:
         return hashlib.sha256(render(self).encode()).hexdigest()
@@ -200,11 +185,12 @@ class _Parser:
         self.bases: list = []
         self.fields: list = []
         self.params: list = []
+        self.param_exprs: dict = {}  # parameter name -> its one shared Expr
         self.chart: Optional[Chart] = None
         self.lagrangian: Optional[Expr] = None
         self.symmetries: dict = {}
         self.scenarios: dict = {}
-        self.names: dict = {}  # any declared name -> kind, for duplicates
+        self.names: set = set()  # every declared name, for duplicates
 
     # -- token plumbing ----------------------------------------------------
     def peek(self, ahead: int = 0) -> Token:
@@ -217,6 +203,11 @@ class _Parser:
         if t.kind != "eof":
             self.pos += 1
         return t
+
+    def at_op(self, ops: str) -> bool:
+        """Whether the next token is one of the one-character operators in ``ops``."""
+        t = self.peek()
+        return t.kind == "op" and t.text in ops
 
     def expect_op(self, op: str) -> Token:
         t = self.next()
@@ -232,95 +223,83 @@ class _Parser:
 
     def at_keyword(self) -> bool:
         t = self.peek()
-        return t.kind == "ident" and t.text in ("coords", "fields", "params", "lagrangian", "symmetry", "scenario")
+        return t.kind == "ident" and t.text in DECLARATIONS
 
-    def declare(self, tok: Token, kind: str):
+    def declare(self, tok: Token):
         if tok.text in KEYWORDS:
             raise DslError(f"{tok.text!r} is a reserved word", tok.line, tok.col)
         if tok.text == "pi":
             raise DslError("'pi' is a built-in constant", tok.line, tok.col)
         if tok.text in self.names:
             raise DslError(f"duplicate declaration of {tok.text!r}", tok.line, tok.col)
-        self.names[tok.text] = kind
+        self.names.add(tok.text)
+
+    def declared_names(self):
+        """Declare and yield each name token up to the next declaration."""
+        while self.peek().kind == "ident" and not self.at_keyword():
+            tok = self.next()
+            self.declare(tok)
+            yield tok
 
     # -- declarations --------------------------------------------------------
     def parse(self) -> ModelFile:
-        while self.peek().kind != "eof":
-            t = self.peek()
+        while (t := self.next()).kind != "eof":
             if t.kind != "ident":
                 raise DslError(f"expected a declaration, found {t.text!r}", t.line, t.col)
             if t.text == "coords":
-                self.next()
-                self.parse_coords(t)
+                self.parse_names(t, self.bases, "duplicate coords declaration",
+                                 "coords declaration needs at least one name")
             elif t.text == "fields":
-                self.next()
-                self.parse_fields(t)
+                self.parse_names(t, self.fields, "duplicate fields declaration", "at least one field required")
             elif t.text == "params":
-                self.next()
-                self.parse_params()
+                for tok in self.declared_names():
+                    self.param_exprs[tok.text] = var(tok.text, "param", len(self.params))
+                    value = None
+                    if self.at_op("="):
+                        self.next()
+                        value = self.parse_number()
+                    self.params.append((tok.text, value))
             elif t.text == "lagrangian":
-                self.next()
                 self.require_chart(t)
                 if self.lagrangian is not None:
                     raise DslError("duplicate lagrangian declaration", t.line, t.col)
-                self.lagrangian = self.parse_expr(allow=("coords", "params"))
+                self.lagrangian = self.parse_expr(False)
             elif t.text == "symmetry":
-                self.next()
                 self.require_chart(t)
                 name = self.expect_ident("symmetry name")
-                self.declare(name, "symmetry")
+                self.declare(name)
                 self.expect_op(":")
                 self.symmetries[name.text] = self.parse_vf()
             elif t.text == "scenario":
-                self.next()
                 name = self.expect_ident("scenario name")
-                self.declare(name, "scenario")
+                self.declare(name)
                 self.scenarios[name.text] = self.parse_scenario(name.text)
             else:
                 raise DslError(f"unknown declaration {t.text!r}", t.line, t.col)
         if not self.fields:
-            last = self.peek()
-            raise DslError("at least one field required", last.line, last.col)
+            raise DslError("at least one field required", t.line, t.col)
         if self.lagrangian is None:
-            last = self.peek()
-            raise DslError("missing lagrangian declaration", last.line, last.col)
-        return ModelFile(
-            bases=self.bases,
-            fields=self.fields,
-            params=self.params,
-            lagrangian=self.lagrangian,
-            symmetries=self.symmetries,
-            scenarios=self.scenarios,
-            chart=self.chart,
-        )
+            raise DslError("missing lagrangian declaration", t.line, t.col)
+        return ModelFile(self.bases, self.fields, self.params, self.lagrangian, self.symmetries, self.scenarios,
+                         self.chart)
+
+    def parse_names(self, t: Token, names: list, duplicate: str, empty: str):
+        """A coords or fields list; the jet chart once both are declared."""
+        if names:
+            raise DslError(duplicate, t.line, t.col)
+        names.extend(tok.text for tok in self.declared_names())
+        if not names:
+            raise DslError(empty, t.line, t.col)
+        if self.bases and self.fields:
+            try:
+                self.chart = jet_chart(self.bases, self.fields)
+            except ChartError as exc:  # a derived name such as y_t or s_t taken twice
+                raise DslError(str(exc), t.line, t.col) from None
 
     def require_chart(self, t: Token):
         if self.chart is None:
-            if not self.bases:
-                raise DslError("coords must be declared first", t.line, t.col)
-            if not self.fields:
-                raise DslError("at least one field required", t.line, t.col)
-            self.chart = jet_chart(self.bases, self.fields)
-
-    def parse_coords(self, t: Token):
-        if self.bases:
-            raise DslError("duplicate coords declaration", t.line, t.col)
-        while self.peek().kind == "ident" and not self.at_keyword():
-            tok = self.expect_ident()
-            self.declare(tok, "coord")
-            self.bases.append(tok.text)
-        if not self.bases:
-            raise DslError("coords declaration needs at least one name", t.line, t.col)
-
-    def parse_fields(self, t: Token):
-        if self.fields:
-            raise DslError("duplicate fields declaration", t.line, t.col)
-        while self.peek().kind == "ident" and not self.at_keyword():
-            tok = self.expect_ident()
-            self.declare(tok, "field")
-            self.fields.append(tok.text)
-        if not self.fields:
-            raise DslError("at least one field required", t.line, t.col)
+            message = "at least one field required" if self.bases else "coords must be declared first"
+            raise DslError(message, t.line, t.col)
 
     def parse_number(self) -> Fraction:
         """[-] NUMBER [/ NUMBER] as an exact value."""
@@ -332,7 +311,7 @@ class _Parser:
         if num.kind != "number":
             raise DslError("expected a number", num.line, num.col)
         value = Fraction(sign * _number_value(num))
-        if self.peek().kind == "op" and self.peek().text == "/":
+        if self.at_op("/"):
             self.next()
             den = self.next()
             if den.kind != "number":
@@ -343,78 +322,68 @@ class _Parser:
             value /= d
         return value
 
-    def parse_params(self):
-        while self.peek().kind == "ident" and not self.at_keyword():
-            tok = self.expect_ident()
-            self.declare(tok, "param")
-            value = None
-            if self.peek().kind == "op" and self.peek().text == "=":
-                self.next()
-                value = self.parse_number()
-            self.params.append((tok.text, value))
-
     # -- expressions ---------------------------------------------------------
-    def resolve(self, tok: Token, bracket: Optional[Token], allow) -> Expr:
+    def resolve(self, tok: Token, bracket: Optional[Token], init: bool) -> Expr:
+        """A name in an expression: ``pi``, a parameter, and then a jet or
+        action coordinate, or in ``init`` data a base coordinate after the first."""
         name = tok.text
         if name == "pi":
             return PI
-        if "params" in allow:
-            for i, (n, _) in enumerate(self.params):
-                if n == name:
-                    if bracket is not None:
-                        raise DslError(f"parameter {name!r} takes no index", bracket.line, bracket.col)
-                    return var(n, "param", i)
-        if "coords" in allow and self.chart is not None:
+        param = self.param_exprs.get(name)
+        if init:
             if bracket is None:
-                if name in self.bases or name in self.fields:
-                    return self.chart.coord(name)
-            else:
-                base = bracket.text
-                if base not in self.bases:
-                    raise DslError(f"unknown base coordinate {base!r}", bracket.line, bracket.col)
-                if name == "s":
-                    return self.chart.coord(f"s_{base}")
-                if name.startswith("d") and name[1:] in self.fields:
-                    return self.chart.coord(f"{name[1:]}_{base}")
-                raise DslError(f"cannot index {name!r}", tok.line, tok.col)
-        if "x-only" in allow:
-            if bracket is None and name in self.bases[1:]:
-                return var(name, "base", self.bases.index(name))
-            for i, (n, _) in enumerate(self.params):
-                if n == name and bracket is None:
-                    return var(n, "param", i)
+                if name in self.bases[1:]:
+                    return var(name, "base", self.bases.index(name))
+                if param is not None:
+                    return param
+        elif param is not None:
+            if bracket is not None:
+                raise DslError(f"parameter {name!r} takes no index", bracket.line, bracket.col)
+            return param
+        elif bracket is None:
+            if name in self.bases or name in self.fields:
+                return self.chart.coord(name)
+        else:
+            base = bracket.text
+            if base not in self.bases:
+                raise DslError(f"unknown base coordinate {base!r}", bracket.line, bracket.col)
+            if name == "s":
+                return self.chart.coord(f"s_{base}")
+            if name.startswith("d") and name[1:] in self.fields:
+                return self.chart.coord(f"{name[1:]}_{base}")
+            raise DslError(f"cannot index {name!r}", tok.line, tok.col)
         raise DslError(f"unresolved symbol {name!r}", tok.line, tok.col)
 
-    def parse_expr(self, allow) -> Expr:
-        e = self.parse_term(allow)
-        while self.peek().kind == "op" and self.peek().text in "+-":
+    def parse_expr(self, init: bool) -> Expr:
+        e = self.parse_term(init)
+        while self.at_op("+-"):
             op = self.next().text
-            rhs = self.parse_term(allow)
+            rhs = self.parse_term(init)
             e = add(e, rhs if op == "+" else mul(const(-1), rhs))
         return e
 
-    def parse_term(self, allow, stop_at_direction: bool = False) -> Expr:
-        e = self.parse_unary(allow)
-        while self.peek().kind == "op" and self.peek().text in "*/":
+    def parse_term(self, init: bool, stop_at_direction: bool = False) -> Expr:
+        e = self.parse_unary(init)
+        while self.at_op("*/"):
             if stop_at_direction and self.peek().text == "*" and self._direction_ahead(1):
                 break
             op = self.next()
-            rhs = self.parse_unary(allow)
+            rhs = self.parse_unary(init)
             e = mul(e, rhs) if op.text == "*" else mul(e, _power(rhs, -1, op))
         return e
 
-    def parse_unary(self, allow) -> Expr:
-        if self.peek().kind == "op" and self.peek().text == "-":
+    def parse_unary(self, init: bool) -> Expr:
+        if self.at_op("-"):
             self.next()
-            return mul(const(-1), self.parse_unary(allow))
-        return self.parse_power(allow)
+            return mul(const(-1), self.parse_unary(init))
+        return self.parse_power(init)
 
-    def parse_power(self, allow) -> Expr:
-        base = self.parse_atom(allow)
-        if self.peek().kind == "op" and self.peek().text == "^":
+    def parse_power(self, init: bool) -> Expr:
+        base = self.parse_atom(init)
+        if self.at_op("^"):
             caret = self.next()
             sign = 1
-            if self.peek().kind == "op" and self.peek().text == "-":
+            if self.at_op("-"):
                 self.next()
                 sign = -1
             num = self.next()
@@ -424,42 +393,37 @@ class _Parser:
             return _power(base, sign * k, caret)
         return base
 
-    def parse_atom(self, allow) -> Expr:
+    def parse_atom(self, init: bool) -> Expr:
         t = self.next()
         if t.kind == "number":
             return const(_number_value(t))
         if t.kind == "op" and t.text == "(":
-            e = self.parse_expr(allow)
+            e = self.parse_expr(init)
             self.expect_op(")")
             return e
         if t.kind == "ident":
-            if t.text in FUNCTIONS and self.peek().kind == "op" and self.peek().text == "(":
+            if t.text in FUNCTIONS and self.at_op("("):
                 self.next()
-                arg = self.parse_expr(allow)
+                arg = self.parse_expr(init)
                 self.expect_op(")")
                 return FUNCTIONS[t.text](arg)
             bracket = None
-            if self.peek().kind == "op" and self.peek().text == "[":
+            if self.at_op("["):
                 self.next()
                 bracket = self.expect_ident("index")
                 self.expect_op("]")
-            return self.resolve(t, bracket, allow)
+            return self.resolve(t, bracket, init)
         raise DslError(f"expected an expression, found {t.text or 'end of file'!r}", t.line, t.col)
 
     # -- symmetry vector fields ------------------------------------------------
     def _direction_ahead(self, offset: int) -> bool:
-        return (
-            self.peek(offset).kind == "ident"
-            and self.peek(offset).text == "d"
-            and self.peek(offset + 1).kind == "op"
-            and self.peek(offset + 1).text == "/"
-        )
+        d, slash = self.peek(offset), self.peek(offset + 1)
+        return (d.kind, d.text, slash.kind, slash.text) == ("ident", "d", "op", "/")
 
     def parse_direction(self) -> str:
-        t = self.expect_ident()
-        if t.text != "d":
-            raise DslError("expected a direction d/d<coord>", t.line, t.col)
-        self.expect_op("/")
+        """The coordinate of a direction ``d/d<coord>``, whose ``d /`` the
+        caller has seen with ``_direction_ahead``."""
+        self.pos += 2
         t = self.expect_ident("direction")
         name = t.text
         if not name.startswith("d") or len(name) < 2:
@@ -467,7 +431,7 @@ class _Parser:
         rest = name[1:]
         if rest in self.bases or rest in self.fields:
             return rest
-        if rest == "s" and self.peek().kind == "op" and self.peek().text == "[":
+        if rest == "s" and self.at_op("["):
             self.next()
             base = self.expect_ident("base index")
             self.expect_op("]")
@@ -483,18 +447,18 @@ class _Parser:
     def parse_vf(self) -> dict:
         comps: dict = {}
         sign = 1
-        if self.peek().kind == "op" and self.peek().text == "-":
+        if self.at_op("-"):
             self.next()
             sign = -1
         while True:
             if self._direction_ahead(0):
                 coeff = const(sign)
             else:
-                coeff = mul(const(sign), self.parse_term(allow=("coords", "params"), stop_at_direction=True))
+                coeff = mul(const(sign), self.parse_term(False, stop_at_direction=True))
                 self.expect_op("*")
             coord = self.parse_direction()
             comps[coord] = add(comps.get(coord, const(0)), coeff)
-            if self.peek().kind == "op" and self.peek().text in "+-":
+            if self.at_op("+-"):
                 sign = 1 if self.next().text == "+" else -1
                 continue
             break
@@ -502,54 +466,41 @@ class _Parser:
 
     # -- scenarios ----------------------------------------------------------------
     def parse_scenario(self, name: str) -> Scenario:
-        sc = Scenario(name=name)
+        items: dict = {}  # Scenario field -> value; a grid key once per scenario
         self.expect_op("{")
-        seen_grid_keys = set()
-        while not (self.peek().kind == "op" and self.peek().text == "}"):
+        while not self.at_op("}"):
             t = self.expect_ident("scenario item")
             if t.text == "bc":
                 b = self.expect_ident("boundary condition")
                 if b.text not in BC_NAMES:
                     raise DslError(f"unknown boundary condition {b.text!r}", b.line, b.col)
-                sc.bc = BC_NAMES[b.text]
-                self.expect_op(";")
+                items["bc"] = BC_NAMES[b.text]
             elif t.text == "grid":
                 while self.peek().kind == "ident":
-                    k = self.expect_ident()
-                    if k.text not in ("nx", "lx", "cfl", "t"):
+                    k = self.next()
+                    if k.text not in GRID_KEYS:
                         raise DslError(f"unknown grid key {k.text!r}", k.line, k.col)
-                    if k.text in seen_grid_keys:
+                    if GRID_KEYS[k.text] in items:
                         raise DslError(f"duplicate grid key {k.text!r}", k.line, k.col)
-                    seen_grid_keys.add(k.text)
                     self.expect_op("=")
                     num = self.peek()
                     v = self.parse_number()
                     if k.text == "nx":
                         if v.denominator != 1:
                             raise DslError("nx must be an integer", num.line, num.col)
-                        sc.nx = int(v)
-                    elif k.text == "lx":
-                        sc.lx = v
-                    elif k.text == "cfl":
-                        sc.cfl = v
-                    else:
-                        sc.t_final = v
-                self.expect_op(";")
+                        v = int(v)
+                    items[GRID_KEYS[k.text]] = v
             elif t.text == "init":
                 which = self.expect_ident("y0 or v0")
                 if which.text not in ("y0", "v0"):
                     raise DslError("init expects y0 or v0", which.line, which.col)
                 self.expect_op("=")
-                e = self.parse_expr(allow=("x-only",))
-                if which.text == "y0":
-                    sc.y0 = e
-                else:
-                    sc.v0 = e
-                self.expect_op(";")
+                items[which.text] = self.parse_expr(True)
             else:
                 raise DslError(f"unknown scenario item {t.text!r}", t.line, t.col)
+            self.expect_op(";")
         self.expect_op("}")
-        return sc
+        return Scenario(name, **items)
 
 
 def parse(text: str) -> ModelFile:

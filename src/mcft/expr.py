@@ -12,10 +12,11 @@ Consequences baked into this representation:
 * structural equality of canonical forms decides equality for
   polynomial expressions and for rational expressions whose
   denominators are monomials;
-* ``is_zero`` decides every expression without function atoms exactly,
-  inverted sums included, by clearing its denominators; it falls back to
-  randomized numeric probing only when sin/cos/exp atoms are present,
-  reporting ``PROBABLY_ZERO`` instead of a proven ``ZERO``.
+* ``is_zero`` clears every denominator, inverted sums included, and
+  reads an expression whose cleared form has no terms as ``ZERO``; it
+  falls back to randomized numeric probing only when sin/cos/exp atoms
+  are left after clearing, reporting ``PROBABLY_ZERO`` instead of a
+  proven ``ZERO``.
 
 There is deliberately no simplification beyond canonicalization: no
 factoring, no trigonometric rewriting.
@@ -665,15 +666,6 @@ def free_symbols(e) -> set:
     return set(_coerce(e).symbols)
 
 
-def _needs_probing(e: Expr) -> bool:
-    """Whether a function atom occurs in e at any depth."""
-    return any(
-        isinstance(a, FuncAtom) or (isinstance(a, SumAtom) and _needs_probing(a.expr))
-        for mono, _ in e.terms
-        for a, _k in mono
-    )
-
-
 class ZeroCheck(Enum):
     ZERO = "zero"
     PROBABLY_ZERO = "probably-zero"
@@ -689,18 +681,22 @@ PROBE_SAMPLES = 16  # points a function-bearing expression must vanish at
 def is_zero(e, seed: int = 0, tol: float = 1e-9) -> ZeroCheck:
     """Trichotomous zero test.
 
-    An expression without function atoms is a rational function: it is
-    zero exactly when multiplying out its denominators, inverted sums
-    included, leaves no terms.  Expressions holding sin/cos/exp atoms are
-    probed at ``PROBE_SAMPLES`` random points per symbol range [-2, 2].
+    An expression is zero exactly when multiplying out its denominators,
+    inverted sums included, leaves no terms, whatever atoms it holds.  A
+    cleared form with terms is ``NONZERO`` unless it still holds a
+    sin/cos/exp atom; only then is the expression probed at
+    ``PROBE_SAMPLES`` random points per symbol range [-2, 2].
     """
     e = _coerce(e)
     if not e.terms:
         return ZeroCheck.ZERO
     if all(type(a) is Symbol for mono, _ in e.terms for a, _k in mono):
         return ZeroCheck.NONZERO  # a Laurent polynomial: its canonical form is unique
-    if not _needs_probing(e):
-        return ZeroCheck.NONZERO if clear_denominators([e])[0][0].terms else ZeroCheck.ZERO
+    cleared = clear_denominators([e])[0][0]  # no inverted sum is left in it
+    if not cleared.terms:
+        return ZeroCheck.ZERO
+    if not any(type(a) is FuncAtom for mono, _ in cleared.terms for a, _k in mono):
+        return ZeroCheck.NONZERO
     rng = random.Random(seed)
     syms = sorted(free_symbols(e), key=lambda s: s.key)
     done = 0

@@ -75,6 +75,9 @@ class CflError(NumericError):
     pass
 
 
+_TOO_LARGE = "cannot evaluate the model at its parameter values: a value is too large for a float"
+
+
 class BlowupError(NumericError):
     def __init__(self, step: int):
         self.step = step
@@ -416,7 +419,10 @@ class CompiledExpr:
                 return lambda env: fn(inner(env))
             return compile_expr(a.expr)
 
-        self.terms = [(float(c), [(compile_atom(a), k) for a, k in mono]) for mono, c in e.terms]
+        try:
+            self.terms = [(float(c), [(compile_atom(a), k) for a, k in mono]) for mono, c in e.terms]
+        except OverflowError:
+            raise NumericError("a model coefficient is too large for a float") from None
 
     def __call__(self, env, out=None, term=None, power=None):
         """0.0 + the first term + the second + ..., a float, or an array in
@@ -448,6 +454,8 @@ class CompiledExpr:
                     total = total + v
         except ZeroDivisionError:  # a scalar zero, such as a parameter, to a negative power
             raise NumericError("cannot evaluate the model at its parameter values: division by zero") from None
+        except OverflowError:  # a scalar power past the largest float
+            raise NumericError(_TOO_LARGE) from None
         if isinstance(total, np.ndarray):
             total += 0.0
             return total
@@ -700,6 +708,8 @@ def _evaluated(e: Expr, bindings: Mapping[str, float]) -> float:
         return evaluate(e, bindings)
     except EvalError as exc:
         raise NumericError(f"cannot evaluate the model at its parameter values: {exc}") from None
+    except OverflowError:
+        raise NumericError(_TOO_LARGE) from None
 
 
 class DampedWave(NamedTuple):

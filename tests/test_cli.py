@@ -245,14 +245,42 @@ INVERTED_SUMS = (
 )
 
 
+# the same with sin/exp factors: on u_x^2 and v_t^2, or on u_t^2 and the coupling
+FUNCTION_ATOMS = {
+    "kinetic": INVERTED_SUMS.replace("- 1/2*du[x]^2 + 1/2*dv[t]^2", "- 1/2*du[x]^2*exp(u) + 1/2*dv[t]^2*sin(v)"),
+    "coupling": INVERTED_SUMS.replace("du[t]^2/", "du[t]^2*exp(u)/").replace("dv[x]/(b+v)", "dv[x]*sin(v)/(b+v)"),
+}
+
+
 def test_sopde_leftover_equations_that_cancel_are_consistent(tmp_path):
     # the equations left over after elimination hold inverted sums that cancel
     # only once their denominators are cleared: the zero test reads them zero
     p = tmp_path / "inverted_sums.mcft"
-    p.write_text(INVERTED_SUMS)
-    code, out, err = run_cli("--json", "sopde", str(p))
-    assert (code, err) == (0, "")
-    assert json.loads(out)["outputs"]["free"] == ["A7", "A8", "A10", "B5", "B6", "B7", "B8", "B9", "B10"]
+    for text in (INVERTED_SUMS, *FUNCTION_ATOMS.values()):
+        p.write_text(text)
+        code, out, err = run_cli("--json", "sopde", str(p))
+        assert (code, err) == (0, ""), text
+        assert json.loads(out)["outputs"]["free"] == ["A7", "A8", "A10", "B5", "B6", "B7", "B8", "B9", "B10"]
+
+
+@pytest.mark.parametrize("case", sorted(FUNCTION_ATOMS))
+def test_sopde_zero_tests_over_function_atoms_are_exact(tmp_path, monkeypatch, case):
+    # the leftovers and the self-check's coefficients clear to no terms, so
+    # neither needs the probing that sin/exp atoms used to send them to
+    from mcft import algebra, expr, forms
+
+    verdicts = []
+
+    def recording(e, *args, **kwargs):
+        verdicts.append(expr.is_zero(e, *args, **kwargs))
+        return verdicts[-1]
+
+    monkeypatch.setattr(algebra, "is_zero", recording)
+    monkeypatch.setattr(forms, "is_zero", recording)
+    p = tmp_path / "function_atoms.mcft"
+    p.write_text(FUNCTION_ATOMS[case])
+    assert run_cli("--json", "sopde", str(p))[0] == 0
+    assert len(verdicts) == 6 and set(verdicts) == {expr.ZeroCheck.ZERO}
 
 
 def run_subprocess(*argv):
@@ -317,6 +345,9 @@ DEGENERATE = {
     "t1e400": ("grid cfl=0.5 lx=1 nx=16 t=1e400; init y0 = 0", "grid lx, cfl or t is too large for a float"),
     # a float, but t/dt = 3.2e301 steps is no array length
     "t1e300": ("grid cfl=0.5 lx=1 nx=16 t=1e300; init y0 = 0", "exceeds the largest array length"),
+    # initial data past the largest float, as a constant and as a coefficient
+    "y0_1e400": ("grid cfl=0.5 lx=1 nx=16 t=1; init y0 = 1e400", "a model coefficient is too large for a float"),
+    "y0_1e400x": ("grid cfl=0.5 lx=1 nx=16 t=1; init y0 = 1e400*x", "a model coefficient is too large for a float"),
 }
 
 
@@ -330,6 +361,45 @@ def test_degenerate_scenario_exit_2(tmp_path, verb, case):
     assert r.returncode == 2
     assert r.stderr.startswith("error:") and message in r.stderr
     assert "Traceback" not in r.stderr and "Warning" not in r.stderr
+
+
+# model numbers past the largest float, each in its own conversion: edits to ONE_STEP
+OVERFLOWS = {
+    "parameter": ([("rho=1 ", "rho=1e400 ")], "parameter 'rho' is too large for a float"),
+    "lagrangian": ([("gamma*s[t]\n", "gamma*s[t] + 1e400*x^2\n")], "a model coefficient is too large for a float"),
+    "damping": ([("gamma*s[t]", "1e400*s[t]")], "a value is too large for a float"),
+    "v0": ([("init v0 = 0", "init v0 = 1e400")], "a model coefficient is too large for a float"),
+    "power": ([("rho=1 ", "rho=1 k=1e200 "), ("sin(2*pi*x)", "k^2")], "a value is too large for a float"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOWS))
+@pytest.mark.parametrize("verb", [["simulate"], ["verify-law", "Y"]], ids=["simulate", "verify-law"])
+def test_model_number_past_float_range_exit_2(tmp_path, verb, case):
+    edits, message = OVERFLOWS[case]
+    text = ONE_STEP.replace("t=0.01", "t=1")
+    for old, new in edits:
+        text = text.replace(old, new, 1)
+    p = tmp_path / "overflow.mcft"
+    p.write_text(text)
+    r = run_subprocess(verb[0], str(p), *verb[1:], "one")
+    assert r.returncode == 2
+    assert r.stderr.startswith("error:") and message in r.stderr and r.stderr.count("\n") == 1
+    assert "Traceback" not in r.stderr
+    assert run_cli("derive", str(p))[0] == 0
+
+
+@pytest.mark.parametrize(
+    "names", ["coords t x\nfields s", "coords t x\nfields y y_t", "coords t s_t\nfields y"], ids=["s", "y_t", "s_t"]
+)
+def test_colliding_coordinate_names_exit_2(tmp_path, names):
+    # a field s has the velocity s_t of the action s_t; a field y_t is the velocity of y
+    p = tmp_path / "collision.mcft"
+    p.write_text(names + "\nlagrangian 1\n")
+    r = run_subprocess("derive", str(p))
+    assert r.returncode == 2
+    assert r.stderr.startswith(f"error: {p}: line 2, col 1: duplicate coordinate names in [")
+    assert r.stderr.count("\n") == 1 and "Traceback" not in r.stderr
 
 
 @pytest.mark.parametrize("name", ["W", "Z"])

@@ -113,6 +113,50 @@ class TestParse:
                 parse(f"coords t x\nfields y\nlagrangian dy[t]^{exponent}")
 
 
+HEAD = "coords t x\nfields y\n"
+BODY = HEAD + "lagrangian dy[t]^2\n"
+
+# (model text, message, line, col) of each parse error no other test reaches
+PARSE_ERRORS = {
+    "expected-op": (BODY + "symmetry Y d/dy", "expected ':', found 'd'", 4, 12),
+    "expected-name": (BODY + "symmetry : d/dy", "expected symmetry name, found ':'", 4, 10),
+    "pi-builtin": (HEAD + "params pi\n", "'pi' is a built-in constant", 3, 8),
+    "expected-declaration": ("coords t x\n= 1", "expected a declaration, found '='", 2, 1),
+    "duplicate-lagrangian": (BODY + "lagrangian dy[x]^2", "duplicate lagrangian declaration", 4, 1),
+    "unknown-declaration": (BODY + "model m", "unknown declaration 'model'", 4, 1),
+    "no-field-at-end": ("coords t x\n", "at least one field required", 2, 1),
+    "missing-lagrangian": (HEAD, "missing lagrangian declaration", 3, 1),
+    "coords-first": ("fields y\nlagrangian dy[t]^2", "coords must be declared first", 2, 1),
+    "duplicate-coords": ("coords t\ncoords x\n", "duplicate coords declaration", 2, 1),
+    "coords-need-a-name": ("coords\nfields y\n", "coords declaration needs at least one name", 1, 1),
+    "duplicate-fields": ("coords t\nfields y\nfields z\n", "duplicate fields declaration", 3, 1),
+    "fields-need-a-name": ("coords t\nfields\nlagrangian 1", "at least one field required", 2, 1),
+    "expected-number": (HEAD + "params a=b\n", "expected a number", 3, 10),
+    "expected-denominator": (HEAD + "params a=1/b\n", "expected a denominator", 3, 12),
+    "zero-denominator": (HEAD + "params a=1/0\n", "zero denominator", 3, 12),
+    "param-takes-no-index": (HEAD + "params a\nlagrangian a[t]*dy[t]^2", "parameter 'a' takes no index", 4, 14),
+    "cannot-index": (HEAD + "lagrangian y[t]", "cannot index 'y'", 3, 12),
+    "expected-expression": (HEAD + "lagrangian )", "expected an expression, found ')'", 3, 12),
+    "bad-direction": (BODY + "symmetry Y: d/y", "expected a direction d/d<coord>, found d/y", 4, 15),
+    "unknown-action-base": (BODY + "symmetry S: d/ds[z]", "unknown base coordinate 'z'", 4, 18),
+    "unknown-bc": (BODY + "scenario s { bc open; }", "unknown boundary condition 'open'", 4, 17),
+    "duplicate-grid-key": (BODY + "scenario s { grid nx=8 nx=16; }", "duplicate grid key 'nx'", 4, 24),
+    "duplicate-grid-key-across-items": (
+        BODY + "scenario s { grid nx=8; grid lx=2; grid nx=16; }", "duplicate grid key 'nx'", 4, 41),
+    "nx-integer": (BODY + "scenario s { grid nx=8.5; }", "nx must be an integer", 4, 22),
+    "init-y0-or-v0": (BODY + "scenario s { init z0 = 1; }", "init expects y0 or v0", 4, 19),
+    "unknown-scenario-item": (BODY + "scenario s { run 1; }", "unknown scenario item 'run'", 4, 14),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARSE_ERRORS))
+def test_parse_error_message_and_position(case):
+    text, message, line, col = PARSE_ERRORS[case]
+    with pytest.raises(DslError) as exc:
+        parse(text)
+    assert (exc.value.message, exc.value.line, exc.value.col) == (message, line, col)
+
+
 def _token_lines(toks):
     """Tokens per line as ``<kind initial><text>@<col>``, space separated."""
     lines = {}
