@@ -28,7 +28,7 @@ import sys
 import time
 
 from .dsl import DslError, ModelFile, parse
-from .expr import EvalError, to_text
+from .expr import EvalError, ExprError, to_text
 from .forms import form_to_json, form_to_text, vector_to_text
 from .hamiltonian import LegendreError, hdw_residuals, legendre
 from .lagrangian import (
@@ -82,13 +82,19 @@ def _report(command: str, model: ModelFile, args, outputs: dict) -> dict:
     }
 
 
-def _candidate(model: ModelFile, name: str, chart, paper_sign: bool):
-    if name not in model.symmetries:
-        raise CliFailure(f"unknown symmetry candidate {name!r}", 2)
+def _classified(model: ModelFile, sys_, args):
+    """The classification of candidate ``args.name``; exits 2 for a candidate
+    that is not projectable or a zero test that cannot evaluate the model."""
+    if args.name not in model.symmetries:
+        raise CliFailure(f"unknown symmetry candidate {args.name!r}", 2)
     try:
-        return jet_lift(model.candidate(name, chart), paper_sign=paper_sign)
+        Y = jet_lift(model.candidate(args.name, sys_.chart), paper_sign=args.paper_sign)
     except SymmetryError as exc:
-        raise CliFailure(f"symmetry candidate {name!r}: {exc}", 2) from exc
+        raise CliFailure(f"symmetry candidate {args.name!r}: {exc}", 2) from exc
+    try:
+        return classify(Y, sys_, seed=args.seed or 0, tol=args.tol)
+    except ExprError as exc:
+        raise CliFailure(f"zero test: {exc}", 2) from exc
 
 
 def cmd_derive(args) -> int:
@@ -155,8 +161,7 @@ def cmd_derive(args) -> int:
 def cmd_check_symmetry(args) -> int:
     model = _load_model(args.model)
     sys_ = model.system()
-    Y = _candidate(model, args.name, sys_.chart, args.paper_sign)
-    rep = classify(Y, sys_, seed=args.seed or 0, tol=args.tol)
+    rep = _classified(model, sys_, args)
     outputs = rep.to_json()
     lines = [
         f"candidate {args.name}: {outputs['candidate']}",
@@ -176,8 +181,7 @@ def cmd_check_symmetry(args) -> int:
 def cmd_current(args) -> int:
     model = _load_model(args.model)
     sys_ = model.system()
-    Y = _candidate(model, args.name, sys_.chart, args.paper_sign)
-    rep = classify(Y, sys_, seed=args.seed or 0, tol=args.tol)
+    rep = _classified(model, sys_, args)
     xi = rep.current
     outputs = {"current": form_to_json(xi), "current_text": form_to_text(xi), "classification": rep.classification}
     lines = [f"xi_{args.name} = {outputs['current_text']}"]
@@ -298,8 +302,7 @@ def cmd_verify_law(args) -> int:
     model = _load_model(args.model)
     sys_ = model.system()
     scenario = _scenario(model, args.scenario)
-    Y = _candidate(model, args.name, sys_.chart, args.paper_sign)
-    rep = classify(Y, sys_, seed=args.seed or 0, tol=args.tol)
+    rep = _classified(model, sys_, args)
     xi = rep.current
     meshes = [scenario.nx, 2 * scenario.nx, 4 * scenario.nx]
     norms = []
@@ -426,6 +429,14 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def positive_finite(text: str) -> float:
+    """A ``--tol`` value: a float that is positive and finite."""
+    tol = float(text)
+    if not 0 < tol < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, not {text!r}")
+    return tol
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The process's one parser, built on first use; each ``parse_args`` call
@@ -434,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="machine-readable report on stdout")
     p.add_argument("--paper-sign", action="store_true", help="use the published sign for prolonged velocity components")
     p.add_argument("--seed", type=int, default=None, help="seed for zero-test probing")
-    p.add_argument("--tol", type=float, default=1e-9, help="probing tolerance for zero tests")
+    p.add_argument("--tol", type=positive_finite, default=1e-9, help="positive, finite probing tolerance for zero tests")
     sub = p.add_subparsers(dest="cmd", required=True)
 
     d = sub.add_parser("derive", help="derive the multicontact structures and field equations")

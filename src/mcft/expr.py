@@ -12,11 +12,13 @@ Consequences baked into this representation:
 * structural equality of canonical forms decides equality for
   polynomial expressions and for rational expressions whose
   denominators are monomials;
-* ``is_zero`` clears every denominator, inverted sums included, and
-  reads an expression whose cleared form has no terms as ``ZERO``; it
-  falls back to randomized numeric probing only when sin/cos/exp atoms
-  are left after clearing, reporting ``PROBABLY_ZERO`` instead of a
-  proven ``ZERO``.
+* ``is_zero`` proves ``NONZERO`` by one evaluation modulo the prime
+  2^61 - 1, each symbol at a residue derived from its name (Schwartz,
+  J. ACM 27 (1980); Zippel, EUROSAM 1979); where that value is 0 or
+  undefined it clears every denominator, inverted sums included, and
+  reads a cleared form with no terms as ``ZERO``; it falls back to
+  randomized numeric probing only when sin/cos/exp atoms are left after
+  clearing, reporting ``PROBABLY_ZERO`` instead of a proven ``ZERO``.
 
 There is deliberately no simplification beyond canonicalization: no
 factoring, no trigonometric rewriting.
@@ -43,6 +45,7 @@ never a float; ``as_rational()`` always returns a ``Fraction``.
 """
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -109,7 +112,7 @@ class Symbol:
     bindings match symbols by name.
     """
 
-    __slots__ = ("name", "role", "order", "key", "_hash")
+    __slots__ = ("name", "role", "order", "key", "_hash", "_residue")
 
     def __init__(self, name: str, role: str = "generic", order: int = 0):
         if role not in ROLE_RANK:
@@ -121,6 +124,7 @@ class Symbol:
         self.order = order
         self.key = (0, ROLE_RANK[role], order, name)
         self._hash = hash(self.key)
+        self._residue = None
 
     def __eq__(self, other):
         return self is other or (isinstance(other, Symbol) and other._hash == self._hash and other.key == self.key)
@@ -162,7 +166,7 @@ class SumAtom:
     rescaled denominators canonicalize identically.
     """
 
-    __slots__ = ("expr", "key", "_hash", "_diff", "_text")
+    __slots__ = ("expr", "key", "_hash", "_diff", "_text", "_residue")
 
     def __init__(self, expr: "Expr"):
         self.expr = expr
@@ -170,6 +174,7 @@ class SumAtom:
         self._hash = hash(self.key)
         self._diff = None
         self._text = None
+        self._residue = None
 
     def __eq__(self, other):
         return self is other or (isinstance(other, SumAtom) and other._hash == self._hash and other.key == self.key)
@@ -623,18 +628,18 @@ def evaluate(e, bindings: Mapping[str, float], _guard: float = 0.0) -> float:
     e = _coerce(e)
     total = 0.0
     for mono, c in e.terms:
-        v = float(c)
+        try:
+            v = float(c)
+        except OverflowError:  # at every point alike: not resampled
+            raise EvalError("a value is too large for a float") from None
         for a, k in mono:
             base = _atom_eval(a, bindings, _guard)
-            if k < 0:
-                if base == 0.0:
-                    raise EvalError(f"domain error: zero base raised to {k}")
-                if _guard and abs(base) < _guard:
-                    raise _Resample()
+            if k < 0 and abs(base) <= _guard:
+                raise _Resample() if _guard else EvalError(f"domain error: zero base raised to {k}")
             v *= base ** k
         total += v
     if math.isinf(total) or math.isnan(total):
-        raise EvalError("non-finite value in evaluation")
+        raise _Resample() if _guard else EvalError("non-finite value in evaluation")
     return total
 
 
@@ -676,22 +681,54 @@ class ZeroCheck(Enum):
 
 
 PROBE_SAMPLES = 16  # points a function-bearing expression must vanish at
+_P = (1 << 61) - 1  # the Mersenne prime that is_zero's certificate computes modulo
+
+
+def _image(e: Expr) -> tuple:
+    """``e`` mod _P as (n, d) = n/d, each symbol at a fixed residue derived
+    from its name (cached on it, as an inverted sum's image is); (0, 0) where
+    that is undefined: a function atom, a denominator or inverted sum 0 mod _P."""
+    n, d = 0, 1
+    for mono, c in e.terms:
+        tn, td = (c, 1) if type(c) is int else (c.numerator, c.denominator)
+        for a, k in mono:
+            if type(a) is FuncAtom:
+                return 0, 0
+            if a._residue is None:
+                if type(a) is SumAtom:
+                    a._residue = _image(a.expr)
+                else:
+                    a._residue = int.from_bytes(hashlib.blake2b(a.name.encode(), digest_size=8).digest(), "big") % _P, 1
+            an, ad = a._residue
+            if k < 0:
+                an, ad, k = ad, an, -k
+            tn, td = tn * pow(an, k, _P) % _P, td * pow(ad, k, _P) % _P
+        n, d = (n * td + tn * d) % _P, d * td % _P
+    return (n, d) if d else (0, 0)
 
 
 def is_zero(e, seed: int = 0, tol: float = 1e-9) -> ZeroCheck:
     """Trichotomous zero test.
 
-    An expression is zero exactly when multiplying out its denominators,
-    inverted sums included, leaves no terms, whatever atoms it holds.  A
-    cleared form with terms is ``NONZERO`` unless it still holds a
-    sin/cos/exp atom; only then is the expression probed at
-    ``PROBE_SAMPLES`` random points per symbol range [-2, 2].
+    An expression whose value mod _P (``_image``) is defined and nonzero
+    is ``NONZERO``: evaluation mod _P is a ring homomorphism where the
+    denominators are units, so it maps the zero function to 0.  Otherwise
+    it is zero exactly when multiplying out its denominators, inverted
+    sums included, leaves no terms, whatever atoms it holds.  A cleared
+    form with terms is ``NONZERO`` unless it still holds a sin/cos/exp
+    atom; only then is the expression probed at ``PROBE_SAMPLES`` random
+    points per symbol range [-2, 2], and a coefficient past the largest
+    float raises ``EvalError``.  ``tol`` must be positive and finite.
     """
+    if not 0 < tol < math.inf:
+        raise ExprError(f"probing tolerance must be positive and finite, not {tol}")
     e = _coerce(e)
     if not e.terms:
         return ZeroCheck.ZERO
     if all(type(a) is Symbol for mono, _ in e.terms for a, _k in mono):
         return ZeroCheck.NONZERO  # a Laurent polynomial: its canonical form is unique
+    if all(_image(e)):
+        return ZeroCheck.NONZERO  # n/d nonzero mod _P: no zero function has that value
     cleared = clear_denominators([e])[0][0]  # no inverted sum is left in it
     if not cleared.terms:
         return ZeroCheck.ZERO
@@ -708,7 +745,7 @@ def is_zero(e, seed: int = 0, tol: float = 1e-9) -> ZeroCheck:
         b = {s.name: rng.uniform(-2.0, 2.0) for s in syms}
         try:
             v = evaluate(e, b, _guard=1e-3)
-        except (_Resample, EvalError):
+        except (_Resample, OverflowError):
             continue
         if abs(v) > tol:
             return ZeroCheck.NONZERO

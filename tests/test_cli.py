@@ -417,6 +417,39 @@ def test_non_projectable_candidate_exit_2(tmp_path, verb, name):
     assert "Traceback" not in r.stderr
 
 
+PAST_FLOAT_ZERO_TEST = (
+    "coords t x\nfields y\nlagrangian 0.5*dy[t]^2 - 0.5*dy[x]^2 + 1e400*sin(y)\n"
+    "symmetry Y: d/dy\nsymmetry T: d/dt\n"
+    "scenario one { bc periodic; grid cfl=0.5 lx=1 nx=16 t=0.01; init y0 = 0; init v0 = 0; }\n"
+)
+
+
+@pytest.mark.parametrize(
+    "verb", [["check-symmetry"], ["current"], ["verify-law", "one"]], ids=["check-symmetry", "current", "verify-law"]
+)
+def test_zero_test_past_float_range_exit_2(tmp_path, verb):
+    # L_Y Theta holds 1e400*cos(y), whose probe cannot convert the coefficient
+    # at any point: one error, not a resample
+    p = tmp_path / "past_float.mcft"
+    p.write_text(PAST_FLOAT_ZERO_TEST)
+    r = run_subprocess(verb[0], str(p), "Y", *verb[1:])
+    assert r.returncode == 2, r.stderr
+    assert r.stderr == "error: zero test: a value is too large for a float\n"
+    for argv in (["check-symmetry", str(p), "T"], ["derive", str(p)], ["sopde", str(p)]):
+        assert run_cli(*argv)[0] == 0
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-9", "abc"])
+def test_tol_that_is_not_positive_and_finite_exit_2(tmp_path, tol):
+    # a NaN or infinite tol read every probe as zero, 0 or less every probe as nonzero
+    p = tmp_path / "sin.mcft"
+    p.write_text("coords t x\nfields y\nlagrangian 0.5*dy[t]^2 - 0.5*dy[x]^2 + sin(y)\nsymmetry Y: d/dy\n")
+    r = run_subprocess("--tol", tol, "check-symmetry", str(p), "Y")
+    assert r.returncode == 2 and "argument --tol" in r.stderr and r.stdout == ""
+    code, out, _ = run_cli("--tol", "1e-6", "check-symmetry", str(p), "Y")
+    assert code == 1 and "classification: not-noether" in out
+
+
 class TestDeterminism:
     def test_identical_seeds_byte_identical_json(self):
         _, a, _ = run_cli("--json", "--seed", "42", "check-symmetry", MODEL, "Y")

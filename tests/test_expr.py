@@ -679,3 +679,100 @@ def test_derivative_by_a_symbol_not_held_is_zero(e):
     for s in chart.symbols:
         if s not in e.symbols:
             assert diff(e, s) is ZERO or not diff(e, s).terms
+
+
+# ---------------------------------------------------------------------------
+# The NONZERO certificate: one evaluation modulo a prime.
+
+import mcft.expr as expr_module  # noqa: E402  (patched below)
+from mcft.expr import _P, _image  # noqa: E402
+
+
+@st.composite
+def polys(draw):
+    """Small polynomials in x, y, z with integer coefficients."""
+    terms = draw(st.lists(st.tuples(st.integers(-3, 3), *[st.integers(0, 2)] * 3), min_size=1, max_size=3))
+    return add(*(c * x**i * y**j * z**k for c, i, j, k in terms))
+
+
+@st.composite
+def function_free_exprs(draw):
+    """Rational expressions without function atoms, with an inverted sum
+    nested in another; half of them are zero, which only clearing sees."""
+    den = add(draw(polys()), x, const(1))
+    assume(den.terms)
+    nested = add(draw(polys()), y, pow_(den, -1))
+    e = add(mul(draw(polys()), pow_(den, -1)), mul(draw(polys()), pow_(nested, -1)))
+    if draw(st.booleans()):
+        e = add(mul(e, den, pow_(den, -1)), -e)
+    return e
+
+
+@given(function_free_exprs())
+@settings(max_examples=80, deadline=None)
+def test_modular_certificate_agrees_with_the_exact_clear(e):
+    cleared = clear_denominators([e])[0][0]
+    assert is_zero(e) is (ZeroCheck.NONZERO if cleared.terms else ZeroCheck.ZERO)
+    n, d = _image(e)
+    assert not (n and d) or cleared.terms
+
+
+class TestModularCertificate:
+    a, b = var("a", "param"), var("b", "param")
+
+    def counted_clears(self, monkeypatch, e):
+        calls = []
+        real = expr_module.clear_denominators
+        monkeypatch.setattr(expr_module, "clear_denominators", lambda *args: calls.append(1) or real(*args))
+        return is_zero(e), len(calls)
+
+    def test_nonzero_expands_nothing(self, monkeypatch):
+        a, b = self.a, self.b
+        identity = a / (a + b) + b / (a + b) - 1
+        assert self.counted_clears(monkeypatch, identity + 1 / (a + b + 3)) == (ZeroCheck.NONZERO, 0)
+        assert self.counted_clears(monkeypatch, identity) == (ZeroCheck.ZERO, 1)
+
+    def test_denominator_of_the_prime_falls_back_to_the_clear(self, monkeypatch):
+        a, b = self.a, self.b
+        c = Fraction(1, _P)
+        assert _image(c / (a + b))[1] == 0 and _image(1 / (a + c * b))[1] == 0
+        assert self.counted_clears(monkeypatch, c * a / (a + b) + c * b / (a + b) - c) == (ZeroCheck.ZERO, 1)
+        assert self.counted_clears(monkeypatch, c / (a + b) + 1) == (ZeroCheck.NONZERO, 1)
+
+    def test_inverted_sum_vanishing_at_the_point_falls_back_to_the_clear(self, monkeypatch):
+        a, b = self.a, self.b
+        r = _image(a)[0]  # a's residue: a - r is 0 at the point
+        assert _image(1 / (a - r))[1] == 0
+        assert self.counted_clears(monkeypatch, a / (a - r) - r / (a - r) - 1) == (ZeroCheck.ZERO, 1)
+        assert self.counted_clears(monkeypatch, 1 / (a - r) + b) == (ZeroCheck.NONZERO, 1)
+
+    def test_function_atoms_have_no_image(self):
+        a = self.a
+        assert _image(sin(a) / (a + 1))[1] == 0 and _image(a / (1 + cos(a)))[1] == 0
+
+    def test_residues_are_cached_on_the_atoms(self):
+        a, b = self.a, self.b
+        e = 1 / (a + b)
+        assert _atom(e)._residue is None
+        assert _image(e) == (1, _image(a + b)[0]) and _atom(e)._residue == _image(a + b)
+        assert a.single_symbol._residue == _image(a)
+
+
+def test_coefficient_past_the_float_range_is_raised_once(monkeypatch):
+    calls = []
+    real = expr_module.evaluate
+    monkeypatch.setattr(expr_module, "evaluate", lambda *args, **kw: calls.append(1) or real(*args, **kw))
+    with pytest.raises(EvalError, match="too large for a float"):
+        is_zero(10**400 * sin(x))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-9])
+def test_probing_tolerance_must_be_positive_and_finite(tol):
+    with pytest.raises(ExprError, match="positive and finite"):
+        is_zero(sin(x) ** 2 + cos(x) ** 2 - 1, tol=tol)
+
+
+def test_probe_point_past_the_float_range_is_resampled():
+    # exp(1000*x) overflows at the probe points with x > 0.71 and not at the others
+    assert is_zero(exp(1000 * x) - exp(500 * x)) is ZeroCheck.NONZERO
