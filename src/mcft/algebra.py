@@ -38,13 +38,13 @@ from typing import NamedTuple, Sequence
 from .expr import (
     Expr,
     ExprError,
+    FuncAtom,
     Symbol,
     add,
     clear_denominators,
     const,
     div_exact,
     mul,
-    free_symbols,
     is_zero,
     pow_,
 )
@@ -69,17 +69,17 @@ def _affine_row(e: Expr, column: dict) -> list:
     its index), then its constant part.
 
     Raises NonlinearSystemError if any term is quadratic or higher in the
-    unknowns.
+    unknowns, or if a function or inverted-sum atom holds one.
     """
+    atoms = {a for mono, _ in e.terms for a, _k in mono if not isinstance(a, Symbol)}
+    if any(not column.keys().isdisjoint((a.arg if isinstance(a, FuncAtom) else a.expr).symbols) for a in atoms):
+        raise NonlinearSystemError(f"nonlinear in unknowns: {e}")
     parts = [[] for _ in range(len(column) + 1)]
     for mono, c in e.terms:
         hits = [(a, k) for a, k in mono if a in column]
         if len(hits) > 1 or (hits and hits[0][1] != 1):
             raise NonlinearSystemError(f"nonlinear in unknowns: {e}")
         piece = Expr(((tuple(ak for ak in mono if ak[0] not in column), c),))
-        if free_symbols(piece) & column.keys():
-            # an unknown buried inside a function or inverted-sum atom
-            raise NonlinearSystemError(f"nonlinear in unknowns: {e}")
         parts[column[hits[0][0]] if hits else -1].append(piece)
     return [add(*p) for p in parts]
 

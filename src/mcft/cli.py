@@ -12,7 +12,8 @@ One verb per pipeline stage:
 Exit codes: 0 success, 1 failed check / not-noether, 2 usage, parse,
 numeric or I/O errors (stdout closed early too), 3 singular Lagrangian
 (with --hamiltonian, or for sopde), failed sopde self-check or CFL
-violation.
+violation, 4 internal error (an unexpected exception; its traceback
+follows the error line on stderr).
 JSON reports (--json) are deterministic for a fixed --seed: no wall-clock
 content; timing goes to stderr in human mode only.
 """
@@ -482,6 +483,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        # exact output is the point: a model's integers, and those the
+        # computation builds from them, print whatever their length
+        sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
@@ -494,6 +499,12 @@ def main(argv=None) -> int:
         # stdout closed early (`| head`): exit 2; devnull takes the flush at exit
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
+    except Exception:
+        import traceback
+
+        print("error: internal error", file=sys.stderr)
+        traceback.print_exc()
+        return 4
     if not args.json:
         print(f"[{1000.0 * (time.perf_counter() - t0):.0f} ms]", file=sys.stderr)
     return code

@@ -40,6 +40,16 @@ derivative by each symbol on first request, and its plain rendering
 are built on first use, since most intermediate results are never
 compared, hashed, atomized or differentiated.
 
+What repeats across expressions is interned or memoized (hash-consing:
+Filliâtre & Conchon, ML Workshop 2006).  A ``Symbol`` is one object per
+(name, role, order), kept in a process-wide registry, so equal symbols
+compare by identity.  Two tables remember the sort key of each monomial
+(``_mono_key``) and the merged, sorted product of each pair of
+multi-factor monomials (``_product``); the symbols of equal monomials
+are the same objects, so a lookup mostly matches by identity.  Each
+table is cleared when it holds ``_TABLE_BOUND`` (2^14) entries, which
+bounds its memory on any input.
+
 A coefficient is an ``int`` when integral and a ``Fraction`` otherwise,
 never a float; ``as_rational()`` always returns a ``Fraction``.
 """
@@ -102,33 +112,44 @@ ROLE_RANK = {
 }
 
 
+_SYMBOLS: dict = {}  # (name, role, order) -> its one Symbol
+
+
 class Symbol:
-    """A named scalar symbol.
+    """A named scalar symbol, one object per (name, role, order).
 
     Identity is the full (name, role, order) tuple; ``role`` and
-    ``order`` determine the canonical sort position.  Symbols should be
-    obtained from their owning chart or parameter declaration so that
-    one name always carries one identity.  Substitution and numeric
-    bindings match symbols by name.
+    ``order`` determine the canonical sort position.  ``Symbol(...)``
+    returns the registered object for its tuple, and copies and pickles
+    come back as it, so equal symbols are the same object.  The registry
+    keeps every symbol made, one per distinct name, role and order.
+    Substitution and numeric bindings match symbols by name.
     """
 
     __slots__ = ("name", "role", "order", "key", "_hash", "_residue")
 
-    def __init__(self, name: str, role: str = "generic", order: int = 0):
+    def __new__(cls, name: str, role: str = "generic", order: int = 0):
+        self = _SYMBOLS.get((name, role, order))
+        if self is not None:
+            return self
         if role not in ROLE_RANK:
             raise ExprError(f"unknown symbol role {role!r}")
         if not name:
             raise ExprError("empty symbol name")
+        self = object.__new__(cls)
         self.name = name
         self.role = role
         self.order = order
         self.key = (0, ROLE_RANK[role], order, name)
         self._hash = hash(self.key)
         self._residue = None
+        _SYMBOLS[name, role, order] = self
+        return self
 
-    def __eq__(self, other):
-        return self is other or (isinstance(other, Symbol) and other._hash == self._hash and other.key == self.key)
+    def __reduce__(self):
+        return Symbol, (self.name, self.role, self.order)
 
+    # ``==`` is object identity, which the registry makes equality of keys
     def __hash__(self):
         return self._hash
 
@@ -341,8 +362,22 @@ def _from_dict(d: dict) -> Expr:
     return Expr(tuple(sorted(d.items(), key=lambda mc: _mono_key(mc[0]))))
 
 
+_TABLE_BOUND = 1 << 14  # entries a memo table holds before it is cleared
+_KEYS: dict = {}  # monomial -> its sort key
+_PRODUCTS: dict = {}  # (m1, m2) -> the merged, sorted monomial m1*m2
+
+
+def _remember(table: dict, key, value):
+    """Store ``value`` under ``key`` in a memo table, first clearing a full one."""
+    if len(table) >= _TABLE_BOUND:
+        table.clear()
+    table[key] = value
+    return value
+
+
 def _mono_key(mono: Monomial):
-    return tuple((a.key, k) for a, k in mono)
+    key = _KEYS.get(mono)
+    return key if key is not None else _remember(_KEYS, mono, tuple((a.key, k) for a, k in mono))
 
 
 def _accumulate(acc: dict, mono: Monomial, c) -> None:
@@ -428,8 +463,11 @@ def _product(a: Expr, b: Expr) -> Expr:
                 else:
                     mono = m1 + m2 if a1.key < a2.key else m2 + m1
             else:
-                factors = _merge_factors(m1, m2)
-                mono = tuple(sorted(((f, k) for f, k in factors.items() if k), key=lambda fk: fk[0].key))
+                mono = _PRODUCTS.get((m1, m2))
+                if mono is None:
+                    factors = _merge_factors(m1, m2)
+                    merged = sorted(((f, k) for f, k in factors.items() if k), key=lambda fk: fk[0].key)
+                    mono = _remember(_PRODUCTS, (m1, m2), tuple(merged))
             _accumulate(acc, mono, _norm(c1 * c2))
     return _from_dict(acc)
 
@@ -664,7 +702,9 @@ def canon(e) -> Expr:
             factors[a] = factors.get(a, 0) + k
         m = tuple(sorted(((a, k) for a, k in factors.items() if k), key=lambda ak: ak[0].key))
         acc[m] = acc.get(m, 0) + c
-    return Expr(tuple(sorted(((m, _norm(c)) for m, c in acc.items() if c), key=lambda mc: _mono_key(mc[0]))))
+    # sort keys built afresh, not read from ``_mono_key``'s table
+    terms = sorted(((m, _norm(c)) for m, c in acc.items() if c), key=lambda mc: tuple((a.key, k) for a, k in mc[0]))
+    return Expr(tuple(terms))
 
 
 def free_symbols(e) -> set:

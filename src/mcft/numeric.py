@@ -34,6 +34,7 @@ array of that size.
 from __future__ import annotations
 
 import math
+import sys
 from functools import cached_property
 from typing import Iterator, Mapping, NamedTuple, Optional
 
@@ -127,6 +128,8 @@ def make_grid(nx: int, lx: float, cfl: float, t_final: float, wave_speed: float,
         raise CflError(f"CFL factor must lie in (0, 1], got {cfl}")
     if nx < 8:
         raise NumericError("need at least 8 spatial points")
+    if nx > sys.float_info.max:  # lx / nx would raise OverflowError
+        raise NumericError("grid size nx is too large for a float")
     _check_positive(("domain length", lx), ("final time", t_final), ("wave speed", wave_speed))
     dt = cfl * (lx / nx) / wave_speed  # 0 when it underflows, NaN for a NaN cfl
     _check_positive(("time step", dt), ("step count", t_final / dt if dt else math.inf))

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from mcft import algebra
 from mcft.algebra import InconsistentSystemError, NonlinearSystemError, det, solve_affine
 from mcft.dsl import parse
-from mcft.expr import ExprError, add, const, div_exact, mul, pow_, substitute, sym, var
+from mcft.expr import ExprError, add, const, cos, div_exact, exp, mul, pow_, sin, substitute, sym, var
 from mcft.hamiltonian import legendre
 from mcft.lagrangian import Regularity
 
@@ -232,6 +232,27 @@ def test_block_split_keeps_the_errors():
         solve_affine([A1 - a, A2 - b, a + 1], BLOCK_UNKNOWNS)
     with pytest.raises(NonlinearSystemError):
         solve_affine([A1 - a, A2 * A3 - b], BLOCK_UNKNOWNS)
+
+
+@pytest.mark.parametrize(
+    "equation",
+    [
+        lambda a, b: sin(A1) - a,  # inside a function atom
+        lambda a, b: b / (A1 + a) - 1,  # inside an inverted sum
+        lambda a, b: A1 + b * cos(a * A1),  # bare in one term, buried in another
+        lambda a, b: A2 - a * exp(b) + sin(b + A1),  # buried in the last term only
+    ],
+    ids=["function", "inverted-sum", "bare-and-buried", "last-term"],
+)
+def test_unknown_inside_an_atom_is_nonlinear(equation):
+    a, b, _ = SYMS
+    e = equation(a, b)
+    with pytest.raises(NonlinearSystemError, match=r"^nonlinear in unknowns: ") as exc:
+        solve_affine([e], BLOCK_UNKNOWNS)
+    assert str(exc.value) == f"nonlinear in unknowns: {e}"
+    # the same atoms over known symbols only are coefficients
+    known = add(substitute(e, {A1: b}), mul(sin(a), A3))
+    assert solve_affine([known], BLOCK_UNKNOWNS).solved
 
 
 # L of two fields whose t- and x-Hessian blocks are both symbolic

@@ -7,11 +7,13 @@ import sys
 import numpy as np
 import pytest
 
+from mcft import cli
 from mcft.cli import _mesh, main
 from mcft.dsl import parse
 from mcft.numeric import damped_wave, integrate_damped_wave
 
 MODEL = str(pathlib.Path(__file__).resolve().parents[1] / "models" / "string.mcft")
+MODEL_TEXT = pathlib.Path(MODEL).read_text(encoding="utf-8")
 
 
 def run_cli(*argv):
@@ -343,6 +345,8 @@ DEGENERATE = {
     # past the largest float: an OverflowError in the conversion, not a traceback
     "lx1e400": ("grid cfl=0.5 lx=1e400 nx=16 t=1; init y0 = 0", "grid lx, cfl or t is too large for a float"),
     "t1e400": ("grid cfl=0.5 lx=1 nx=16 t=1e400; init y0 = 0", "grid lx, cfl or t is too large for a float"),
+    # an integer past the largest float: lx / nx cannot convert it
+    "nx1281e400": ("grid cfl=0.5 lx=1 nx=1281e400 t=1; init y0 = 0", "grid size nx is too large for a float"),
     # a float, but t/dt = 3.2e301 steps is no array length
     "t1e300": ("grid cfl=0.5 lx=1 nx=16 t=1e300; init y0 = 0", "exceeds the largest array length"),
     # initial data past the largest float, as a constant and as a coefficient
@@ -615,3 +619,62 @@ def test_closed_stdout_exit_2_without_traceback(argv):
     proc.stderr.close()
     assert proc.wait() == 2, err
     assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+# integers past the interpreter's default 4300-digit limit on str <-> int
+# conversion, from the model (a literal) and from the computation (the
+# Hessian determinant squares 1e2500)
+LONG_INTEGERS = {
+    "literal": ("rho=1 ", "rho=" + "9" * 5000 + " "),
+    "term": ("- gamma*s[t]", "- gamma*s[t] + 1e5000*y"),
+    "determinant": ("- gamma*s[t]", "- gamma*s[t] + 1e2500*dy[t]*dy[x]"),
+}
+
+
+@pytest.mark.parametrize(
+    "case, argv, code, digits",
+    [
+        ("literal", ["derive"], 0, None),
+        ("term", ["derive"], 0, "1" + "0" * 5000),
+        ("term", ["sopde"], 0, "1" + "0" * 5000),
+        # 1e5000*y breaks the shift: a not-noether verdict whose witness holds 1e5000
+        ("term", ["check-symmetry", "Y"], 1, "1" + "0" * 5000),
+        ("determinant", ["derive"], 0, "1" + "0" * 5000),
+    ],
+    ids=["literal-derive", "term-derive", "term-sopde", "term-check-symmetry", "determinant-derive"],
+)
+def test_integers_past_the_str_digit_limit_print_in_full(tmp_path, case, argv, code, digits):
+    old, new = LONG_INTEGERS[case]
+    p = tmp_path / "long.mcft"
+    p.write_text(MODEL_TEXT.replace(old, new, 1))
+    r = run_subprocess("--json", argv[0], str(p), *argv[1:])
+    assert r.returncode == code, r.stderr
+    assert r.stderr == "" and json.loads(r.stdout)["command"] == argv[0]
+    if digits is not None:
+        assert digits in r.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["derive", MODEL],
+        ["derive", "--hamiltonian", MODEL],
+        ["check-symmetry", MODEL, "Y"],
+        ["current", MODEL, "Y"],
+        ["sopde", MODEL],
+        ["verify-law", MODEL, "Y", "main"],
+        ["simulate", MODEL, "main"],
+    ],
+    ids=lambda argv: "-".join(a for a in argv if a != MODEL),
+)
+def test_unexpected_exception_exits_4_with_its_traceback(monkeypatch, argv):
+    # a crash is not a verdict: 4, not the 1 of not-noether
+    def crash(path):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_load_model", crash)
+    code, out, err = run_cli("--json", *argv)
+    assert code == 4 and out == ""
+    first, *rest = err.splitlines()
+    assert first == "error: internal error"
+    assert rest[0] == "Traceback (most recent call last):" and rest[-1] == "RuntimeError: boom"

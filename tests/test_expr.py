@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -776,3 +778,83 @@ def test_probing_tolerance_must_be_positive_and_finite(tol):
 def test_probe_point_past_the_float_range_is_resampled():
     # exp(1000*x) overflows at the probe points with x > 0.71 and not at the others
     assert is_zero(exp(1000 * x) - exp(500 * x)) is ZeroCheck.NONZERO
+
+
+# ---------------------------------------------------------------------------
+# One Symbol per (name, role, order), and the memo tables of the kernel.
+
+
+class TestInterning:
+    def test_one_symbol_per_name_role_and_order(self):
+        a = Symbol("a", "param")
+        assert a is Symbol("a", "param") is Symbol("a", "param", 0) is var("a", "param").single_symbol
+        assert Symbol("a") is not a and Symbol("a", "param", 1) is not a
+        assert a == Symbol("a", "param") and a != Symbol("a")
+        assert hash(a) == hash(a.key) == hash((0, 0, 0, "a"))
+
+    def test_copies_and_pickles_are_the_registered_object(self):
+        a = Symbol("a", "param")
+        for clone in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a)), copy.deepcopy([a, a])[1]):
+            assert clone is a
+        e = mul(var("a", "param"), sin(x), pow_(x + y, -1))
+        back = pickle.loads(pickle.dumps(e))
+        assert back == e and back.terms[0][0][0][0] is a
+
+    def test_bad_symbol_raises_and_registers_nothing(self):
+        before = dict(expr_module._SYMBOLS)
+        with pytest.raises(ExprError, match="unknown symbol role"):
+            Symbol("q", "nonsense")
+        with pytest.raises(ExprError, match="empty symbol name"):
+            Symbol("", "param")
+        assert expr_module._SYMBOLS == before
+
+
+# bases of multi-factor monomials: symbols, a function atom, and sums,
+# which a canonical monomial holds only inverted
+MEMO_BASES = [x, y, z, rho, sin(x), x + y, y * z - 2]
+
+
+@st.composite
+def multi_factor_sums(draw):
+    """A sum of one to three terms, each a rational times one to four
+    factors, a sum base with a negative exponent."""
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        coeff = Fraction(draw(st.integers(-5, 5).filter(bool)), draw(st.integers(1, 4)))
+        factors = []
+        for base in draw(st.lists(st.sampled_from(MEMO_BASES), min_size=1, max_size=4)):
+            k = draw(st.integers(-2, 2).filter(bool))
+            factors.append(pow_(base, -abs(k) if len(base.terms) > 1 else k))
+        terms.append(mul(const(coeff), *factors))
+    return add(*terms)
+
+
+@given(multi_factor_sums(), multi_factor_sums())
+@settings(max_examples=150, deadline=None)
+def test_memoized_products_equal_a_merge_from_scratch(a, b):
+    expr_module._PRODUCTS.clear()
+    expr_module._KEYS.clear()
+    first = mul(a, b)
+    assert first.terms == ref_mul(a, b)
+    # every remembered product and sort key is the one built from scratch
+    for (m1, m2), mono in expr_module._PRODUCTS.items():
+        assert mono == _ref_mono(m1, m2)
+    for mono, key in expr_module._KEYS.items():
+        assert key == tuple((a.key, k) for a, k in mono)
+    assert mul(a, b).terms == first.terms
+    assert mul(b, a).terms == ref_mul(b, a)
+
+
+def test_memo_tables_stay_within_their_bound():
+    bound = expr_module._TABLE_BOUND
+    u, w = var("u"), var("w")
+    most_products = most_keys = 0
+    for i in range(1, bound + 1):
+        # two new multi-factor products and two new monomials to sort each time
+        a, b = add(x**i * y, z * u), add(y * z, w)
+        e = mul(a, b)
+        most_products = max(most_products, len(expr_module._PRODUCTS))
+        most_keys = max(most_keys, len(expr_module._KEYS))
+    # each table filled to its bound and was cleared, never past it
+    assert most_products == most_keys == bound
+    assert e.terms == ref_mul(a, b)

@@ -29,6 +29,14 @@ PARAMETRIC = pathlib.Path(__file__).resolve().parent / "goldens"
 PARAMETRIC_MODEL = PARAMETRIC / "parametric_n2.mcft"
 PARAMETRIC_CASES = sorted((PARAMETRIC / "parametric_n2").glob("*.json"))
 STRING_MESH = json.loads((GOLDENS / "string_mesh.json").read_text(encoding="utf-8"))
+NONPOW2 = pathlib.Path(__file__).resolve().parent / "goldens" / "nonpow2"
+# every verb on its golden model: the symbolic ones on the shipped and
+# parametric models, verify-law and simulate on the nonpow2 one
+EVERY_VERB = (
+    [(p, MODEL) for p in CASES]
+    + [(p, PARAMETRIC_MODEL) for p in PARAMETRIC_CASES]
+    + [(p, NONPOW2.with_suffix(".mcft")) for p in sorted(NONPOW2.glob("*.json"))]
+)
 
 
 def _outputs(*argv):
@@ -64,6 +72,13 @@ def test_shipped_verb_matches_golden(path):
 @pytest.mark.parametrize("path", PARAMETRIC_CASES, ids=[p.stem for p in PARAMETRIC_CASES])
 def test_parametric_verb_matches_golden(path):
     _assert_matches_golden(path, PARAMETRIC_MODEL)
+
+
+@pytest.mark.parametrize("path, model", EVERY_VERB, ids=[f"{p.parent.name}-{p.stem}" for p, _ in EVERY_VERB])
+def test_verb_run_twice_in_one_process_matches_golden(path, model):
+    # the second run meets the symbols and memo tables the first one left
+    for _ in range(2):
+        _assert_matches_golden(path, model)
 
 
 def test_string_mesh_golden_at_unit_amplitude():
