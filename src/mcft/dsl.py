@@ -124,15 +124,46 @@ def tokenize(text: str) -> list:
     return toks
 
 
+MAX_DIGITS = 10_000  # digits a literal's numerator or denominator may have
+_TOO_LONG = 10**MAX_DIGITS  # the least integer with more digits
+
+
+def _too_long(tok: Token) -> DslError:
+    return DslError(f"number literal needs more than {MAX_DIGITS} digits", tok.line, tok.col)
+
+
 def _number_value(tok: Token) -> int | Fraction:
     """A number token's exact value: an ``int`` for decimal digits alone
-    (``isdigit`` would admit ``²``), else a ``Fraction`` via ``Decimal``."""
+    (``isdigit`` would admit ``²``), else a ``Fraction`` via ``Decimal``.
+
+    A value whose numerator or denominator needs more than ``MAX_DIGITS``
+    digits is an error, since printing an integer takes time quadratic in
+    its digits.  ``c * 10^e`` with ``c`` free of trailing zeros has ``size``
+    digits in ``c``; for ``e >= 0`` that is an integer of ``size + e``
+    digits, and for ``e < 0`` its reduced denominator is at least ``2^-e``
+    and its numerator at least ``c / 5^-e``, so ``size`` or ``-e`` past
+    ``4 * MAX_DIGITS`` is too long before anything is built."""
     if tok.text.isdecimal():
+        if len(tok.text.lstrip("0")) > MAX_DIGITS:
+            raise _too_long(tok)
         return int(tok.text)
     try:
-        return Fraction(Decimal(tok.text))
+        d = Decimal(tok.text)
     except InvalidOperation:
         raise DslError(f"bad number {tok.text!r}", tok.line, tok.col) from None
+    if d.is_zero():
+        return Fraction(0)
+    _sign, digits, e = d.as_tuple()
+    size = len(digits)
+    while size > 1 and digits[size - 1] == 0:
+        size -= 1
+    e += len(digits) - size
+    if (size + e > MAX_DIGITS) if e >= 0 else (max(size, -e) > 4 * MAX_DIGITS):
+        raise _too_long(tok)
+    value = Fraction(d)
+    if abs(value.numerator) >= _TOO_LONG or value.denominator >= _TOO_LONG:
+        raise _too_long(tok)
+    return value
 
 
 class Scenario(NamedTuple):

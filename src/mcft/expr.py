@@ -34,32 +34,41 @@ are merged and sorted, and fewer than two terms are left unsorted.
 reference the property tests hold them to.
 
 Atoms are immutable and shared by reference between expressions, so
-each computes once what cannot change: its hash at construction, its
-derivative by each symbol on first request, and its plain rendering
-(no ``name_map``) on first request.  ``Expr.key`` and ``Expr.symbols``
-are built on first use, since most intermediate results are never
-compared, hashed, atomized or differentiated.
+each computes once what cannot change: its derivative by each symbol on
+first request, and its plain rendering (no ``name_map``) on first
+request.  ``Expr.key`` and ``Expr.symbols`` are built on first use,
+since most intermediate results are never compared, hashed, atomized or
+differentiated.
 
 What repeats across expressions is interned or memoized (hash-consing:
-Filliâtre & Conchon, ML Workshop 2006).  A ``Symbol`` is one object per
-(name, role, order), kept in a process-wide registry, so equal symbols
-compare by identity.  Two tables remember the sort key of each monomial
-(``_mono_key``) and the merged, sorted product of each pair of
-multi-factor monomials (``_product``); the symbols of equal monomials
-are the same objects, so a lookup mostly matches by identity.  Each
-table is cleared when it holds ``_TABLE_BOUND`` (2^14) entries, which
-bounds its memory on any input.
+Filliâtre & Conchon, ML Workshop 2006).  Every atom is interned: a
+``Symbol`` is one object per (name, role, order), kept in a process-wide
+registry for good, and a ``FuncAtom`` or ``SumAtom`` is one object per
+key while it is alive, in a registry that holds it weakly, so memory
+stays bounded by the live atoms.  Equal atoms are therefore the same
+object, and atoms compare and hash by identity, at C speed.  Two tables
+remember the sort key of each monomial (``_mono_key``) and the merged,
+sorted product of each pair of multi-factor monomials (``_product``).
+Each table is cleared when it holds ``_TABLE_BOUND`` (2^14) entries,
+which bounds its memory on any input.
 
 A coefficient is an ``int`` when integral and a ``Fraction`` otherwise,
-never a float; ``as_rational()`` always returns a ``Fraction``.
+never a float; ``as_rational()`` always returns a ``Fraction``.  The hot
+loops of ``add``, ``mul`` and ``diff`` combine coefficients through
+``_qmul`` and ``_qadd``: two ints multiply or add natively, and
+otherwise gcd cancellation gives the reduced result, built as an int or
+directly through the two slots of ``Fraction``.  ``canon`` keeps the
+stdlib's ``Fraction`` arithmetic, so it stays an independent reference.
 """
 from __future__ import annotations
 
 import hashlib
 import math
 import random
+import weakref
 from fractions import Fraction
 from enum import Enum
+from math import gcd
 from typing import Callable, Mapping, Union
 
 __all__ = [
@@ -113,6 +122,7 @@ ROLE_RANK = {
 
 
 _SYMBOLS: dict = {}  # (name, role, order) -> its one Symbol
+_ATOMS = weakref.WeakValueDictionary()  # key -> its one live FuncAtom or SumAtom
 
 
 class Symbol:
@@ -121,12 +131,13 @@ class Symbol:
     Identity is the full (name, role, order) tuple; ``role`` and
     ``order`` determine the canonical sort position.  ``Symbol(...)``
     returns the registered object for its tuple, and copies and pickles
-    come back as it, so equal symbols are the same object.  The registry
-    keeps every symbol made, one per distinct name, role and order.
-    Substitution and numeric bindings match symbols by name.
+    come back as it, so equal symbols are the same object and ``==`` and
+    ``hash`` are those of the object.  The registry keeps every symbol
+    made, one per distinct name, role and order.  Substitution and
+    numeric bindings match symbols by name.
     """
 
-    __slots__ = ("name", "role", "order", "key", "_hash", "_residue")
+    __slots__ = ("name", "role", "order", "key", "_residue")
 
     def __new__(cls, name: str, role: str = "generic", order: int = 0):
         self = _SYMBOLS.get((name, role, order))
@@ -141,7 +152,6 @@ class Symbol:
         self.role = role
         self.order = order
         self.key = (0, ROLE_RANK[role], order, name)
-        self._hash = hash(self.key)
         self._residue = None
         _SYMBOLS[name, role, order] = self
         return self
@@ -149,32 +159,31 @@ class Symbol:
     def __reduce__(self):
         return Symbol, (self.name, self.role, self.order)
 
-    # ``==`` is object identity, which the registry makes equality of keys
-    def __hash__(self):
-        return self._hash
-
     def __repr__(self):
         return f"Symbol({self.name!r})"
 
 
 class FuncAtom:
-    """Elementary function application, opaque to canonicalization."""
+    """Elementary function application, opaque to canonicalization; one
+    live object per (fn, argument), like ``Symbol``."""
 
-    __slots__ = ("fn", "arg", "key", "_hash", "_diff", "_text")
+    __slots__ = ("fn", "arg", "key", "_diff", "_text", "__weakref__")
 
-    def __init__(self, fn: str, arg: "Expr"):
-        self.fn = fn
-        self.arg = arg
-        self.key = (1, fn, arg.key)
-        self._hash = hash(self.key)
-        self._diff = None
-        self._text = None
+    def __new__(cls, fn: str, arg: "Expr"):
+        key = (1, fn, arg.key)
+        self = _ATOMS.get(key)
+        if self is None:
+            self = object.__new__(cls)
+            self.fn = fn
+            self.arg = arg
+            self.key = key
+            self._diff = None
+            self._text = None
+            _ATOMS[key] = self
+        return self
 
-    def __eq__(self, other):
-        return self is other or (isinstance(other, FuncAtom) and other._hash == self._hash and other.key == self.key)
-
-    def __hash__(self):
-        return self._hash
+    def __reduce__(self):
+        return FuncAtom, (self.fn, self.arg)
 
     def __repr__(self):
         return f"{self.fn}({self.arg!r})"
@@ -184,24 +193,27 @@ class SumAtom:
     """A multi-term sum held atomically; only stored with negative exponents.
 
     The inner expression is normalized to leading coefficient 1 so that
-    rescaled denominators canonicalize identically.
+    rescaled denominators canonicalize identically.  One live object per
+    inner sum, like ``Symbol``.
     """
 
-    __slots__ = ("expr", "key", "_hash", "_diff", "_text", "_residue")
+    __slots__ = ("expr", "key", "_diff", "_text", "_residue", "__weakref__")
 
-    def __init__(self, expr: "Expr"):
-        self.expr = expr
-        self.key = (2, expr.key)
-        self._hash = hash(self.key)
-        self._diff = None
-        self._text = None
-        self._residue = None
+    def __new__(cls, expr: "Expr"):
+        key = (2, expr.key)
+        self = _ATOMS.get(key)
+        if self is None:
+            self = object.__new__(cls)
+            self.expr = expr
+            self.key = key
+            self._diff = None
+            self._text = None
+            self._residue = None
+            _ATOMS[key] = self
+        return self
 
-    def __eq__(self, other):
-        return self is other or (isinstance(other, SumAtom) and other._hash == self._hash and other.key == self.key)
-
-    def __hash__(self):
-        return self._hash
+    def __reduce__(self):
+        return SumAtom, (self.expr,)
 
     def __repr__(self):
         return f"({self.expr!r})"
@@ -252,6 +264,10 @@ class Expr:
         if self._hash is None:
             self._hash = hash(self.key)
         return self._hash
+
+    def __reduce__(self):
+        # the caches stay behind: ``_hash`` depends on the process's str hash seed
+        return Expr, (self.terms,)
 
     def __eq__(self, other):
         if self is other:
@@ -338,6 +354,46 @@ def _norm(c):
     return c.numerator if c.denominator == 1 else c
 
 
+def _ratio(n: int, d: int):
+    """``n/d`` in lowest terms with ``d > 0``: an int when ``d == 1``, else
+    a Fraction built through its slots, as 3.12's ``_from_coprime_ints``
+    does, without ``Fraction.__new__``'s normalization."""
+    if d == 1:
+        return n
+    f = object.__new__(Fraction)
+    f._numerator = n
+    f._denominator = d
+    return f
+
+
+def _qmul(a, b):
+    """``a*b`` for ints and Fractions, normalized like ``_norm``; two ints
+    multiply natively, else cross-cancellation keeps the result reduced."""
+    if type(a) is int and type(b) is int:
+        return a * b
+    an, ad = (a, 1) if type(a) is int else (a._numerator, a._denominator)
+    bn, bd = (b, 1) if type(b) is int else (b._numerator, b._denominator)
+    g1, g2 = gcd(an, bd), gcd(bn, ad)
+    return _ratio((an // g1) * (bn // g2), (ad // g2) * (bd // g1))
+
+
+def _qadd(a, b):
+    """``a+b`` for ints and Fractions, normalized like ``_norm``; two ints
+    add natively, else only the common factor of the denominators is
+    cancelled (Knuth, TAOCP 4.5.1), as ``Fraction`` does."""
+    if type(a) is int and type(b) is int:
+        return a + b
+    an, ad = (a, 1) if type(a) is int else (a._numerator, a._denominator)
+    bn, bd = (b, 1) if type(b) is int else (b._numerator, b._denominator)
+    g = gcd(ad, bd)
+    if g == 1:
+        return _ratio(an * bd + bn * ad, ad * bd)
+    s = ad // g
+    t = an * (bd // g) + bn * s
+    g2 = gcd(t, g)
+    return _ratio(t // g2, s * (bd // g2))
+
+
 def const(c) -> Expr:
     if type(c) is not int:
         c = _norm(Fraction(c))
@@ -386,7 +442,7 @@ def _accumulate(acc: dict, mono: Monomial, c) -> None:
     if old is None:
         acc[mono] = c
     else:
-        c = _norm(c + old)
+        c = _qadd(c, old)
         if c:
             acc[mono] = c
         else:
@@ -437,7 +493,7 @@ def _scale(e: Expr, c) -> Expr:
     canonical order, are those of ``e``."""
     if c == 1:
         return e
-    return Expr(tuple((m, _norm(ec * c)) for m, ec in e.terms))
+    return Expr(tuple((m, _qmul(ec, c)) for m, ec in e.terms))
 
 
 def _rational(e: Expr):
@@ -468,7 +524,7 @@ def _product(a: Expr, b: Expr) -> Expr:
                     factors = _merge_factors(m1, m2)
                     merged = sorted(((f, k) for f, k in factors.items() if k), key=lambda fk: fk[0].key)
                     mono = _remember(_PRODUCTS, (m1, m2), tuple(merged))
-            _accumulate(acc, mono, _norm(c1 * c2))
+            _accumulate(acc, mono, _qmul(c1, c2))
     return _from_dict(acc)
 
 
@@ -590,7 +646,7 @@ def diff(e, v) -> Expr:
             # lowering one exponent in place keeps the monomial sorted; a sum
             # atom's exponent is negative, so it is never raised to expand
             rest = mono[:i] + ((a, k - 1),) + mono[i + 1 :] if k != 1 else mono[:i] + mono[i + 1 :]
-            parts.append(mul(Expr(((rest, _norm(c * k)),)), da))
+            parts.append(mul(Expr(((rest, _qmul(c, k)),)), da))
     return add(*parts) if parts else ZERO
 
 
@@ -690,10 +746,12 @@ def _canon_atom(a: Atom) -> Atom:
 
 
 def canon(e) -> Expr:
-    """Rebuild ``e`` from its terms: atoms rebuilt recursively, each
-    monomial's factors merged and re-sorted, coefficients re-summed and
-    the terms fully sorted.  It shares no shortcut with ``add``/``mul``,
-    so ``canon(e).terms == e.terms`` checks that ``e`` is canonical."""
+    """Rebuild ``e`` from its terms: atoms rebuilt recursively (an equal
+    atom comes back as the registered object), each monomial's factors
+    merged and re-sorted, coefficients re-summed with the stdlib's
+    arithmetic and the terms fully sorted.  It shares no shortcut with
+    ``add``/``mul``, nor their coefficient helpers, so
+    ``canon(e).terms == e.terms`` checks that ``e`` is canonical."""
     acc: dict = {}
     for mono, c in _coerce(e).terms:
         factors: dict = {}

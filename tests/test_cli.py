@@ -654,6 +654,52 @@ def test_integers_past_the_str_digit_limit_print_in_full(tmp_path, case, argv, c
         assert digits in r.stdout
 
 
+# a number literal's numerator and denominator may have at most
+# dsl.MAX_DIGITS (10000) digits: at the bound the value prints in full, past
+# it the parse stops at the literal, before the value is built
+AT_DIGIT_BOUND = {
+    "digits": ("9" * 10000, "9" * 10000),
+    "exponent": ("1e9999", "1" + "0" * 9999),
+    "denominator": ("1e-9999", "/1" + "0" * 9999),
+    "fraction": ("2e-10000", "/5" + "0" * 9999),
+}
+
+
+@pytest.mark.parametrize("literal, printed", AT_DIGIT_BOUND.values(), ids=AT_DIGIT_BOUND)
+def test_number_literal_at_the_digit_bound_prints_in_full(tmp_path, literal, printed):
+    p = tmp_path / "bound.mcft"
+    p.write_text(MODEL_TEXT.replace("- gamma*s[t]", f"- gamma*s[t] + {literal}*y", 1))
+    r = run_subprocess("--json", "derive", str(p))
+    assert r.returncode == 0, r.stderr
+    assert r.stderr == "" and printed in r.stdout
+
+
+PAST_DIGIT_BOUND = {
+    "digits": "9" * 10001,
+    "exponent": "1e10000",
+    "denominator": "1e-10000",
+    "huge": "1e1000000",
+    "tiny": "1e-1000000",
+}
+
+
+@pytest.mark.parametrize("literal", PAST_DIGIT_BOUND.values(), ids=PAST_DIGIT_BOUND)
+@pytest.mark.parametrize(
+    "old, new", [("- gamma*s[t]", "- gamma*s[t] + {}*y"), ("rho=1 ", "rho=1/{} ")], ids=["term", "param"]
+)
+def test_number_literal_past_the_digit_bound_exits_2_at_its_position(tmp_path, literal, old, new):
+    text = MODEL_TEXT.replace(old, new.format(literal), 1)
+    p = tmp_path / "bound.mcft"
+    p.write_text(text)
+    start = text.index(new.format(literal)) + new.index("{")
+    line = text.count("\n", 0, start) + 1
+    col = start - text.rfind("\n", 0, start)
+    r = run_subprocess("derive", str(p))
+    assert r.returncode == 2
+    assert r.stderr == f"error: {p}: line {line}, col {col}: number literal needs more than 10000 digits\n"
+    assert r.stdout == ""
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,11 +1,17 @@
 import copy
+import gc
 import math
+import os
+import pathlib
 import pickle
 import random
+import subprocess
+import sys
+import weakref
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from mcft.expr import (
     EvalError,
@@ -305,7 +311,7 @@ def _atom(e):
 
 
 def _rebuilt(e):
-    # canon builds every atom anew
+    # canon rebuilds every atom from its parts
     return canon(e)
 
 
@@ -383,13 +389,10 @@ def test_cached_hashes_and_keys_agree_across_rebuilds(e):
     assert hash(f) == hash(e)
     assert f.key == e.key
     assert hash(e) == hash(e.key)
+    # every atom is interned: an atom rebuilt from its parts is the one
+    # registered for its key, so equal atoms are one object
     for u, v in _pair_atoms(e, f):
-        assert type(u) is type(v)
-        assert u == v and v == u
-        assert hash(u) == hash(v) == hash(u.key) == hash(v.key)
-        assert u.key == v.key
-        if not isinstance(u, Symbol):
-            assert u is not v
+        assert u is v
 
 
 # ---------------------------------------------------------------------------
@@ -753,7 +756,9 @@ class TestModularCertificate:
         assert _image(sin(a) / (a + 1))[1] == 0 and _image(a / (1 + cos(a)))[1] == 0
 
     def test_residues_are_cached_on_the_atoms(self):
-        a, b = self.a, self.b
+        # symbols no other test uses, so the inverted sum is a new atom
+        # (an interned one made earlier may carry its residue already)
+        a, b = var("a_residue", "param"), var("b_residue", "param")
         e = 1 / (a + b)
         assert _atom(e)._residue is None
         assert _image(e) == (1, _image(a + b)[0]) and _atom(e)._residue == _image(a + b)
@@ -790,7 +795,7 @@ class TestInterning:
         assert a is Symbol("a", "param") is Symbol("a", "param", 0) is var("a", "param").single_symbol
         assert Symbol("a") is not a and Symbol("a", "param", 1) is not a
         assert a == Symbol("a", "param") and a != Symbol("a")
-        assert hash(a) == hash(a.key) == hash((0, 0, 0, "a"))
+        assert a.key == (0, 0, 0, "a")
 
     def test_copies_and_pickles_are_the_registered_object(self):
         a = Symbol("a", "param")
@@ -800,6 +805,20 @@ class TestInterning:
         back = pickle.loads(pickle.dumps(e))
         assert back == e and back.terms[0][0][0][0] is a
 
+    def test_a_pickled_expr_hashes_like_a_fresh_one_in_another_process(self, tmp_path):
+        # str hashes differ between processes, so a hash cached in the
+        # pickle would make the loaded Expr miss an equal key in a dict
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        build = "from mcft.expr import var, sin; e = var('x') * var('y') + sin(var('x')) + 1; hash(e)"
+        path = tmp_path / "e.pickle"
+        load = f"back = pickle.load(open({str(path)!r}, 'rb')); assert back == e and back in {{e}}"
+        for seed, code in (
+            ("1", f"import pickle; {build}; pickle.dump(e, open({str(path)!r}, 'wb'))"),
+            ("2", f"import pickle; {build}; {load}"),
+        ):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
     def test_bad_symbol_raises_and_registers_nothing(self):
         before = dict(expr_module._SYMBOLS)
         with pytest.raises(ExprError, match="unknown symbol role"):
@@ -807,6 +826,74 @@ class TestInterning:
         with pytest.raises(ExprError, match="empty symbol name"):
             Symbol("", "param")
         assert expr_module._SYMBOLS == before
+
+    def test_function_and_sum_atoms_are_one_object_per_key(self):
+        f, s = _atom(sin(x * y)), _atom(pow_(x + y, -1))
+        assert FuncAtom("sin", canon(x * y)) is f and SumAtom(canon(x + y)) is s
+        assert FuncAtom("cos", x * y) is not f and SumAtom(x - y) is not s
+        for atom in (f, s):
+            for clone in (
+                copy.copy(atom),
+                copy.deepcopy(atom),
+                pickle.loads(pickle.dumps(atom)),
+                copy.deepcopy([atom, atom])[1],
+            ):
+                assert clone is atom
+        back = pickle.loads(pickle.dumps(mul(sin(x * y), pow_(x + y, -1))))
+        assert back.terms[0][0] == ((f, 1), (s, -1))  # atoms compare by identity
+
+    @pytest.mark.parametrize("make", [lambda u: FuncAtom("exp", u), lambda u: SumAtom(u + 1)], ids=["func", "sum"])
+    def test_an_atom_is_freed_with_its_last_reference(self, make):
+        u = var("u_freed")
+        atom = make(u)
+        key, ref = atom.key, weakref.ref(atom)
+        assert make(u) is atom and expr_module._ATOMS[key] is atom
+        diff(Expr(((((atom, -1),), 1),)), u)  # a derivative memo on the atom
+        del atom
+        gc.collect()
+        assert ref() is None and key not in expr_module._ATOMS
+        assert make(u).key == key
+
+
+# The exact coefficient helpers of the kernel's hot loops, against the
+# stdlib's Fraction arithmetic.
+from mcft.expr import _qadd, _qmul  # noqa: E402
+
+BIG = 1 << 80  # past 2^64, so no fixed-width shortcut could pass
+rationals = st.one_of(
+    st.integers(-BIG, BIG),
+    st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG)),
+    st.builds(Fraction, st.integers(-7, 7), st.integers(1, 12)),
+)
+
+
+@given(rationals, rationals)
+@example(0, Fraction(3, 7))
+@example(Fraction(-3, 4), Fraction(4, 3))
+@example(Fraction(1, 6), Fraction(-1, 6))
+@example(Fraction(1, 6), Fraction(1, 3))
+@example(Fraction(6, 1), -3)
+@example(Fraction(2**70, 3), Fraction(-3, 2**65))
+@settings(max_examples=300, deadline=None)
+def test_coefficient_helpers_match_fraction_arithmetic(a, b):
+    for got, want in ((_qmul(a, b), Fraction(a) * b), (_qadd(a, b), Fraction(a) + b)):
+        assert got == want
+        # normal: an int iff integral, else in lowest terms over a positive denominator
+        if want.denominator == 1:
+            assert type(got) is int
+        else:
+            assert type(got) is Fraction
+            assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+            assert got.denominator > 1 and math.gcd(got.numerator, got.denominator) == 1
+        assert hash(got) == hash(want) and float(got) == float(want) and str(got) == str(want)
+        back = pickle.loads(pickle.dumps(got))
+        assert type(back) is type(got) and back == got
+
+
+def test_fraction_keeps_the_two_slots_the_helpers_fill():
+    # _qmul and _qadd build a Fraction by setting these slots; a Python
+    # that renames them fails here rather than in the kernel
+    assert Fraction.__slots__ == ("_numerator", "_denominator")
 
 
 # bases of multi-factor monomials: symbols, a function atom, and sums,
@@ -845,7 +932,11 @@ def test_memoized_products_equal_a_merge_from_scratch(a, b):
     assert mul(b, a).terms == ref_mul(b, a)
 
 
-def test_memo_tables_stay_within_their_bound():
+def test_memo_tables_stay_within_their_bound(monkeypatch):
+    # from empty tables, so what earlier tests left in them cannot shift
+    # the round at which each is cleared
+    monkeypatch.setattr(expr_module, "_KEYS", {})
+    monkeypatch.setattr(expr_module, "_PRODUCTS", {})
     bound = expr_module._TABLE_BOUND
     u, w = var("u"), var("w")
     most_products = most_keys = 0
