@@ -24,16 +24,16 @@ divides by that block's own last pivot: a velocity of a block-diagonal
 Hessian is over its own block's determinant, and no pivot of one block
 multiplies the rows of another.
 
-``det`` divides nothing: it expands the cleared rows by minors, each
-minor of the first k rows built from those of the first k - 1.  The
-determinant of the cleared rows is a polynomial, whose canonical form is
-unique, so the expansion returns the expression that elimination would,
-without the exact divisions by each previous pivot that dominate
-elimination on symbolic entries.
+``minors`` divides nothing: it expands cleared rows by minors, each minor
+of the first k rows built from those of the first k - 1, and returns every
+maximal minor; ``det`` and a decomposable multivector's table in ``forms``
+read it.  A minor of cleared rows is a polynomial, whose canonical form is
+unique, so ``det`` returns the expression that elimination would, without
+its exact divisions by each previous pivot.
 """
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .expr import (
     Expr,
@@ -160,23 +160,27 @@ def solve_affine(equations: Sequence[Expr], unknowns: Sequence[Symbol]) -> Affin
     return AffineSolution(solved={u: solved[u] for u in unknowns if u in solved}, free=free)
 
 
-def det(matrix: Sequence[Sequence[Expr]]) -> Expr:
-    """Expand by minors, division-free: the minors of the first k cleared
-    rows over each k-subset of columns (a bitmask) come from those of the
-    first k - 1 rows, entry times minor, signed by the chosen columns
-    that lie right of the entry's.  The full minor is divided by the
+def minors(rows: Sequence[Mapping[int, Expr]]) -> dict:
+    """Every nonzero maximal minor of ``rows``, each a {column: Expr} over
+    nonnegative int columns, keyed by its increasing column tuple.  The
+    minors of the first k cleared rows over each k-subset of columns (a
+    bitmask) come from those of the first k - 1, entry times minor, signed
+    by the chosen columns right of the entry's; each is then divided by the
     monomials that cleared the rows."""
-    cleared = [clear_denominators(row) for row in matrix]
-    minors = {0: ONE}
-    for row, _ in cleared:
+    table, inverses = {0: ONE}, []
+    for row in rows:
+        cleared, inverse = clear_denominators(row.values())
+        inverses.append(inverse)
         parts: dict = {}
-        for cols, minor in minors.items():
-            for j, x in enumerate(row):
+        for cols, minor in table.items():
+            for j, x in zip(row, cleared):
                 if x.terms and not cols >> j & 1:
                     sign = MINUS_ONE if (cols >> j).bit_count() & 1 else ONE
                     parts.setdefault(cols | 1 << j, []).append(mul(sign, x, minor))
-        minors = {cols: minor for cols, p in parts.items() if (minor := add(*p)).terms}
-    if not minors:
-        return ZERO
-    (full,) = minors.values()
-    return mul(full, *(inverse for _, inverse in cleared))
+        table = {cols: minor for cols, p in parts.items() if (minor := add(*p)).terms}
+    return {tuple(j for j in range(cols.bit_length()) if cols >> j & 1): mul(m, *inverses) for cols, m in table.items()}
+
+
+def det(matrix: Sequence[Sequence[Expr]]) -> Expr:
+    """The single maximal minor of the square ``matrix``, or 0."""
+    return next(iter(minors([dict(enumerate(row)) for row in matrix]).values()), ZERO)

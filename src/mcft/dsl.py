@@ -124,12 +124,12 @@ def tokenize(text: str) -> list:
     return toks
 
 
-MAX_DIGITS = 10_000  # digits a literal's numerator or denominator may have
+MAX_DIGITS = 10_000  # digits a literal's or a power's numerator or denominator may have
 _TOO_LONG = 10**MAX_DIGITS  # the least integer with more digits
 
 
-def _too_long(tok: Token) -> DslError:
-    return DslError(f"number literal needs more than {MAX_DIGITS} digits", tok.line, tok.col)
+def _too_long(tok: Token, what: str = "number literal") -> DslError:
+    return DslError(f"{what} needs more than {MAX_DIGITS} digits", tok.line, tok.col)
 
 
 def _number_value(tok: Token) -> int | Fraction:
@@ -421,7 +421,16 @@ class _Parser:
             k = _number_value(num) if num.kind == "number" else None
             if type(k) is not int:
                 raise DslError("exponent must be an integer literal", num.line, num.col)
-            return _power(base, sign * k, caret)
+            # c^k for a coefficient c = n/d needs about k*log10(max(|n|, d))
+            # digits: more than a float's error past the bound, it is not built
+            q = base.terms[0][1] if len(base.terms) == 1 else 1
+            if k * math.log10(max(abs(q.numerator), q.denominator)) > MAX_DIGITS + 1:
+                raise _too_long(caret, "power")
+            value = _power(base, sign * k, caret)
+            q = value.terms[0][1] if len(value.terms) == 1 else 1
+            if max(abs(q.numerator), q.denominator) >= _TOO_LONG:
+                raise _too_long(caret, "power")
+            return value
         return base
 
     def parse_atom(self, init: bool) -> Expr:

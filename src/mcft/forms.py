@@ -2,8 +2,11 @@
 
 Differential forms are degree-k antisymmetric coefficient tables keyed by
 strictly increasing axis multi-indices, with the permutation sign always
-absorbed into the coefficient.  Multivector fields are either a
-decomposable wedge list of vector fields or an expanded table.
+absorbed into the coefficient by one rule, ``_merge_sign``, wherever axes
+are inserted into a multi-index (wedge, d, Lie derivative, a table's
+contraction).  Multivector fields are either a decomposable wedge list of
+vector fields or an expanded table of the factors' maximal minors
+(``algebra.minors``).
 
 Contraction convention: i_{X_1 ^ ... ^ X_m} alpha = i_{X_m} ... i_{X_1} alpha,
 i.e. X_1 fills the first argument slot.  The Lie derivative along a vector
@@ -11,8 +14,8 @@ field uses the coordinate formula
 
     (L_X a)_I = X^j d_j a_I + sum_r a_I d_l X^{i_r},
 
-where dx^l takes slot r of I and is sorted into place with the sign of that
-move; along a multivector it uses Cartan's graded formula
+where dx^l takes slot r of I, with sign (-1)^r times the merge sign of dx^l
+into the rest of I; along a multivector it uses Cartan's graded formula
 L_X = d i_X - (-1)^m i_X d.
 """
 from __future__ import annotations
@@ -21,7 +24,7 @@ from bisect import bisect_left
 from functools import cache
 from typing import Mapping, NamedTuple
 
-from .algebra import det
+from .algebra import minors
 from .charts import Chart
 from .expr import (
     Expr,
@@ -48,16 +51,16 @@ class FormError(Exception):
 
 def _merge_sign(left: tuple, right: tuple):
     """Sign and merged index for wedging two increasing multi-indices;
-    None if they overlap."""
+    None if they overlap.  The sign is -1 to the number of pairs i in
+    left, j in right with i > j: the j below each i, found by bisection."""
+    if len(left) == 1:  # one axis: one bisection, no set and no sort
+        pos = bisect_left(right, left[0])
+        if right[pos : pos + 1] == left:
+            return None, ()
+        return _SIGN[pos & 1], right[:pos] + left + right[pos:]
     if set(left) & set(right):
         return None, ()
-    inversions = 0
-    for i in left:
-        for j in right:
-            if i > j:
-                inversions += 1
-    merged = tuple(sorted(left + right))
-    return _SIGN[inversions & 1], merged
+    return _SIGN[sum(bisect_left(right, i) for i in left) & 1], tuple(sorted(left + right))
 
 
 @cache
@@ -203,13 +206,11 @@ def ext_d(a: Form) -> Form:
     parts: dict = {}
     for idx, c in a.table.items():
         for i, s in enumerate(chart.symbols):
-            if i in idx or s not in c.symbols:
+            if s not in c.symbols:
                 continue
-            dc = diff(c, s)
-            if not dc.terms:
-                continue
-            below = sum(1 for j in idx if j < i)
-            parts.setdefault(tuple(sorted(idx + (i,))), []).append(mul(_SIGN[below & 1], dc))
+            sign, merged = _merge_sign((i,), idx)
+            if sign is not None and (dc := diff(c, s)).terms:
+                parts.setdefault(merged, []).append(mul(sign, dc))
     return Form(chart, a.degree + 1, _summed(parts))
 
 
@@ -275,7 +276,7 @@ class Multivector(_Table):
 
     def table(self) -> dict:
         if self._table is None:
-            self._table = _expand_factors(self.chart, self.factors)
+            self._table = minors(self.factors)
         return self._table
 
     _coeffs = table
@@ -285,20 +286,6 @@ class Multivector(_Table):
 
     def __repr__(self):
         return f"Multivector({multivector_to_text(self)})"
-
-
-def _expand_factors(chart: Chart, factors) -> dict:
-    from itertools import combinations
-
-    axes_used = sorted({i for f in factors for i in f})
-    m = len(factors)
-    out = {}
-    for idx in combinations(axes_used, m):
-        rows = [[f.get(i, ZERO_E) for i in idx] for f in factors]
-        c = det(rows)
-        if c.terms:
-            out[idx] = c
-    return out
 
 
 def _contract_vector(v: Mapping[int, Expr], a: Form) -> Form:
@@ -330,12 +317,10 @@ def contract(X: Multivector, a: Form) -> Form:
         for J, cA in a.table.items():
             if not set(I) <= set(J):
                 continue
-            parity = 0
-            remaining = list(J)
-            for i in I:
-                parity += remaining.index(i)
-                remaining.remove(i)
-            parts.setdefault(tuple(remaining), []).append(mul(_SIGN[parity & 1], cX, cA))
+            # dx^J = sign dx^I ^ dx^rest
+            rest = tuple(j for j in J if j not in I)
+            sign, _ = _merge_sign(I, rest)
+            parts.setdefault(rest, []).append(mul(sign, cX, cA))
     return Form(a.chart, a.degree - X.degree, _summed(parts))
 
 
@@ -360,11 +345,11 @@ def _lie_vector(X: Multivector, a: Form) -> Form:
                 continue
             rest = idx[:r] + idx[r + 1 :]
             for l, dxi in row.items():
-                if l in rest:
-                    continue
-                pos = bisect_left(rest, l)
-                merged = rest[:pos] + (l,) + rest[pos:]
-                parts.setdefault(merged, []).append(mul(_SIGN[(pos - r) & 1], c, dxi))
+                sign, merged = _merge_sign((l,), rest)
+                if sign is not None:
+                    # (-1)^r times the merge sign, chosen rather than multiplied in
+                    sign = _SIGN[(sign is _SIGN[1]) ^ (r & 1)]
+                    parts.setdefault(merged, []).append(mul(sign, c, dxi))
     return Form(a.chart, a.degree, _summed(parts))
 
 
@@ -433,7 +418,7 @@ def schouten(X: Multivector, Y: Multivector) -> Multivector:
                 + [Y.factors[r] for r in range(n) if r != j]
             )
             sign = _SIGN[(i + j) & 1]
-            for idx, c in _expand_factors(chart, rest).items():
+            for idx, c in minors(rest).items():
                 parts.setdefault(idx, []).append(mul(sign, c))
     return Multivector(chart, deg, table=_summed(parts))
 

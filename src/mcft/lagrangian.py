@@ -266,12 +266,6 @@ class SolutionFamily(NamedTuple):
     def multivector(self) -> Multivector:
         return Multivector(self.system.chart, len(self.factors), factors=self.factors)
 
-    def instantiate(self, values: dict) -> Multivector:
-        """Substitute values for (some of) the free symbols."""
-        subs = {s: values.get(s.name, var(s.name, "aux")) for s in self.free}
-        factors = [{i: substitute(c, subs) for i, c in f.items()} for f in self.factors]
-        return Multivector(self.system.chart, len(self.factors), factors=factors)
-
 
 def semi_holonomic_ansatz(sys: MulticontactSystem, field_component, conjugate_axis):
     """Factors X_mu = d/dx^mu + field_component(a, mu) d/dy^a + unknowns

@@ -1,6 +1,7 @@
-"""Exact linear algebra: ``det`` against a Laplace cofactor reference and
-``solve_affine`` against Cramer's rule, over rational, monomial, Laurent
-and multi-term entries."""
+"""Exact linear algebra: ``det`` and ``minors`` against a Laplace cofactor
+reference and ``solve_affine`` against Cramer's rule, over rational,
+monomial, Laurent, inverted-sum and multi-term entries."""
+import itertools
 import math
 import pathlib
 import random
@@ -10,9 +11,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mcft import algebra
-from mcft.algebra import InconsistentSystemError, NonlinearSystemError, det, solve_affine
+from mcft.algebra import InconsistentSystemError, NonlinearSystemError, det, minors, solve_affine
 from mcft.dsl import parse
-from mcft.expr import ExprError, add, const, cos, div_exact, exp, mul, pow_, sin, substitute, sym, var
+from mcft.expr import (
+    ExprError,
+    ZeroCheck,
+    add,
+    const,
+    cos,
+    div_exact,
+    exp,
+    is_zero,
+    mul,
+    pow_,
+    sin,
+    substitute,
+    sym,
+    var,
+)
 from mcft.hamiltonian import legendre
 from mcft.lagrangian import Regularity
 
@@ -89,6 +105,53 @@ def large_matrices(draw):
 @settings(max_examples=20, deadline=None)
 def test_det_matches_cofactor_expansion_at_5_and_6(m):
     assert det(m) == cofactor_det(m)
+
+
+inverted = st.builds(  # e.g. 2*a/(b + 1)
+    lambda c, s, t: mul(c, s, pow_(add(t, const(1)), -1)),
+    rationals.filter(bool),
+    monomials | st.just(const(1)),
+    st.sampled_from(SYMS),
+)
+
+
+@st.composite
+def sparse_rows(draw):
+    """2-3 rows over 3-6 columns as {column: Expr}, with Laurent and
+    inverted-sum entries; sometimes a row is a symbolic multiple of the
+    first, so that minors cancel."""
+    k, n = draw(st.integers(2, 3)), draw(st.integers(3, 6))
+    cell = st.one_of(rationals.filter(bool), monomials, laurents, inverted)
+    rows = [draw(st.dictionaries(st.integers(0, n - 1), cell, max_size=n)) for _ in range(k)]
+    if draw(st.booleans()):
+        w = draw(cell)
+        rows[-1] = {j: mul(w, x) for j, x in rows[0].items()}
+    return rows
+
+
+@given(sparse_rows())
+@settings(max_examples=150, deadline=None)
+def test_minors_equal_each_square_cofactor_expansion(rows):
+    columns = sorted({j for row in rows for j in row})
+    table = minors(rows)
+    nonzero = set()
+    for idx in itertools.combinations(columns, len(rows)):
+        reference = cofactor_det([[row.get(j, const(0)) for j in idx] for row in rows])
+        if is_zero(reference) is not ZeroCheck.ZERO:
+            nonzero.add(idx)
+            assert is_zero(add(table[idx], mul(const(-1), reference))) is ZeroCheck.ZERO
+    # exactly the zero minors are dropped
+    assert set(table) == nonzero
+
+
+def test_a_minor_that_cancels_once_an_inverted_sum_is_cleared_is_absent():
+    a, b, _c = SYMS
+    s = add(a, b)
+    # 1/(a + b) * (a + b) - 1 is zero, but not term by term
+    assert add(mul(pow_(s, -1), s), const(-1)).terms
+    assert minors([{0: pow_(s, -1), 1: const(1)}, {0: const(1), 1: s}]) == {}
+    assert det([[pow_(s, -1), const(1)], [const(1), s]]) == const(0)
+    assert set(minors([{0: pow_(s, -1), 1: const(1), 2: a}, {0: const(1), 1: s}])) == {(0, 2), (1, 2)}
 
 
 def dense_affine(n, seed):

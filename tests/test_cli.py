@@ -1,3 +1,4 @@
+import decimal
 import json
 import os
 import pathlib
@@ -697,6 +698,36 @@ def test_number_literal_past_the_digit_bound_exits_2_at_its_position(tmp_path, l
     r = run_subprocess("derive", str(p))
     assert r.returncode == 2
     assert r.stderr == f"error: {p}: line {line}, col {col}: number literal needs more than 10000 digits\n"
+    assert r.stdout == ""
+
+
+def test_constant_power_within_the_digit_bound_prints_in_full(tmp_path):
+    # 7^11000 has 9297 digits
+    p = tmp_path / "power.mcft"
+    p.write_text(MODEL_TEXT.replace("- gamma*s[t]", "- gamma*s[t] + 7^11000*y", 1))
+    r = run_subprocess("--json", "derive", str(p))
+    assert r.returncode == 0, r.stderr
+    with decimal.localcontext() as ctx:
+        ctx.prec = 10000  # exact: str(int) stops at 4300 digits by default
+        digits = str(decimal.Decimal(7) ** 11000)
+    assert r.stderr == "" and len(digits) == 9297 and digits in r.stdout
+
+
+# a power of a constant is bounded like a literal, before it is built: 7^100000
+# has 84510 digits, 7^-100000 as many in its denominator, and (2/3)^30000 has
+# 9031 in its numerator but 14314 in its denominator
+@pytest.mark.parametrize("power", ["7^100000", "7^-100000", "(2/3)^30000"])
+def test_constant_power_past_the_digit_bound_exits_2_at_its_caret(tmp_path, power):
+    term = f"- gamma*s[t] + {power}*y"
+    text = MODEL_TEXT.replace("- gamma*s[t]", term, 1)
+    p = tmp_path / "power.mcft"
+    p.write_text(text)
+    start = text.index(term) + term.index("^")
+    line = text.count("\n", 0, start) + 1
+    col = start - text.rfind("\n", 0, start)
+    r = run_subprocess("derive", str(p))
+    assert r.returncode == 2
+    assert r.stderr == f"error: {p}: line {line}, col {col}: power needs more than 10000 digits\n"
     assert r.stdout == ""
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mcft.charts import ChartError, generic_chart, jet_chart
 from mcft.expr import add, const, diff, mul, substitute, to_text, var
@@ -12,6 +12,7 @@ from mcft.forms import (
     FormError,
     Multivector,
     bar_d,
+    _merge_sign,
     contract,
     ext_d,
     form_to_text,
@@ -525,3 +526,28 @@ def test_dd_zero(seed, k):
     ch = chart5()
     a = rand_form(rng, ch, k)
     assert ext_d(ext_d(a)).is_structurally_zero()
+
+
+def inversion_sign(left, right):
+    """The reference sign of dx^left ^ dx^right sorted into place: -1 to
+    the number of pairs i in left, j in right with i > j."""
+    return (-1) ** sum(1 for i in left for j in right if i > j)
+
+
+increasing = st.lists(st.integers(0, 7), max_size=4, unique=True).map(lambda xs: tuple(sorted(xs)))
+one_axis = st.integers(0, 7).map(lambda i: (i,))
+
+
+@given(st.tuples(increasing, increasing) | st.tuples(one_axis, increasing) | st.tuples(increasing, one_axis))
+@example(((2,), (1, 2, 5)))
+@example(((1, 3, 6), (3,)))
+@example(((4,), (4,)))
+@settings(max_examples=300, deadline=None)
+def test_merge_sign_matches_the_inversion_count(pair):
+    left, right = pair
+    sign, merged = _merge_sign(left, right)
+    if set(left) & set(right):
+        assert (sign, merged) == (None, ())
+    else:
+        assert sign == const(inversion_sign(left, right))
+        assert merged == tuple(sorted(left + right))
