@@ -24,21 +24,22 @@ divides by that block's own last pivot: a velocity of a block-diagonal
 Hessian is over its own block's determinant, and no pivot of one block
 multiplies the rows of another.
 
-``minors`` divides nothing: it expands cleared rows by minors, each minor
-of the first k rows built from those of the first k - 1, and returns every
-maximal minor; ``det`` and a decomposable multivector's table in ``forms``
-read it.  A minor of cleared rows is a polynomial, whose canonical form is
-unique, so ``det`` returns the expression that elimination would, without
-its exact divisions by each previous pivot.
+``det`` and ``minors`` (a decomposable multivector's table in ``forms``)
+divide nothing: ``_expand`` builds each minor of the first k cleared rows
+from those of the first k - 1.  A minor of cleared rows is a polynomial,
+whose canonical form is unique, so ``det`` returns the expression that
+elimination would, without its exact divisions by each previous pivot.
 """
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Mapping, NamedTuple, Sequence
 
 from .expr import (
     Expr,
     ExprError,
     FuncAtom,
+    SumAtom,
     Symbol,
     add,
     clear_denominators,
@@ -160,27 +161,55 @@ def solve_affine(equations: Sequence[Expr], unknowns: Sequence[Symbol]) -> Affin
     return AffineSolution(solved={u: solved[u] for u in unknowns if u in solved}, free=free)
 
 
-def minors(rows: Sequence[Mapping[int, Expr]]) -> dict:
-    """Every nonzero maximal minor of ``rows``, each a {column: Expr} over
-    nonnegative int columns, keyed by its increasing column tuple.  The
-    minors of the first k cleared rows over each k-subset of columns (a
-    bitmask) come from those of the first k - 1, entry times minor, signed
-    by the chosen columns right of the entry's; each is then divided by the
-    monomials that cleared the rows."""
+def _expand(matrix: Sequence[Sequence[Expr]], need: int = 0) -> dict:
+    """The nonzero maximal minors of ``matrix`` over every column of the
+    bitmask ``need``, keyed by column bitmask.  The minors of the first k
+    cleared rows over each k-subset of columns come from those of the
+    first k - 1, entry times minor, signed by the chosen columns right of
+    the entry's, if the rows left can still take the columns of ``need``
+    it misses; each is then divided by the monomials that cleared the
+    rows."""
     table, inverses = {0: ONE}, []
-    for row in rows:
-        cleared, inverse = clear_denominators(row.values())
+    for left, row in zip(range(len(matrix) - 1, -1, -1), matrix):
+        cleared, inverse = clear_denominators(row)
         inverses.append(inverse)
         parts: dict = {}
         for cols, minor in table.items():
-            for j, x in zip(row, cleared):
-                if x.terms and not cols >> j & 1:
+            for j, x in enumerate(cleared):
+                if x.terms and not cols >> j & 1 and (not need or (need & ~(cols | 1 << j)).bit_count() <= left):
                     sign = MINUS_ONE if (cols >> j).bit_count() & 1 else ONE
                     parts.setdefault(cols | 1 << j, []).append(mul(sign, x, minor))
         table = {cols: minor for cols, p in parts.items() if (minor := add(*p)).terms}
-    return {tuple(j for j in range(cols.bit_length()) if cols >> j & 1): mul(m, *inverses) for cols, m in table.items()}
+    return {cols: mul(minor, *inverses) for cols, minor in table.items()}
+
+
+def minors(rows: Sequence[Mapping[int, Expr]]) -> dict:
+    """Every nonzero maximal minor of ``rows``, each a {column: Expr},
+    keyed by its increasing column tuple: the expression ``det`` gives on
+    those columns.  A row cleared of an inverted sum that a minor's
+    columns do not hold would leave the sum in the minor's denominator,
+    so the minors over each choice of the columns that hold one are
+    expanded apart, with the columns that hold none; without inverted
+    sums that is one expansion."""
+    k = len(rows)
+    columns = sorted({j for row in rows for j in row})
+    summed = [
+        j for j in columns if any(isinstance(a, SumAtom) for row in rows for m, _ in row.get(j, ZERO).terms for a, _ in m)
+    ]
+    plain = [j for j in columns if j not in summed]
+    out = {}
+    for size in range(max(0, k - len(plain)), min(k, len(summed)) + 1):
+        for chosen in combinations(summed, size):
+            cols = sorted(plain + list(chosen))
+            need = sum(1 << cols.index(j) for j in chosen)
+            for mask, minor in _expand([[row.get(j, ZERO) for j in cols] for row in rows], need).items():
+                out[tuple(j for b, j in enumerate(cols) if mask >> b & 1)] = minor
+    return dict(sorted(out.items()))
 
 
 def det(matrix: Sequence[Sequence[Expr]]) -> Expr:
-    """The single maximal minor of the square ``matrix``, or 0."""
-    return next(iter(minors([dict(enumerate(row)) for row in matrix]).values()), ZERO)
+    """The determinant of the square ``matrix``, its one maximal minor."""
+    n = len(matrix)
+    if set(map(len, matrix)) - {n}:
+        raise ValueError(f"det of a non-square matrix with {n} rows")
+    return _expand(matrix).get((1 << n) - 1, ZERO)

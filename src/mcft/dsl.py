@@ -421,10 +421,12 @@ class _Parser:
             k = _number_value(num) if num.kind == "number" else None
             if type(k) is not int:
                 raise DslError("exponent must be an integer literal", num.line, num.col)
-            # c^k for a coefficient c = n/d needs about k*log10(max(|n|, d))
-            # digits: more than a float's error past the bound, it is not built
+            # c^k for a coefficient c = n/d with b = max(|n|, d) > 1 needs
+            # about k*log10(b) digits, at least k*log10(2): decided in
+            # integers for a k past 4*MAX_DIGITS, before k is made a float
             q = base.terms[0][1] if len(base.terms) == 1 else 1
-            if k * math.log10(max(abs(q.numerator), q.denominator)) > MAX_DIGITS + 1:
+            b = max(abs(q.numerator), q.denominator)
+            if b > 1 and (k > 4 * MAX_DIGITS or k * math.log10(b) > MAX_DIGITS + 1):
                 raise _too_long(caret, "power")
             value = _power(base, sign * k, caret)
             q = value.terms[0][1] if len(value.terms) == 1 else 1

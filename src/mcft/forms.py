@@ -2,7 +2,7 @@
 
 Differential forms are degree-k antisymmetric coefficient tables keyed by
 strictly increasing axis multi-indices, with the permutation sign always
-absorbed into the coefficient by one rule, ``_merge_sign``, wherever axes
+absorbed into the coefficient by one rule, ``_merge_parity``, wherever axes
 are inserted into a multi-index (wedge, d, Lie derivative, a table's
 contraction).  Multivector fields are either a decomposable wedge list of
 vector fields or an expanded table of the factors' maximal minors
@@ -49,18 +49,14 @@ class FormError(Exception):
     pass
 
 
-def _merge_sign(left: tuple, right: tuple):
-    """Sign and merged index for wedging two increasing multi-indices;
-    None if they overlap.  The sign is -1 to the number of pairs i in
-    left, j in right with i > j: the j below each i, found by bisection."""
-    if len(left) == 1:  # one axis: one bisection, no set and no sort
-        pos = bisect_left(right, left[0])
-        if right[pos : pos + 1] == left:
-            return None, ()
-        return _SIGN[pos & 1], right[:pos] + left + right[pos:]
+def _merge_parity(left: tuple, right: tuple):
+    """Parity and merged index for wedging two increasing multi-indices;
+    None if they overlap.  The sign of the merge is -1 to the parity, the
+    number of pairs i in left, j in right with i > j: the j below each i,
+    found by bisection."""
     if set(left) & set(right):
         return None, ()
-    return _SIGN[sum(bisect_left(right, i) for i in left) & 1], tuple(sorted(left + right))
+    return sum(bisect_left(right, i) for i in left) & 1, tuple(sorted(left + right))
 
 
 @cache
@@ -192,9 +188,9 @@ def wedge(a: Form, b: Form) -> Form:
     parts: dict = {}
     for ia, ca in a.table.items():
         for ib, cb in b.table.items():
-            sign, merged = _merge_sign(ia, ib)
-            if sign is not None:
-                parts.setdefault(merged, []).append(mul(sign, ca, cb))
+            parity, merged = _merge_parity(ia, ib)
+            if parity is not None:
+                parts.setdefault(merged, []).append(mul(_SIGN[parity], ca, cb))
     return Form(a.chart, k, _summed(parts))
 
 
@@ -208,9 +204,9 @@ def ext_d(a: Form) -> Form:
         for i, s in enumerate(chart.symbols):
             if s not in c.symbols:
                 continue
-            sign, merged = _merge_sign((i,), idx)
-            if sign is not None and (dc := diff(c, s)).terms:
-                parts.setdefault(merged, []).append(mul(sign, dc))
+            parity, merged = _merge_parity((i,), idx)
+            if parity is not None and (dc := diff(c, s)).terms:
+                parts.setdefault(merged, []).append(mul(_SIGN[parity], dc))
     return Form(chart, a.degree + 1, _summed(parts))
 
 
@@ -317,10 +313,10 @@ def contract(X: Multivector, a: Form) -> Form:
         for J, cA in a.table.items():
             if not set(I) <= set(J):
                 continue
-            # dx^J = sign dx^I ^ dx^rest
+            # dx^J = (-1)^parity dx^I ^ dx^rest
             rest = tuple(j for j in J if j not in I)
-            sign, _ = _merge_sign(I, rest)
-            parts.setdefault(rest, []).append(mul(sign, cX, cA))
+            parity, _ = _merge_parity(I, rest)
+            parts.setdefault(rest, []).append(mul(_SIGN[parity], cX, cA))
     return Form(a.chart, a.degree - X.degree, _summed(parts))
 
 
@@ -345,11 +341,9 @@ def _lie_vector(X: Multivector, a: Form) -> Form:
                 continue
             rest = idx[:r] + idx[r + 1 :]
             for l, dxi in row.items():
-                sign, merged = _merge_sign((l,), rest)
-                if sign is not None:
-                    # (-1)^r times the merge sign, chosen rather than multiplied in
-                    sign = _SIGN[(sign is _SIGN[1]) ^ (r & 1)]
-                    parts.setdefault(merged, []).append(mul(sign, c, dxi))
+                parity, merged = _merge_parity((l,), rest)
+                if parity is not None:  # (-1)^r times the merge sign
+                    parts.setdefault(merged, []).append(mul(_SIGN[(parity ^ r) & 1], c, dxi))
     return Form(a.chart, a.degree, _summed(parts))
 
 

@@ -57,7 +57,7 @@ from .forms import (
     form_zero_check,
     volume_form,
     wedge,
-    _merge_sign,
+    _merge_parity,
 )
 
 
@@ -85,14 +85,14 @@ def multicontact_theta(chart: Chart, momenta: dict, energy: Expr) -> Form:
     base axes without x^mu, and a wedge with it adds its merge sign."""
     base = chart.base_axes
     table = {tuple(base): energy}
-    rests = [(const((-1) ** mu), tuple(base[:mu] + base[mu + 1 :])) for mu in range(chart.base_dim)]
+    rests = [tuple(base[:mu] + base[mu + 1 :]) for mu in range(chart.base_dim)]
     for a, fa in enumerate(chart.field_axes):
-        for mu, (sign, rest) in enumerate(rests):
-            merge, idx = _merge_sign((fa,), rest)
-            table[idx] = mul(sign, merge, const(-1), momenta[(a, mu)])
-    for mu, (sign, rest) in enumerate(rests):
-        merge, idx = _merge_sign((chart.action_axis(mu),), rest)
-        table[idx] = mul(sign, merge)
+        for mu, rest in enumerate(rests):
+            parity, idx = _merge_parity((fa,), rest)
+            table[idx] = mul(const((-1) ** (mu + parity + 1)), momenta[(a, mu)])
+    for mu, rest in enumerate(rests):
+        parity, idx = _merge_parity((chart.action_axis(mu),), rest)
+        table[idx] = const((-1) ** (mu + parity))
     return Form(chart, chart.base_dim, table)
 
 

@@ -136,12 +136,16 @@ def test_minors_equal_each_square_cofactor_expansion(rows):
     table = minors(rows)
     nonzero = set()
     for idx in itertools.combinations(columns, len(rows)):
-        reference = cofactor_det([[row.get(j, const(0)) for j in idx] for row in rows])
+        square = [[row.get(j, const(0)) for j in idx] for row in rows]
+        reference = cofactor_det(square)
         if is_zero(reference) is not ZeroCheck.ZERO:
             nonzero.add(idx)
             assert is_zero(add(table[idx], mul(const(-1), reference))) is ZeroCheck.ZERO
+            # and as text: each minor is the expression det gives on its columns
+            assert table[idx] == det(square)
     # exactly the zero minors are dropped
     assert set(table) == nonzero
+    assert list(table) == sorted(table)
 
 
 def test_a_minor_that_cancels_once_an_inverted_sum_is_cleared_is_absent():
@@ -152,6 +156,23 @@ def test_a_minor_that_cancels_once_an_inverted_sum_is_cleared_is_absent():
     assert minors([{0: pow_(s, -1), 1: const(1)}, {0: const(1), 1: s}]) == {}
     assert det([[pow_(s, -1), const(1)], [const(1), s]]) == const(0)
     assert set(minors([{0: pow_(s, -1), 1: const(1), 2: a}, {0: const(1), 1: s}])) == {(0, 2), (1, 2)}
+
+
+def test_a_minor_keeps_no_inverted_sum_of_a_column_it_does_not_use():
+    a, b, _c = SYMS
+    s = add(a, b)
+    table = minors([{0: pow_(s, -1), 1: const(1), 2: a}, {0: const(1), 1: s, 3: b}])
+    assert table[(1, 3)] == b
+    assert table[(0, 3)] == mul(b, pow_(s, -1))
+    assert table[(2, 3)] == mul(a, b)
+
+
+def test_det_refuses_a_matrix_that_is_not_square():
+    a, b, _c = SYMS
+    with pytest.raises(ValueError):
+        det([[a, b]])
+    with pytest.raises(ValueError):
+        det([[a], [b]])
 
 
 def dense_affine(n, seed):

@@ -713,10 +713,25 @@ def test_constant_power_within_the_digit_bound_prints_in_full(tmp_path):
     assert r.stderr == "" and len(digits) == 9297 and digits in r.stdout
 
 
+def test_power_of_a_symbol_is_not_bounded_by_its_exponent(tmp_path):
+    # y^k*y is y^(10^400): an exponent past a float's range, on a base that
+    # does not grow
+    p = tmp_path / "power.mcft"
+    p.write_text(MODEL_TEXT.replace("- gamma*s[t]", "- gamma*s[t] + y^" + "9" * 400 + "*y", 1))
+    r = run_subprocess("--json", "derive", str(p))
+    assert r.returncode == 0, r.stderr
+    assert r.stderr == "" and "y^1" + "0" * 400 in r.stdout
+
+
 # a power of a constant is bounded like a literal, before it is built: 7^100000
-# has 84510 digits, 7^-100000 as many in its denominator, and (2/3)^30000 has
-# 9031 in its numerator but 14314 in its denominator
-@pytest.mark.parametrize("power", ["7^100000", "7^-100000", "(2/3)^30000"])
+# has 84510 digits, 7^-100000 as many in its denominator, (2/3)^30000 has 9031
+# in its numerator but 14314 in its denominator, and 2^(10^400 - 1) has an
+# exponent past a float's range
+@pytest.mark.parametrize(
+    "power",
+    ["7^100000", "7^-100000", "(2/3)^30000", "2^" + "9" * 400],
+    ids=["7^100000", "7^-100000", "(2/3)^30000", "2^(10^400-1)"],
+)
 def test_constant_power_past_the_digit_bound_exits_2_at_its_caret(tmp_path, power):
     term = f"- gamma*s[t] + {power}*y"
     text = MODEL_TEXT.replace("- gamma*s[t]", term, 1)

@@ -12,7 +12,7 @@ from mcft.forms import (
     FormError,
     Multivector,
     bar_d,
-    _merge_sign,
+    _merge_parity,
     contract,
     ext_d,
     form_to_text,
@@ -543,11 +543,11 @@ one_axis = st.integers(0, 7).map(lambda i: (i,))
 @example(((1, 3, 6), (3,)))
 @example(((4,), (4,)))
 @settings(max_examples=300, deadline=None)
-def test_merge_sign_matches_the_inversion_count(pair):
+def test_merge_parity_matches_the_inversion_count(pair):
     left, right = pair
-    sign, merged = _merge_sign(left, right)
+    parity, merged = _merge_parity(left, right)
     if set(left) & set(right):
-        assert (sign, merged) == (None, ())
+        assert (parity, merged) == (None, ())
     else:
-        assert sign == const(inversion_sign(left, right))
+        assert (-1) ** parity == inversion_sign(left, right)
         assert merged == tuple(sorted(left + right))
