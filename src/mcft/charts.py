@@ -11,6 +11,10 @@ conventions:
     action along base ``t``                   ->  ``s_t``
     momentum dual to ``y`` along ``t``        ->  ``p_t``   (single field)
                                                   ``p_y_t`` (several fields)
+
+The naming rule lives here alone: every other module finds a coordinate by
+its role (``base_axes``, ``field_axes``, ``velocity_axis``, ``momentum_axis``,
+``action_axis``), so a model may call its bases and fields anything.
 """
 from __future__ import annotations
 

@@ -132,9 +132,10 @@ def cmd_derive(args) -> int:
             raise CliFailure(str(exc), 3) from exc
         hs = lt.hamiltonian_system
         hres = hdw_residuals(hs)
+        momenta = sorted(c.name for c in hs.chart.coords if c.role == "momentum")
         outputs.update(
             {
-                "legendre": {k: to_text(v) for k, v in sorted(lt.forward.items()) if k.startswith("p")},
+                "legendre": {k: to_text(lt.forward[k]) for k in momenta},
                 "H": to_text(hs.hamiltonian),
                 "Theta_H": form_to_json(hs.theta),
                 "Theta_H_text": form_to_text(hs.theta),
@@ -212,13 +213,13 @@ def cmd_sopde(args) -> int:
     return 0
 
 
-def _initial_arrays(scenario, xs, bindings):
+def _initial_arrays(scenario, xs, bindings, space):
     import numpy as np
 
     from .numeric import compile_expr
 
     env = dict(bindings)
-    env["x"] = xs
+    env[space] = xs
     out = []
     # a pole on the grid gives inf/nan here, which the integrator rejects
     with np.errstate(all="ignore"):
@@ -258,7 +259,8 @@ def _mesh(wave, scenario, bindings, nx):
     except OverflowError:
         raise NumericError("grid lx, cfl or t is too large for a float") from None
     grid = make_grid(nx, *sizes, c, scenario.bc)
-    return (grid, *_initial_arrays(scenario, grid.x, bindings))
+    chart = wave.action.chart
+    return (grid, *_initial_arrays(scenario, grid.x, bindings, chart.coords[chart.base_axes[1]].name))
 
 
 def _momentum_gate(t, P, P_abs, nx, gamma):
@@ -312,7 +314,7 @@ def cmd_verify_law(args) -> int:
         wave = damped_wave(sys_, bindings)
         gamma = wave.gamma
         # s_t costs a recurrence over the whole trajectory: only a current that reads it pays for it
-        action = wave.action if "s_t" in current_names(xi) else None
+        action = wave.action if sys_.chart.coords[sys_.chart.action_axis(0)].name in current_names(xi) else None
         for nx in meshes:
             grid, y0, v0 = _mesh(wave, scenario, bindings, nx)
             res = ResidualNorms(grid)

@@ -125,11 +125,12 @@ def tokenize(text: str) -> list:
 
 
 MAX_DIGITS = 10_000  # digits a literal's or a power's numerator or denominator may have
+MAX_EXPANDED_DIGITS = 100_000  # terms times coefficient digits that a power of a sum may expand into
 _TOO_LONG = 10**MAX_DIGITS  # the least integer with more digits
 
 
-def _too_long(tok: Token, what: str = "number literal") -> DslError:
-    return DslError(f"{what} needs more than {MAX_DIGITS} digits", tok.line, tok.col)
+def _too_long(tok: Token, what: str = "number literal", limit: int = MAX_DIGITS) -> DslError:
+    return DslError(f"{what} needs more than {limit} digits", tok.line, tok.col)
 
 
 def _number_value(tok: Token) -> int | Fraction:
@@ -375,15 +376,18 @@ class _Parser:
             if name in self.bases or name in self.fields:
                 return self.chart.coord(name)
         else:
-            base = bracket.text
-            if base not in self.bases:
-                raise DslError(f"unknown base coordinate {base!r}", bracket.line, bracket.col)
+            mu = self.base_index(bracket)
             if name == "s":
-                return self.chart.coord(f"s_{base}")
+                return self.chart.exprs[self.chart.action_axis(mu)]
             if name.startswith("d") and name[1:] in self.fields:
-                return self.chart.coord(f"{name[1:]}_{base}")
+                return self.chart.exprs[self.chart.velocity_axis(self.fields.index(name[1:]), mu)]
             raise DslError(f"cannot index {name!r}", tok.line, tok.col)
         raise DslError(f"unresolved symbol {name!r}", tok.line, tok.col)
+
+    def base_index(self, tok: Token) -> int:
+        if tok.text not in self.bases:
+            raise DslError(f"unknown base coordinate {tok.text!r}", tok.line, tok.col)
+        return self.bases.index(tok.text)
 
     def parse_expr(self, init: bool) -> Expr:
         e = self.parse_term(init)
@@ -421,13 +425,17 @@ class _Parser:
             k = _number_value(num) if num.kind == "number" else None
             if type(k) is not int:
                 raise DslError("exponent must be an integer literal", num.line, num.col)
-            # c^k for a coefficient c = n/d with b = max(|n|, d) > 1 needs
-            # about k*log10(b) digits, at least k*log10(2): decided in
-            # integers for a k past 4*MAX_DIGITS, before k is made a float
-            q = base.terms[0][1] if len(base.terms) == 1 else 1
-            b = max(abs(q.numerator), q.denominator)
-            if b > 1 and (k > 4 * MAX_DIGITS or k * math.log10(b) > MAX_DIGITS + 1):
+            # with the base's coefficients n_i/den and b = max(sum |n_i|, den), base^k has coefficients of at most
+            # b^k over den^k, about k*log10(b) >= k*log10(2) digits (so a k past 4*MAX_DIGITS is refused as an
+            # integer), in up to C(k+T-1, T-1) terms for T terms
+            terms = len(base.terms)
+            den = math.lcm(*(c.denominator for _, c in base.terms))
+            b = max(sum(abs(c.numerator) * (den // c.denominator) for _, c in base.terms), den)
+            if terms == 1 and b > 1 and (k > 4 * MAX_DIGITS or k * math.log10(b) > MAX_DIGITS + 1):
                 raise _too_long(caret, "power")
+            if terms > 1 and sign > 0 and (k > MAX_EXPANDED_DIGITS or math.comb(k + terms - 1, terms - 1)
+                                           * (int(k * math.log10(b)) + 1) > MAX_EXPANDED_DIGITS):
+                raise _too_long(caret, "expanded power of a sum", MAX_EXPANDED_DIGITS)
             value = _power(base, sign * k, caret)
             q = value.terms[0][1] if len(value.terms) == 1 else 1
             if max(abs(q.numerator), q.denominator) >= _TOO_LONG:
@@ -471,15 +479,13 @@ class _Parser:
         if not name.startswith("d") or len(name) < 2:
             raise DslError(f"expected a direction d/d<coord>, found d/{name}", t.line, t.col)
         rest = name[1:]
-        if rest in self.bases or rest in self.fields:
-            return rest
         if rest == "s" and self.at_op("["):
             self.next()
             base = self.expect_ident("base index")
             self.expect_op("]")
-            if base.text not in self.bases:
-                raise DslError(f"unknown base coordinate {base.text!r}", base.line, base.col)
-            return f"s_{base.text}"
+            return self.chart.coords[self.chart.action_axis(self.base_index(base))].name
+        if rest in self.bases or rest in self.fields:
+            return rest
         raise DslError(
             f"unknown direction {name!r} (configuration directions only: fields, bases, s[<base>])",
             t.line,
@@ -574,26 +580,19 @@ def _frac_text(v: Fraction) -> str:
 
 
 def _dsl_name_map(model: ModelFile):
+    """Each coordinate's name as the DSL writes it: ``d<field>[<base>]``, ``s[<base>]`` or the name."""
     table = {}
-    for f in model.fields:
-        for b in model.bases:
-            table[f"{f}_{b}"] = f"d{f}[{b}]"
-    for b in model.bases:
-        table[f"s_{b}"] = f"s[{b}]"
-
-    def m(name: str) -> str:
-        return table.get(name, name)
-
-    return m
+    for c in model.chart.coords:
+        if c.role == "velocity":
+            table[c.name] = f"d{model.fields[c.field]}[{model.bases[c.base]}]"
+        elif c.role == "action":
+            table[c.name] = f"s[{model.bases[c.base]}]"
+    return lambda name: table.get(name, name)
 
 
 def _vf_text(comps: dict, model: ModelFile) -> str:
     nm = _dsl_name_map(model)
-    order = {n: i for i, n in enumerate(model.chart.names())}
-    return signed_sum_text([
-        scaled_text(comps[name], f"d/ds[{name[2:]}]" if name.startswith("s_") else f"d/d{name}", nm, "*")
-        for name in sorted(comps, key=lambda n: order.get(n, 99))
-    ])
+    return signed_sum_text([scaled_text(comps[n], f"d/d{nm(n)}", nm, "*") for n in sorted(comps, key=model.chart.axis)])
 
 
 def render(model: ModelFile) -> str:

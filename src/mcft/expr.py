@@ -935,9 +935,9 @@ def _poly_div(num: Expr, den: Expr):
     lead_mono, lead_c = max(den.terms, key=lambda mc: glex(mc[0]))
     rem = num
     quo: dict = {}
-    for _ in range(len(num.terms) * 8 + 32):
-        if not rem.terms:
-            return _from_dict(quo)
+    # each step takes away rem's leading monomial and adds only smaller ones in a
+    # well-founded order, so the loop ends: rem is zero, or lead(den) fails to divide
+    while rem.terms:
         rm, rc = max(rem.terms, key=lambda mc: glex(mc[0]))
         if not _mono_divides(lead_mono, rm):
             return None
@@ -945,7 +945,7 @@ def _poly_div(num: Expr, den: Expr):
         qc = _norm(Fraction(rc, lead_c))
         _accumulate(quo, qm, qc)
         rem = add(rem, mul(Expr(((qm, -qc),)), den))
-    return None
+    return _from_dict(quo)
 
 
 # ---------------------------------------------------------------------------

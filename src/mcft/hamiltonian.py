@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 from .algebra import ZERO, InconsistentSystemError, NonlinearSystemError, solve_affine
-from .charts import Chart, ham_chart, momentum_name
+from .charts import Chart, ham_chart
 from .expr import (
     Expr,
     add,
@@ -100,7 +100,7 @@ def legendre(sys: LagrangianSystem) -> LegendreTransform:
     equations = []
     for a in range(sys.n):
         for mu in range(sys.m):
-            p = hchart.coord(momentum_name(bases, fields, a, mu))
+            p = hchart.exprs[hchart.momentum_axis(a, mu)]
             equations.append(add(sys.momenta[(a, mu)], mul(const(-1), p)))
     try:
         sol = solve_affine(equations, vel_syms)

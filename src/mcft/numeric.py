@@ -1,5 +1,7 @@
 """Finite-difference integration of 1+1D damped wave systems and
 discrete verification of conservation/dissipation laws along solutions.
+Time is the first base coordinate and space the second, whatever their
+names: each coordinate is found by its role on the jet chart.
 
 The integrator is a second-order leapfrog with the damping term
 discretized semi-implicitly,
@@ -40,7 +42,7 @@ from typing import Iterator, Mapping, NamedTuple, Optional
 
 import numpy as np
 
-from .charts import Chart
+from .charts import Chart, ChartError
 from .expr import EvalError, Expr, Symbol, diff, evaluate, free_symbols, substitute
 from .forms import Form
 
@@ -470,22 +472,28 @@ def compile_expr(e: Expr) -> CompiledExpr:
     return CompiledExpr(e)
 
 
+def _section_names(chart: Chart) -> tuple:
+    """The names of (t, x, y, y_t, y_x, s_t, s_x), found by role on a jet
+    chart of one field over two base axes: time is the first base."""
+    try:
+        (t, x), (y,) = chart.base_axes, chart.field_axes
+        axes = (t, x, y, chart.velocity_axis(0, 0), chart.velocity_axis(0, 1), chart.action_axis(0), chart.action_axis(1))
+    except (ValueError, ChartError):  # not two bases and one field, or not a jet chart
+        raise NumericError("numeric integration supports one field over two base axes") from None
+    return tuple(chart.coords[i].name for i in axes)
+
+
 def _traj_env(traj: Trajectory, chart: Chart, bindings: Mapping[str, float], names: set) -> dict:
-    if len(chart.field_axes) != 1:
-        raise NumericError("trajectory environments support a single field")
+    t, x, y, y_t, y_x, s_t, s_x = _section_names(chart)
     env: dict = dict(bindings)
     nt1, nx = traj.y.shape
-    if "t" in names:
-        env["t"] = np.broadcast_to(traj.t[:, None], (nt1, nx))
-    if "x" in names:
-        env["x"] = np.broadcast_to(traj.x[None, :], (nt1, nx))
-    fname = chart.coords[chart.field_axes[0]].name
-    env[fname] = traj.y
-    env[f"{fname}_t"] = traj.y_t
-    env[f"{fname}_x"] = traj.y_x
+    if t in names:
+        env[t] = np.broadcast_to(traj.t[:, None], (nt1, nx))
+    if x in names:
+        env[x] = np.broadcast_to(traj.x[None, :], (nt1, nx))
+    env.update({y: traj.y, y_t: traj.y_t, y_x: traj.y_x, s_x: 0.0})
     if traj.s_t is not None:
-        env["s_t"] = traj.s_t
-    env["s_x"] = 0.0
+        env[s_t] = traj.s_t
     return env
 
 
@@ -503,13 +511,11 @@ def evaluate_current(xi: Form, traj: Trajectory, bindings: Mapping[str, float]):
     chart = xi.chart
     if xi.degree != 1:
         raise NumericError("current evaluation needs a 1-form (base dimension 2)")
-    if len(chart.field_axes) != 1 or chart.base_dim != 2:
-        raise NumericError("trajectory currents support one field over two base axes")
+    t, x, y, y_t, y_x, s_t, s_x = _section_names(chart)
     names = current_names(xi)
-    if "s_t" in names and traj.s_t is None:
-        raise NumericError("current references s_t but the trajectory carries no action coordinate")
+    if s_t in names and traj.s_t is None:
+        raise NumericError(f"current references {s_t} but the trajectory carries no action coordinate")
     env = _traj_env(traj, chart, bindings, names)
-    fname = chart.coords[chart.field_axes[0]].name
 
     def along(a: np.ndarray):
         return traj.d_dt(a, traj.scratch(3)), traj.d_dx(a, traj.scratch(4))
@@ -517,15 +523,15 @@ def evaluate_current(xi: Form, traj: Trajectory, bindings: Mapping[str, float]):
     # differential of each coordinate along the section, (d/dt, d/dx) parts,
     # computed only for the coordinates the current carries
     dpsi = {
-        "t": lambda: (1.0, 0.0),
-        "x": lambda: (0.0, 1.0),
-        fname: lambda: (traj.y_t, traj.y_x),
-        f"{fname}_t": lambda: along(traj.y_t),
-        f"{fname}_x": lambda: along(traj.y_x),
-        "s_x": lambda: (0.0, 0.0),
+        t: lambda: (1.0, 0.0),
+        x: lambda: (0.0, 1.0),
+        y: lambda: (traj.y_t, traj.y_x),
+        y_t: lambda: along(traj.y_t),
+        y_x: lambda: along(traj.y_x),
+        s_x: lambda: (0.0, 0.0),
     }
     if traj.s_t is not None:
-        dpsi["s_t"] = lambda: along(traj.s_t)
+        dpsi[s_t] = lambda: along(traj.s_t)
     coefficient, term, power = (traj.scratch(k) for k in range(3))
     f, started = [traj.buffer("f^t"), traj.buffer("f^x")], [False, False]
     for (i,), coeff in xi.table.items():
@@ -626,13 +632,13 @@ class ActionCoordinate(NamedTuple):
 
     @classmethod
     def of(cls, L: Expr, chart: Chart, bindings: Mapping[str, float]) -> "ActionCoordinate":
-        st_sym = chart.symbol("s_t")
-        sx_sym = chart.symbol("s_x")
+        *_, s_t, s_x = _section_names(chart)
+        st_sym, sx_sym = chart.symbol(s_t), chart.symbol(s_x)
         c_t = diff(L, st_sym)
         if any(s.role != "param" for s in free_symbols(c_t)):
-            raise NumericError("only affine s_t-dependence is supported")
+            raise NumericError(f"only affine {s_t}-dependence is supported")
         if diff(L, sx_sym).terms:
-            raise NumericError("gauge s_x = 0 needs L independent of s_x")
+            raise NumericError(f"gauge {s_x} = 0 needs L independent of {s_x}")
         ct_val = _evaluated(c_t, bindings) if c_t.terms else 0.0
         L0 = substitute(L, {st_sym: 0, sx_sym: 0})
         return cls(
@@ -737,8 +743,7 @@ def damped_wave(lsys, bindings: Mapping[str, float]) -> DampedWave:
     """The numeric model of a Lagrangian; reject anything the integrator
     does not model, and map evaluation errors to NumericError."""
     chart = lsys.chart
-    if chart.base_dim != 2 or len(chart.field_axes) != 1:
-        raise NumericError("numeric integration supports one field over two base axes")
+    t, x, y, y_t, y_x, s_t, s_x = _section_names(chart)
     h = lsys.hessian
     for i in range(2):
         for j in range(2):
@@ -748,19 +753,15 @@ def damped_wave(lsys, bindings: Mapping[str, float]) -> DampedWave:
                 raise NumericError("velocity coefficients must be constants")
     rho = _evaluated(h[0][0], bindings)
     tau = -_evaluated(h[1][1], bindings)
-    vt = chart.symbols[chart.velocity_axis(0, 0)]
-    vx = chart.symbols[chart.velocity_axis(0, 1)]
-    lin_t = substitute(lsys.momenta[(0, 0)], {vt: 0, vx: 0})
-    lin_x = substitute(lsys.momenta[(0, 1)], {vt: 0, vx: 0})
-    if lin_t.terms or lin_x.terms:
+    at_rest = {chart.symbol(y_t): 0, chart.symbol(y_x): 0}
+    if any(substitute(lsys.momenta[(0, mu)], at_rest).terms for mu in (0, 1)):
         raise NumericError("velocity-linear terms are not supported numerically")
-    if diff(lsys.lagrangian, chart.symbols[chart.field_axes[0]]).terms:
+    if diff(lsys.lagrangian, chart.symbol(y)).terms:
         raise NumericError("y-dependent densities are not supported numerically")
     action = ActionCoordinate.of(lsys.lagrangian, chart, bindings)
-    base_syms = [chart.symbols[i] for i in chart.base_axes]
-    l_base = substitute(lsys.lagrangian, {vt: 0, vx: 0, chart.symbol("s_t"): 0, chart.symbol("s_x"): 0})
+    l_base = substitute(lsys.lagrangian, {**at_rest, chart.symbol(s_t): 0, chart.symbol(s_x): 0})
     for s in free_symbols(l_base):
-        if s.role != "param" and s not in base_syms:
+        if s.role != "param" and s.name not in (t, x):
             raise NumericError("unsupported density shape for numeric integration")
     if rho <= 0 or tau <= 0:
         raise NumericError("need rho > 0 and tau > 0 for a real wave speed")

@@ -1,7 +1,9 @@
 import decimal
 import json
+import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -744,6 +746,84 @@ def test_constant_power_past_the_digit_bound_exits_2_at_its_caret(tmp_path, powe
     assert r.returncode == 2
     assert r.stderr == f"error: {p}: line {line}, col {col}: power needs more than 10000 digits\n"
     assert r.stdout == ""
+
+
+# a power of a sum is bounded by the size it would expand into, before it is
+# expanded: (2+3*y)^3000 into 3001 terms of up to 2097 digits, (1+y)^2000
+# into 2001 terms of up to 603
+@pytest.mark.parametrize("power", ["(2+3*y)^3000", "(1+y)^2000"])
+def test_power_of_a_sum_past_the_size_bound_exits_2_at_its_caret(tmp_path, power):
+    term = f"- gamma*s[t] + {power}"
+    text = MODEL_TEXT.replace("- gamma*s[t]", term, 1)
+    p = tmp_path / "power.mcft"
+    p.write_text(text)
+    start = text.index(term) + term.index("^")
+    line = text.count("\n", 0, start) + 1
+    col = start - text.rfind("\n", 0, start)
+    r = run_subprocess("derive", str(p))
+    assert r.returncode == 2
+    assert r.stderr == f"error: {p}: line {line}, col {col}: expanded power of a sum needs more than 100000 digits\n"
+    assert r.stdout == ""
+
+
+def test_power_of_a_sum_within_the_size_bound_prints_in_full(tmp_path):
+    p = tmp_path / "power.mcft"
+    p.write_text(MODEL_TEXT.replace("- gamma*s[t]", "- gamma*s[t] + (1+y)^50", 1))
+    code, out, err = run_cli("derive", str(p))
+    assert code == 0, err
+    assert f"{math.comb(50, 25)}*y^25" in out and "y^50" in out
+
+
+NONPOW2 = str(pathlib.Path(__file__).resolve().parent / "goldens" / "nonpow2.mcft")
+
+
+def renamed(text, names):
+    """A model's text with each coordinate name in ``names`` replaced where it
+    stands as a whole word, and not as the grid key ``t=``."""
+    pattern = r"\b(%s)\b(?!\s*=)" % "|".join(sorted(names, key=len, reverse=True))
+    return re.sub(pattern, lambda m: names[m.group(1)], text)
+
+
+RENAMED = {"t": "tt", "x": "xx", "y": "w", "dt": "dtt", "dx": "dxx", "dy": "dw"}
+SWAPPED = {"t": "x", "x": "t", "dt": "dx", "dx": "dt"}  # time is the first base, whatever its name
+
+
+def numeric_outputs(path):
+    """The --json outputs of simulate for every scenario and of verify-law for
+    every candidate and scenario, without the current's text, which names
+    coordinates, as text that holds every float's bits."""
+    model = parse(pathlib.Path(path).read_text(encoding="utf-8"))
+    runs = [["simulate", path, sc] for sc in model.scenarios]
+    runs += [["verify-law", path, name, sc] for name in model.symmetries for sc in model.scenarios]
+    reports = []
+    for argv in runs:
+        code, out, err = run_cli("--json", *argv)
+        outputs = json.loads(out)["outputs"]
+        outputs.pop("current", None)
+        reports.append((argv[0], *argv[2:], code, err, json.dumps(outputs, sort_keys=True)))
+    return reports
+
+
+@pytest.mark.parametrize(
+    "path, names",
+    [(MODEL, RENAMED), (NONPOW2, RENAMED), (MODEL, SWAPPED)],
+    ids=["string-tt-xx-w", "nonpow2-tt-xx-w", "string-x-t"],
+)
+def test_coordinates_named_otherwise_give_the_same_numbers(tmp_path, path, names):
+    p = tmp_path / "renamed.mcft"
+    p.write_text(renamed(pathlib.Path(path).read_text(encoding="utf-8"), names))
+    assert numeric_outputs(str(p)) == numeric_outputs(path)
+
+
+def test_legendre_lists_the_momenta_alone(tmp_path):
+    # a base named pos begins with p, as the momenta do
+    p = tmp_path / "pos.mcft"
+    p.write_text(renamed(MODEL_TEXT, {"x": "pos", "dx": "dpos"}))
+    code, out, _ = run_cli("--json", "derive", "--hamiltonian", str(p))
+    assert code == 0
+    assert json.loads(out)["outputs"]["legendre"] == {"p_pos": "-tau*y_pos", "p_t": "rho*y_t"}
+    code, out, _ = run_cli("derive", "--hamiltonian", str(p))
+    assert code == 0 and "legendre: p_pos = -tau*y_pos, p_t = rho*y_t\n" in out
 
 
 @pytest.mark.parametrize(

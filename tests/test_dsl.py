@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from mcft.dsl import DslError, ModelFile, Scenario, parse, render, tokenize
 from mcft.expr import const, to_text, var
@@ -230,18 +230,30 @@ class TestRender:
         again = parse(text)
         assert render(again) == text
 
+    @pytest.mark.parametrize(
+        "text",
+        ["coords t x\nfields s_a\nlagrangian ds_a[t]^2\nsymmetry Y: d/ds_a\n",
+         "coords s x\nfields y\nlagrangian dy[s]^2 + s[x]*s\nsymmetry Y: s*d/ds + d/ds[x] + d/ds[s]\n"],
+        ids=["field-s_a", "base-s"],
+    )
+    def test_directions_along_coordinates_named_like_the_action_roundtrip(self, text):
+        m = parse(text)
+        assert parse(render(m)) == m
+
 
 # ---------------------------------------------------------------------------
 # Property: parse(render(m)) == m on generated models.
 
-IDENTS = ["t", "x", "z", "u", "w", "q"]
+# coordinate names, among them names that begin as the DSL's own syntax
+# does (d<field>, s[<base>]) or as the chart's derived names do (s_, p_)
+IDENTS = ["t", "x", "z", "y", "v", "f", "s", "d_a", "dy", "dt", "s_a", "s_t", "sx", "p", "p_t", "pos", "y_t", "a"]
 
 
 @st.composite
 def models(draw):
-    n_bases = draw(st.integers(1, 2))
-    bases = IDENTS[:n_bases]
-    fields = draw(st.sampled_from([["y"], ["y", "v"], ["f"]]))
+    names = draw(st.lists(st.sampled_from(IDENTS), min_size=2, max_size=4, unique=True))
+    n_bases = draw(st.integers(1, min(2, len(names) - 1)))
+    bases, fields = names[:n_bases], names[n_bases:]
     n_params = draw(st.integers(0, 2))
     params = []
     for i in range(n_params):
@@ -249,10 +261,13 @@ def models(draw):
         params.append((f"c{i}", val))
     rng = random.Random(draw(st.integers(0, 10**6)))
 
-    from mcft.charts import jet_chart
+    from mcft.charts import ChartError, jet_chart
     from mcft.expr import add, mul
 
-    chart = jet_chart(bases, fields)
+    try:
+        chart = jet_chart(bases, fields)
+    except ChartError:  # a derived name taken twice, such as the velocity s_t of a field s and the action s_t
+        assume(False)
     leaves = [chart.coord(n) for n in chart.names()]
     leaves += [var(n, "param", i) for i, (n, _) in enumerate(params)]
     leaves += [const(rng.randint(-3, 3)) for _ in range(2)]
@@ -277,7 +292,7 @@ def models(draw):
             elif kind == "base":
                 comps[rng.choice(bases)] = const(rng.randint(1, 3))
             else:
-                comps[f"s_{rng.choice(bases)}"] = const(rng.randint(1, 3))
+                comps[chart.coords[chart.action_axis(rng.randrange(len(bases)))].name] = const(rng.randint(1, 3))
         symmetries[f"S{i}"] = comps
     scenarios = {}
     if draw(st.booleans()):

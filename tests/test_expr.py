@@ -210,6 +210,11 @@ class TestCanonicalForm:
     def test_div_exact_polynomial(self):
         assert div_exact(x**2 - y**2, x + y) == x - y
 
+    def test_div_exact_finishes_every_geometric_quotient(self):
+        # (x^n - 1)/(x - 1) takes n steps of long division, past any cap in the terms of x^n - 1
+        for n in range(1, 65):
+            assert div_exact(x**n - 1, x - 1) == add(*(x**k for k in range(n)))
+
     def test_text_rendering(self):
         e = Fraction(1, 2) * rho * y_t**2 - Fraction(1, 2) * tau * y_x**2 + gamma * s_t
         assert to_text(e) == "rho*y_t^2/2 - tau*y_x^2/2 + gamma*s_t"
