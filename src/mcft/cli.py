@@ -259,8 +259,7 @@ def _mesh(wave, scenario, bindings, nx):
     except OverflowError:
         raise NumericError("grid lx, cfl or t is too large for a float") from None
     grid = make_grid(nx, *sizes, c, scenario.bc)
-    chart = wave.action.chart
-    return (grid, *_initial_arrays(scenario, grid.x, bindings, chart.coords[chart.base_axes[1]].name))
+    return (grid, *_initial_arrays(scenario, grid.x, bindings, wave.action.section.x))
 
 
 def _momentum_gate(t, P, P_abs, nx, gamma):
@@ -314,7 +313,7 @@ def cmd_verify_law(args) -> int:
         wave = damped_wave(sys_, bindings)
         gamma = wave.gamma
         # s_t costs a recurrence over the whole trajectory: only a current that reads it pays for it
-        action = wave.action if sys_.chart.coords[sys_.chart.action_axis(0)].name in current_names(xi) else None
+        action = wave.action if wave.action.section.s_t in current_names(xi) else None
         for nx in meshes:
             grid, y0, v0 = _mesh(wave, scenario, bindings, nx)
             res = ResidualNorms(grid)

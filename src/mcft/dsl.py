@@ -425,17 +425,22 @@ class _Parser:
             k = _number_value(num) if num.kind == "number" else None
             if type(k) is not int:
                 raise DslError("exponent must be an integer literal", num.line, num.col)
-            # with the base's coefficients n_i/den and b = max(sum |n_i|, den), base^k has coefficients of at most
-            # b^k over den^k, about k*log10(b) >= k*log10(2) digits (so a k past 4*MAX_DIGITS is refused as an
-            # integer), in up to C(k+T-1, T-1) terms for T terms
-            terms = len(base.terms)
-            den = math.lcm(*(c.denominator for _, c in base.terms))
-            b = max(sum(abs(c.numerator) * (den // c.denominator) for _, c in base.terms), den)
-            if terms == 1 and b > 1 and (k > 4 * MAX_DIGITS or k * math.log10(b) > MAX_DIGITS + 1):
+            # with coefficients n_i/den and b = max(sum |n_i|, den), base^k has coefficients of at most b^k/den^k,
+            # about k*log10(b) >= k*log10(2) digits (a k past 4*MAX_DIGITS is refused as an integer). One term, or
+            # a sum under a negative power (an inverted sum), keeps its lead coefficient alone; a sum of T terms
+            # expands into at most C(k+T-1, T-1) terms, and into k*span + 1 exponents of an atom spanning `span`
+            terms, single = len(base.terms), len(base.terms) <= 1 or sign < 0
+            coeffs = [c for _, c in base.terms[: 1 if single else None]]
+            den = math.lcm(*(c.denominator for c in coeffs))
+            b = max(sum(abs(c.numerator) * (den // c.denominator) for c in coeffs), den)
+            if single and b > 1 and (k > 4 * MAX_DIGITS or k * math.log10(b) > MAX_DIGITS + 1):
                 raise _too_long(caret, "power")
-            if terms > 1 and sign > 0 and (k > MAX_EXPANDED_DIGITS or math.comb(k + terms - 1, terms - 1)
-                                           * (int(k * math.log10(b)) + 1) > MAX_EXPANDED_DIGITS):
-                raise _too_long(caret, "expanded power of a sum", MAX_EXPANDED_DIGITS)
+            if not single:
+                exps = [dict(mono) for mono, _ in base.terms]
+                spans = [max(e.get(a, 0) for e in exps) - min(e.get(a, 0) for e in exps) for a in set().union(*exps)]
+                if k > MAX_EXPANDED_DIGITS or (min(math.comb(k + terms - 1, terms - 1), math.prod(k * n + 1 for n in spans))
+                                               * (int(k * math.log10(b)) + 1) > MAX_EXPANDED_DIGITS):
+                    raise _too_long(caret, "expanded power of a sum", MAX_EXPANDED_DIGITS)
             value = _power(base, sign * k, caret)
             q = value.terms[0][1] if len(value.terms) == 1 else 1
             if max(abs(q.numerator), q.denominator) >= _TOO_LONG:

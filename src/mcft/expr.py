@@ -860,8 +860,9 @@ def div_exact(num, den) -> Expr:
 
     Monomial divisors multiply through by the inverse monomial.  For
     multi-term divisors, multivariate long division is attempted; if it
-    does not terminate with remainder zero the quotient falls back to an
-    inverted-sum atom (still exact, but opaque to canonical zero tests).
+    does not end with remainder zero within ``QUOTIENT_TERMS`` quotient
+    terms, the quotient falls back to an inverted-sum atom (still exact,
+    but opaque to canonical zero tests).
     """
     num = _coerce(num)
     den = _coerce(den)
@@ -909,6 +910,9 @@ def _mono_quot(na: Monomial, da: Monomial):
     return tuple(sorted(((a, k) for a, k in f.items() if k), key=lambda ak: ak[0].key))
 
 
+QUOTIENT_TERMS = 4096  # the most terms an exact quotient of long division may have; past it, an inverted sum
+
+
 def _poly_div(num: Expr, den: Expr):
     # Requires honest polynomials (no negative exponents, no atomized sums).
     for e in (num, den):
@@ -935,9 +939,9 @@ def _poly_div(num: Expr, den: Expr):
     lead_mono, lead_c = max(den.terms, key=lambda mc: glex(mc[0]))
     rem = num
     quo: dict = {}
-    # each step takes away rem's leading monomial and adds only smaller ones in a
-    # well-founded order, so the loop ends: rem is zero, or lead(den) fails to divide
-    while rem.terms:
+    # each step takes away rem's leading monomial and gives quo one more term; a failing division
+    # may take a step per degree of lead(num) before lead(den) fails to divide, hence the budget
+    while rem.terms and len(quo) < QUOTIENT_TERMS:
         rm, rc = max(rem.terms, key=lambda mc: glex(mc[0]))
         if not _mono_divides(lead_mono, rm):
             return None
@@ -945,7 +949,7 @@ def _poly_div(num: Expr, den: Expr):
         qc = _norm(Fraction(rc, lead_c))
         _accumulate(quo, qm, qc)
         rem = add(rem, mul(Expr(((qm, -qc),)), den))
-    return _from_dict(quo)
+    return None if rem.terms else _from_dict(quo)
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,7 @@ __all__ = [
     "Trajectory",
     "integrate_damped_wave",
     "stream_damped_wave",
+    "section_names",
     "current_names",
     "evaluate_current",
     "ResidualNorms",
@@ -472,7 +473,10 @@ def compile_expr(e: Expr) -> CompiledExpr:
     return CompiledExpr(e)
 
 
-def _section_names(chart: Chart) -> tuple:
+Section = NamedTuple("Section", [(n, str) for n in "t x y y_t y_x s_t s_x".split()])
+
+
+def section_names(chart: Chart) -> Section:
     """The names of (t, x, y, y_t, y_x, s_t, s_x), found by role on a jet
     chart of one field over two base axes: time is the first base."""
     try:
@@ -480,11 +484,11 @@ def _section_names(chart: Chart) -> tuple:
         axes = (t, x, y, chart.velocity_axis(0, 0), chart.velocity_axis(0, 1), chart.action_axis(0), chart.action_axis(1))
     except (ValueError, ChartError):  # not two bases and one field, or not a jet chart
         raise NumericError("numeric integration supports one field over two base axes") from None
-    return tuple(chart.coords[i].name for i in axes)
+    return Section(*(chart.coords[i].name for i in axes))
 
 
-def _traj_env(traj: Trajectory, chart: Chart, bindings: Mapping[str, float], names: set) -> dict:
-    t, x, y, y_t, y_x, s_t, s_x = _section_names(chart)
+def _traj_env(traj: Trajectory, section: Section, bindings: Mapping[str, float], names: set) -> dict:
+    t, x, y, y_t, y_x, s_t, s_x = section
     env: dict = dict(bindings)
     nt1, nx = traj.y.shape
     if t in names:
@@ -511,11 +515,11 @@ def evaluate_current(xi: Form, traj: Trajectory, bindings: Mapping[str, float]):
     chart = xi.chart
     if xi.degree != 1:
         raise NumericError("current evaluation needs a 1-form (base dimension 2)")
-    t, x, y, y_t, y_x, s_t, s_x = _section_names(chart)
+    section = t, x, y, y_t, y_x, s_t, s_x = section_names(chart)
     names = current_names(xi)
     if s_t in names and traj.s_t is None:
         raise NumericError(f"current references {s_t} but the trajectory carries no action coordinate")
-    env = _traj_env(traj, chart, bindings, names)
+    env = _traj_env(traj, section, bindings, names)
 
     def along(a: np.ndarray):
         return traj.d_dt(a, traj.scratch(3)), traj.d_dx(a, traj.scratch(4))
@@ -623,7 +627,7 @@ class ActionCoordinate(NamedTuple):
     s^t(0, .) = 0 and the gauge s^x = 0, for L = L0 + c_t s_t affine in
     s_t (handled implicitly)."""
 
-    chart: Chart
+    section: Section
     bindings: Mapping[str, float]
     c_t: float  # dL/ds^t at the parameter values
     gamma: float  # -c_t; 0.0 where L has no s_t
@@ -632,17 +636,17 @@ class ActionCoordinate(NamedTuple):
 
     @classmethod
     def of(cls, L: Expr, chart: Chart, bindings: Mapping[str, float]) -> "ActionCoordinate":
-        *_, s_t, s_x = _section_names(chart)
-        st_sym, sx_sym = chart.symbol(s_t), chart.symbol(s_x)
+        section = section_names(chart)
+        st_sym, sx_sym = chart.symbol(section.s_t), chart.symbol(section.s_x)
         c_t = diff(L, st_sym)
         if any(s.role != "param" for s in free_symbols(c_t)):
-            raise NumericError(f"only affine {s_t}-dependence is supported")
+            raise NumericError(f"only affine {section.s_t}-dependence is supported")
         if diff(L, sx_sym).terms:
-            raise NumericError(f"gauge {s_x} = 0 needs L independent of {s_x}")
+            raise NumericError(f"gauge {section.s_x} = 0 needs L independent of {section.s_x}")
         ct_val = _evaluated(c_t, bindings) if c_t.terms else 0.0
         L0 = substitute(L, {st_sym: 0, sx_sym: 0})
         return cls(
-            chart=chart,
+            section=section,
             bindings=bindings,
             c_t=ct_val,
             gamma=-ct_val if c_t.terms else 0.0,
@@ -652,7 +656,7 @@ class ActionCoordinate(NamedTuple):
 
     def fill(self, traj: Trajectory, s: np.ndarray, lo: int, hi: int) -> None:
         """Rows lo..hi-1 of s^t on the window ``traj`` from row lo-1, in place."""
-        env = _traj_env(traj, self.chart, self.bindings, self.names)
+        env = _traj_env(traj, self.section, self.bindings, self.names)
         lvals = self.l0(env, *(traj.scratch(k) for k in range(3)))
         lvals = np.broadcast_to(lvals, traj.y.shape)
         dt = traj.grid.dt
@@ -743,7 +747,7 @@ def damped_wave(lsys, bindings: Mapping[str, float]) -> DampedWave:
     """The numeric model of a Lagrangian; reject anything the integrator
     does not model, and map evaluation errors to NumericError."""
     chart = lsys.chart
-    t, x, y, y_t, y_x, s_t, s_x = _section_names(chart)
+    t, x, y, y_t, y_x, s_t, s_x = section_names(chart)
     h = lsys.hessian
     for i in range(2):
         for j in range(2):

@@ -288,10 +288,10 @@ def test_sopde_zero_tests_over_function_atoms_are_exact(tmp_path, monkeypatch, c
     assert len(verdicts) == 6 and set(verdicts) == {expr.ZeroCheck.ZERO}
 
 
-def run_subprocess(*argv):
+def run_subprocess(*argv, timeout=None):
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "mcft.cli", *argv], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, "-m", "mcft.cli", *argv], capture_output=True, text=True, env=env, timeout=timeout)
 
 
 ONE_STEP = (
@@ -727,12 +727,13 @@ def test_power_of_a_symbol_is_not_bounded_by_its_exponent(tmp_path):
 
 # a power of a constant is bounded like a literal, before it is built: 7^100000
 # has 84510 digits, 7^-100000 as many in its denominator, (2/3)^30000 has 9031
-# in its numerator but 14314 in its denominator, and 2^(10^400 - 1) has an
-# exponent past a float's range
+# in its numerator but 14314 in its denominator, 2^(10^400 - 1) has an
+# exponent past a float's range, and a sum under a negative power is one
+# inverted sum whose coefficient is its lead coefficient to that power
 @pytest.mark.parametrize(
     "power",
-    ["7^100000", "7^-100000", "(2/3)^30000", "2^" + "9" * 400],
-    ids=["7^100000", "7^-100000", "(2/3)^30000", "2^(10^400-1)"],
+    ["7^100000", "7^-100000", "(2/3)^30000", "2^" + "9" * 400, "(2+2*y)^-" + "9" * 400],
+    ids=["7^100000", "7^-100000", "(2/3)^30000", "2^(10^400-1)", "(2+2*y)^-(10^400-1)"],
 )
 def test_constant_power_past_the_digit_bound_exits_2_at_its_caret(tmp_path, power):
     term = f"- gamma*s[t] + {power}*y"
@@ -766,12 +767,32 @@ def test_power_of_a_sum_past_the_size_bound_exits_2_at_its_caret(tmp_path, power
     assert r.stdout == ""
 
 
-def test_power_of_a_sum_within_the_size_bound_prints_in_full(tmp_path):
+# (1+y+y^2)^100 has 201 terms of at most 48 digits, though three summands in
+# three atoms would have C(102, 2) = 5151
+@pytest.mark.parametrize(
+    "power, shown",
+    [("(1+y)^50", [f"{math.comb(50, 25)}*y^25", "y^50"]), ("(1+y+y^2)^100", ["y^200"])],
+    ids=["(1+y)^50", "(1+y+y^2)^100"],
+)
+def test_power_of_a_sum_within_the_size_bound_prints_in_full(tmp_path, power, shown):
     p = tmp_path / "power.mcft"
-    p.write_text(MODEL_TEXT.replace("- gamma*s[t]", "- gamma*s[t] + (1+y)^50", 1))
+    p.write_text(MODEL_TEXT.replace("- gamma*s[t]", f"- gamma*s[t] + {power}", 1))
     code, out, err = run_cli("derive", str(p))
     assert code == 0, err
-    assert f"{math.comb(50, 25)}*y^25" in out and "y^50" in out
+    assert all(s in out for s in shown)
+
+
+# long division that fails takes a step per degree of the numerator's lead
+# before it finds a term it cannot divide: solving p_t = (1+y) y_t + y^k for
+# y_t gives up within the quotient budget and keeps 1/(1 + y)
+@pytest.mark.parametrize("k", ["1000000", "9" * 400], ids=["10^6", "10^400-1"])
+def test_failing_long_division_in_the_legendre_map_ends(tmp_path, k):
+    p = tmp_path / "division.mcft"
+    p.write_text(MODEL_TEXT.replace("0.5*(rho*dy[t]^2 - tau*dy[x]^2) - gamma*s[t]",
+                                    f"0.5*(1+y)*dy[t]^2 - 0.5*tau*dy[x]^2 + y^{k}*dy[t]", 1))
+    r = run_subprocess("derive", "--hamiltonian", str(p), timeout=60)
+    assert r.returncode == 0, r.stderr
+    assert f"- y^{k}*p_t/(1 + y) + " in r.stdout
 
 
 NONPOW2 = str(pathlib.Path(__file__).resolve().parent / "goldens" / "nonpow2.mcft")

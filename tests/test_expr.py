@@ -19,6 +19,7 @@ from mcft.expr import (
     ExprError,
     FuncAtom,
     ONE,
+    QUOTIENT_TERMS,
     SumAtom,
     Symbol,
     ZERO,
@@ -214,6 +215,13 @@ class TestCanonicalForm:
         # (x^n - 1)/(x - 1) takes n steps of long division, past any cap in the terms of x^n - 1
         for n in range(1, 65):
             assert div_exact(x**n - 1, x - 1) == add(*(x**k for k in range(n)))
+
+    def test_div_exact_past_the_quotient_budget_keeps_the_inverted_sum(self):
+        # a failing division would take a step per degree of y^1000000 before
+        # it reaches z; an exact one of more terms than the budget is kept whole
+        assert div_exact(z - y**1000000, 1 + y) == (z - y**1000000) * (1 + y) ** -1
+        n = QUOTIENT_TERMS + 1
+        assert div_exact(x**n - 1, x - 1) == (x**n - 1) * (x - 1) ** -1
 
     def test_text_rendering(self):
         e = Fraction(1, 2) * rho * y_t**2 - Fraction(1, 2) * tau * y_x**2 + gamma * s_t

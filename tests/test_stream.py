@@ -68,7 +68,7 @@ def current_form(table):
 def reference_current(xi, traj):
     """The accumulation ``evaluate_current`` replaced: zeros, then
     A += c * d_t and B += c * d_x for every component."""
-    env = numeric._traj_env(traj, CHART, {}, {"t", "x"})
+    env = numeric._traj_env(traj, numeric.section_names(CHART), {}, {"t", "x"})
     dpsi = {
         "t": (1.0, 0.0),
         "x": (0.0, 1.0),
