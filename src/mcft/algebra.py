@@ -48,6 +48,7 @@ from .expr import (
     mul,
     is_zero,
     pow_,
+    _from_dict,
 )
 
 ZERO = const(0)
@@ -75,14 +76,15 @@ def _affine_row(e: Expr, column: dict) -> list:
     atoms = {a for mono, _ in e.terms for a, _k in mono if not isinstance(a, Symbol)}
     if any(not column.keys().isdisjoint((a.arg if isinstance(a, FuncAtom) else a.expr).symbols) for a in atoms):
         raise NonlinearSystemError(f"nonlinear in unknowns: {e}")
-    parts = [[] for _ in range(len(column) + 1)]
+    # distinct terms of e leave distinct monomials in each column, so each
+    # column's {monomial: coefficient} is filled without adding
+    parts = [{} for _ in range(len(column) + 1)]
     for mono, c in e.terms:
         hits = [(a, k) for a, k in mono if a in column]
         if len(hits) > 1 or (hits and hits[0][1] != 1):
             raise NonlinearSystemError(f"nonlinear in unknowns: {e}")
-        piece = Expr(((tuple(ak for ak in mono if ak[0] not in column), c),))
-        parts[column[hits[0][0]] if hits else -1].append(piece)
-    return [add(*p) for p in parts]
+        parts[column[hits[0][0]] if hits else -1][tuple(ak for ak in mono if ak[0] not in column)] = c
+    return [_from_dict(p) if p else ZERO for p in parts]
 
 
 class AffineSolution(NamedTuple):

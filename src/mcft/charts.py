@@ -15,12 +15,17 @@ conventions:
 The naming rule lives here alone: every other module finds a coordinate by
 its role (``base_axes``, ``field_axes``, ``velocity_axis``, ``momentum_axis``,
 ``action_axis``), so a model may call its bases and fields anything.
+
+A chart is immutable, so ``jet_chart`` and ``ham_chart`` build one per
+(bases, fields) and hand it out again, from a registry cleared like the
+kernel's memo tables (``expr._remember``); a ``ChartError`` is raised on
+every call, since only a chart that was built is stored.
 """
 from __future__ import annotations
 
 from typing import NamedTuple, Optional, Sequence
 
-from .expr import Expr, Symbol, _coerce
+from .expr import Expr, Symbol, _coerce, _remember
 
 
 class ChartError(Exception):
@@ -128,9 +133,16 @@ def _check_names(names: Sequence[str], what: str):
             raise ChartError(f"{what} name {n!r} is not an identifier")
 
 
+_CHARTS: dict = {}  # (role, bases, fields) -> its one jet or Hamiltonian chart
+
+
 def _bundle_chart(bases: Sequence[str], fields: Sequence[str], role: str, name) -> Chart:
     """(x^mu, y^a, z^a_mu, s^mu), where z^a_mu has ``role`` and is named
-    ``name(a, mu)``."""
+    ``name(a, mu)``; one chart per (role, bases, fields)."""
+    key = (role, tuple(bases), tuple(fields))
+    chart = _CHARTS.get(key)
+    if chart is not None:
+        return chart
     _check_names(bases, "base")
     _check_names(fields, "field")
     if not fields:
@@ -141,7 +153,7 @@ def _bundle_chart(bases: Sequence[str], fields: Sequence[str], role: str, name) 
         Coordinate(name(a, mu), role, field=a, base=mu) for a in range(len(fields)) for mu in range(len(bases))
     ]
     coords += [Coordinate(f"s_{b}", "action", base=mu) for mu, b in enumerate(bases)]
-    return Chart(coords, len(bases))
+    return _remember(_CHARTS, key, Chart(coords, len(bases)))
 
 
 def jet_chart(bases: Sequence[str], fields: Sequence[str]) -> Chart:

@@ -28,6 +28,7 @@ import os
 import sys
 import time
 
+from .charts import ChartError
 from .dsl import DslError, ModelFile, parse
 from .expr import EvalError, ExprError, to_text
 from .forms import form_to_json, form_to_text, vector_to_text
@@ -130,6 +131,8 @@ def cmd_derive(args) -> int:
             lt = legendre(sys_)
         except LegendreError as exc:
             raise CliFailure(str(exc), 3) from exc
+        except ChartError as exc:  # a base or field named like a momentum, such as a base p_t
+            raise CliFailure(f"Hamiltonian chart: {exc}", 2) from exc
         hs = lt.hamiltonian_system
         hres = hdw_residuals(hs)
         momenta = sorted(c.name for c in hs.chart.coords if c.role == "momentum")

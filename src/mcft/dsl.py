@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .charts import Chart, ChartError, jet_chart
-from .expr import EvalError, Expr, ExprError, add, const, cos, exp, mul, pow_, sin, to_text, var
+from .expr import EvalError, Expr, ExprError, SumAtom, add, const, cos, exp, mul, pow_, sin, to_text, var
 from .forms import Multivector, scaled_text, signed_sum_text
 from .lagrangian import LagrangianSystem, build_lagrangian_system
 
@@ -133,6 +133,44 @@ def _too_long(tok: Token, what: str = "number literal", limit: int = MAX_DIGITS)
     return DslError(f"{what} needs more than {limit} digits", tok.line, tok.col)
 
 
+def _coeff_bound(terms) -> int:
+    """b = max(sum |n_i|, den) for the coefficients n_i/den of ``terms`` over
+    their least common denominator: a product or power of sums has
+    coefficients of at most the product or power of the factors' b in
+    numerator and denominator."""
+    den = math.lcm(*(c.denominator for _, c in terms))
+    return max(sum(abs(c.numerator) * (den // c.denominator) for _, c in terms), den)
+
+
+def _expanded_size(factors) -> int:
+    """Terms times coefficient digits that the product of each ``(e, k)`` in
+    ``factors``, e to the power k > 0, expands into.  e^k has at most
+    C(k+T-1, T-1) terms for T terms in e, its atoms k times the exponent span
+    they have in e, and coefficients of at most k*log10(b) + 1 digits; a
+    product multiplies the terms and adds the spans and the digits.  A sum
+    to a power k has more than k terms, so a k past ``MAX_EXPANDED_DIGITS``
+    is too large before any float is formed from it; a zero factor makes
+    the product zero."""
+    terms, spans, log_b = 1, {}, 0.0
+    for e, k in factors:
+        if not e.terms:
+            return 0
+        if k > MAX_EXPANDED_DIGITS and len(e.terms) > 1:
+            return k
+        exps = [dict(mono) for mono, _ in e.terms]
+        for a in set().union(*exps):
+            spans[a] = spans.get(a, 0) + k * (max(x.get(a, 0) for x in exps) - min(x.get(a, 0) for x in exps))
+        terms *= math.comb(k + len(e.terms) - 1, len(e.terms) - 1)
+        log_b += k * math.log10(_coeff_bound(e.terms))
+    return min(terms, math.prod(n + 1 for n in spans.values())) * (int(log_b) + 1)
+
+
+def _bound_expansion(tok: Token, factors):
+    """Refuse at ``tok`` a product of powers of sums too large to expand."""
+    if _expanded_size(factors) > MAX_EXPANDED_DIGITS:
+        raise _too_long(tok, "expanded product of sums", MAX_EXPANDED_DIGITS)
+
+
 def _number_value(tok: Token) -> int | Fraction:
     """A number token's exact value: an ``int`` for decimal digits alone
     (``isdigit`` would admit ``²``), else a ``Fraction`` via ``Decimal``.
@@ -218,6 +256,7 @@ class _Parser:
         self.fields: list = []
         self.params: list = []
         self.param_exprs: dict = {}  # parameter name -> its one shared Expr
+        self.param_toks: list = []  # each parameter's name token, for a clash with the jet chart built later
         self.chart: Optional[Chart] = None
         self.lagrangian: Optional[Expr] = None
         self.symmetries: dict = {}
@@ -285,6 +324,8 @@ class _Parser:
                 self.parse_names(t, self.fields, "duplicate fields declaration", "at least one field required")
             elif t.text == "params":
                 for tok in self.declared_names():
+                    self.check_param(tok)
+                    self.param_toks.append(tok)
                     self.param_exprs[tok.text] = var(tok.text, "param", len(self.params))
                     value = None
                     if self.at_op("="):
@@ -327,6 +368,14 @@ class _Parser:
                 self.chart = jet_chart(self.bases, self.fields)
             except ChartError as exc:  # a derived name such as y_t or s_t taken twice
                 raise DslError(str(exc), t.line, t.col) from None
+            for tok in self.param_toks:
+                self.check_param(tok)
+
+    def check_param(self, tok: Token):
+        """Refuse a parameter named like a coordinate of the jet chart, such
+        as ``y_t``: ``render`` would write it as that coordinate."""
+        if self.chart is not None and tok.text in self.chart.names():
+            raise DslError(f"parameter {tok.text!r} is named like a coordinate", tok.line, tok.col)
 
     def require_chart(self, t: Token):
         if self.chart is None:
@@ -404,7 +453,14 @@ class _Parser:
                 break
             op = self.next()
             rhs = self.parse_unary(init)
-            e = mul(e, rhs) if op.text == "*" else mul(e, _power(rhs, -1, op))
+            if op.text == "/":
+                # 1/rhs of one term expands each inverted sum in it to the power it was inverted by
+                _bound_expansion(op, [(a.expr, -k) for a, k in rhs.terms[0][0] if isinstance(a, SumAtom)]
+                                 if len(rhs.terms) == 1 else [])
+                rhs = _power(rhs, -1, op)
+            if len(e.terms) > 1 or len(rhs.terms) > 1:  # the running product, bounded as a power of a sum is
+                _bound_expansion(op, [(e, 1), (rhs, 1)])
+            e = mul(e, rhs)
         return e
 
     def parse_unary(self, init: bool) -> Expr:
@@ -425,22 +481,16 @@ class _Parser:
             k = _number_value(num) if num.kind == "number" else None
             if type(k) is not int:
                 raise DslError("exponent must be an integer literal", num.line, num.col)
-            # with coefficients n_i/den and b = max(sum |n_i|, den), base^k has coefficients of at most b^k/den^k,
-            # about k*log10(b) >= k*log10(2) digits (a k past 4*MAX_DIGITS is refused as an integer). One term, or
-            # a sum under a negative power (an inverted sum), keeps its lead coefficient alone; a sum of T terms
-            # expands into at most C(k+T-1, T-1) terms, and into k*span + 1 exponents of an atom spanning `span`
-            terms, single = len(base.terms), len(base.terms) <= 1 or sign < 0
-            coeffs = [c for _, c in base.terms[: 1 if single else None]]
-            den = math.lcm(*(c.denominator for c in coeffs))
-            b = max(sum(abs(c.numerator) * (den // c.denominator) for c in coeffs), den)
-            if single and b > 1 and (k > 4 * MAX_DIGITS or k * math.log10(b) > MAX_DIGITS + 1):
-                raise _too_long(caret, "power")
-            if not single:
-                exps = [dict(mono) for mono, _ in base.terms]
-                spans = [max(e.get(a, 0) for e in exps) - min(e.get(a, 0) for e in exps) for a in set().union(*exps)]
-                if k > MAX_EXPANDED_DIGITS or (min(math.comb(k + terms - 1, terms - 1), math.prod(k * n + 1 for n in spans))
-                                               * (int(k * math.log10(b)) + 1) > MAX_EXPANDED_DIGITS):
+            # a sum under a positive power is bounded by what it expands into; one term, or a sum under a
+            # negative power (one inverted sum), keeps its lead coefficient c alone, and with b = max(|n|, den)
+            # for c = n/den, c^k has about k*log10(b) >= k*log10(2) digits (a k past 4*MAX_DIGITS is refused
+            # as an integer)
+            if len(base.terms) > 1 and sign > 0:
+                if _expanded_size([(base, k)]) > MAX_EXPANDED_DIGITS:
                     raise _too_long(caret, "expanded power of a sum", MAX_EXPANDED_DIGITS)
+            elif (b := _coeff_bound(base.terms[:1])) > 1 and (
+                    k > 4 * MAX_DIGITS or k * math.log10(b) > MAX_DIGITS + 1):
+                raise _too_long(caret, "power")
             value = _power(base, sign * k, caret)
             q = value.terms[0][1] if len(value.terms) == 1 else 1
             if max(abs(q.numerator), q.denominator) >= _TOO_LONG:
@@ -472,8 +522,17 @@ class _Parser:
 
     # -- symmetry vector fields ------------------------------------------------
     def _direction_ahead(self, offset: int) -> bool:
-        d, slash = self.peek(offset), self.peek(offset + 1)
-        return (d.kind, d.text, slash.kind, slash.text) == ("ident", "d", "op", "/")
+        """Whether a direction starts ``offset`` tokens ahead: ``d /`` where
+        ``d`` names nothing else, and otherwise ``d / d<base or field>`` or
+        ``d / ds [``, so that ``d/2`` divides a coordinate or parameter ``d``."""
+        d, slash, name, after = (self.peek(offset + i) for i in range(4))
+        if (d.kind, d.text, slash.kind, slash.text) != ("ident", "d", "op", "/"):
+            return False
+        if "d" not in self.param_exprs and "d" not in self.bases and "d" not in self.fields:
+            return True
+        rest = name.text[1:] if name.kind == "ident" and name.text.startswith("d") else None
+        bracket = (after.kind, after.text) == ("op", "[")  # dy[t] is a velocity, ds[t] the action
+        return rest == "s" and bracket or not bracket and (rest in self.bases or rest in self.fields)
 
     def parse_direction(self) -> str:
         """The coordinate of a direction ``d/d<coord>``, whose ``d /`` the

@@ -862,15 +862,19 @@ def div_exact(num, den) -> Expr:
     multi-term divisors, multivariate long division is attempted; if it
     does not end with remainder zero within ``QUOTIENT_TERMS`` quotient
     terms, the quotient falls back to an inverted-sum atom (still exact,
-    but opaque to canonical zero tests).
+    but opaque to canonical zero tests).  A divisor of a nonzero
+    polynomial holds none but its atoms, so long division is not tried
+    when ``den`` holds a symbol that ``num`` lacks: it would fail.
     """
     num = _coerce(num)
     den = _coerce(den)
     if not den.terms:
         raise ExprError("division by zero expression")
+    if not num.terms:
+        return ZERO
     if len(den.terms) == 1:
         return mul(num, pow_(den, -1))
-    quo = _poly_div(num, den)
+    quo = _poly_div(num, den) if den.symbols <= num.symbols else None
     if quo is not None:
         return quo
     return mul(num, _sum_atom_pow(den, -1))

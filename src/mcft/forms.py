@@ -81,16 +81,22 @@ def _coefficients(chart: Chart, degree: int, table: Mapping[tuple, object]) -> d
     return clean
 
 
-def _summed(parts: Mapping[tuple, list]) -> dict:
-    """Each index's list of terms summed in one add."""
-    return {idx: add(*terms) for idx, terms in parts.items()}
+def _summed(chart: Chart, degree: int, parts: Mapping[tuple, list]) -> dict:
+    """A table in one pass over ``parts``: each index's list of terms summed
+    in one add, the index checked, and a zero sum dropped."""
+    table = {}
+    for idx, terms in parts.items():
+        _check_index(chart.dim, degree, idx)
+        if (c := add(*terms)).terms:
+            table[idx] = c
+    return table
 
 
 class _Table:
     """Arithmetic on a coefficient table over increasing multi-indices,
     shared by forms and multivector fields: a subclass reads its table
     through ``_coeffs`` and builds a result of its own kind through
-    ``_like``."""
+    ``_like``, from a table of checked indices and nonzero coefficients."""
 
     __slots__ = ()
 
@@ -114,7 +120,7 @@ class _Table:
         for table in (self._coeffs(), other._coeffs()):
             for idx, c in table.items():
                 parts.setdefault(idx, []).append(c)
-        return self._like(_summed(parts))
+        return self._like(_summed(self.chart, self.degree, parts))
 
     def __neg__(self):
         return self.scale(-1)
@@ -124,7 +130,7 @@ class _Table:
 
     def scale(self, f):
         f = _coerce(f)
-        return self._like({i: mul(f, c) for i, c in self._coeffs().items()})
+        return self._like({i: p for i, c in self._coeffs().items() if (p := mul(f, c)).terms})
 
     def is_structurally_zero(self) -> bool:
         return not self._coeffs()
@@ -142,11 +148,20 @@ class Form(_Table):
         self.degree = degree
         self.table = _coefficients(chart, degree, table)
 
+    @classmethod
+    def _of(cls, chart: Chart, degree: int, table: dict) -> "Form":
+        """The form over ``table``, whose indices are checked and whose
+        coefficients are nonzero ``Expr``s, as ``_summed`` and ``scale``
+        build it, so that nothing walks it again."""
+        a = object.__new__(cls)
+        a.chart, a.degree, a.table = chart, degree, table
+        return a
+
     def _coeffs(self) -> dict:
         return self.table
 
     def _like(self, table) -> "Form":
-        return Form(self.chart, self.degree, table)
+        return Form._of(self.chart, self.degree, table)
 
     @classmethod
     def zero(cls, chart: Chart, degree: int = 0) -> "Form":
@@ -191,7 +206,7 @@ def wedge(a: Form, b: Form) -> Form:
             parity, merged = _merge_parity(ia, ib)
             if parity is not None:
                 parts.setdefault(merged, []).append(mul(_SIGN[parity], ca, cb))
-    return Form(a.chart, k, _summed(parts))
+    return Form._of(a.chart, k, _summed(a.chart, k, parts))
 
 
 def ext_d(a: Form) -> Form:
@@ -207,7 +222,7 @@ def ext_d(a: Form) -> Form:
             parity, merged = _merge_parity((i,), idx)
             if parity is not None and (dc := diff(c, s)).terms:
                 parts.setdefault(merged, []).append(mul(_SIGN[parity], dc))
-    return Form(chart, a.degree + 1, _summed(parts))
+    return Form._of(chart, a.degree + 1, _summed(chart, a.degree + 1, parts))
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +309,7 @@ def _contract_vector(v: Mapping[int, Expr], a: Form) -> Form:
             if comp is None or not comp.terms:
                 continue
             parts.setdefault(idx[:pos] + idx[pos + 1 :], []).append(mul(_SIGN[pos & 1], comp, c))
-    return Form(a.chart, a.degree - 1, _summed(parts))
+    return Form._of(a.chart, a.degree - 1, _summed(a.chart, a.degree - 1, parts))
 
 
 def contract(X: Multivector, a: Form) -> Form:
@@ -317,7 +332,7 @@ def contract(X: Multivector, a: Form) -> Form:
             rest = tuple(j for j in J if j not in I)
             parity, _ = _merge_parity(I, rest)
             parts.setdefault(rest, []).append(mul(_SIGN[parity], cX, cA))
-    return Form(a.chart, a.degree - X.degree, _summed(parts))
+    return Form._of(a.chart, a.degree - X.degree, _summed(a.chart, a.degree - X.degree, parts))
 
 
 def _lie_vector(X: Multivector, a: Form) -> Form:
@@ -344,7 +359,7 @@ def _lie_vector(X: Multivector, a: Form) -> Form:
                 parity, merged = _merge_parity((l,), rest)
                 if parity is not None:  # (-1)^r times the merge sign
                     parts.setdefault(merged, []).append(mul(_SIGN[(parity ^ r) & 1], c, dxi))
-    return Form(a.chart, a.degree, _summed(parts))
+    return Form._of(a.chart, a.degree, _summed(a.chart, a.degree, parts))
 
 
 def lie_derivative(X: Multivector, a: Form) -> Form:
@@ -414,7 +429,7 @@ def schouten(X: Multivector, Y: Multivector) -> Multivector:
             sign = _SIGN[(i + j) & 1]
             for idx, c in minors(rest).items():
                 parts.setdefault(idx, []).append(mul(sign, c))
-    return Multivector(chart, deg, table=_summed(parts))
+    return Multivector(chart, deg, table=_summed(chart, deg, parts))
 
 
 def bar_d(a: Form, sigma: Form) -> Form:

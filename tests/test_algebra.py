@@ -14,6 +14,7 @@ from mcft import algebra
 from mcft.algebra import InconsistentSystemError, NonlinearSystemError, det, minors, solve_affine
 from mcft.dsl import parse
 from mcft.expr import (
+    Expr,
     ExprError,
     ZeroCheck,
     add,
@@ -260,6 +261,27 @@ def test_solve_affine_matches_cramer(system):
             dv, nv, got = value(d, pt), value(cofactor_det(mi), pt), value(sol.solved[u], pt)
             if dv and nv is not None and got is not None:
                 assert got == nv / dv
+
+
+def _row_by_terms(e, column):
+    """An affine row built one ``Expr`` per term and summed per column."""
+    parts = [[] for _ in range(len(column) + 1)]
+    for mono, c in e.terms:
+        hit = [a for a, _ in mono if a in column]
+        parts[column[hit[0]] if hit else -1].append(Expr(((tuple(ak for ak in mono if ak[0] not in column), c),)))
+    return [add(*p) for p in parts]
+
+
+@given(st.lists(entries, min_size=4, max_size=4), st.lists(st.booleans(), min_size=3, max_size=3))
+@settings(max_examples=150, deadline=None)
+def test_affine_row_matches_a_sum_per_term(coeffs, held):
+    # an equation in up to three unknowns, some absent, and its constant part
+    column = {u: i for i, u in enumerate(UNKNOWNS)}
+    terms = [mul(c, var(u.name, "aux")) for c, u, h in zip(coeffs, UNKNOWNS, held) if h]
+    e = add(*terms, coeffs[-1])
+    got, want = algebra._affine_row(e, column), _row_by_terms(e, column)
+    assert [g.terms for g in got] == [w.terms for w in want]
+    assert add(*(mul(g, var(u.name, "aux")) for g, u in zip(got, UNKNOWNS)), got[-1]) == e
 
 
 def test_solve_affine_keeps_later_unknowns_free():

@@ -782,6 +782,52 @@ def test_power_of_a_sum_within_the_size_bound_prints_in_full(tmp_path, power, sh
     assert all(s in out for s in shown)
 
 
+# a product of powers of sums is bounded as one power is, at each * or / before
+# the product is expanded: (1+y)^300 twice expands as (1+y)^600 would, into 601
+# terms of up to 181 digits (seven factors took seconds and printed megabytes),
+# and dividing by an inverted sum to the power k expands that sum to the power k
+@pytest.mark.parametrize(
+    "product, at",
+    [("(1+y)^300*" * 7 + "y", 9), ("(1+y)^300*(1+y)^300", 9), ("y*(1+y)^300/(1+y)^-300", 11),
+     ("y/(1+y)^-3000", 1), ("y/(1+y)^-" + "9" * 400, 1), ("y/((1+y)^-300*(1+dy[x])^-300)", 1)],
+    ids=["seven-factors", "two-factors", "over-an-inverted-sum", "inverse", "inverse-10^400", "inverse-of-two"],
+)
+def test_product_of_sums_past_the_size_bound_exits_2_at_its_operator(tmp_path, product, at):
+    term = f"- gamma*s[t] + {product}"
+    text = MODEL_TEXT.replace("- gamma*s[t]", term, 1)
+    p = tmp_path / "product.mcft"
+    p.write_text(text)
+    start = text.index(term) + term.index(product) + at
+    assert text[start] in "*/"
+    line = text.count("\n", 0, start) + 1
+    col = start - text.rfind("\n", 0, start)
+    r = run_subprocess("derive", str(p), timeout=60)
+    assert r.returncode == 2
+    assert r.stderr == f"error: {p}: line {line}, col {col}: expanded product of sums needs more than 100000 digits\n"
+    assert r.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "product", ["(1+y+y^2)^100*(1+y)^10", "(1+y)^150*(1+y)^150*y", "(1+y)^250/(1+y)", "y/(1+y)^-200"])
+def test_product_of_sums_within_the_size_bound_prints_in_full(tmp_path, product):
+    p = tmp_path / "product.mcft"
+    p.write_text(MODEL_TEXT.replace("- gamma*s[t]", f"- gamma*s[t] + {product}", 1))
+    code, out, err = run_cli("derive", str(p))
+    assert code == 0, err
+    assert "y^" in out
+
+
+def test_momentum_named_like_a_base_exits_2(tmp_path):
+    # one field's momentum along t is p_t, the name of the second base here
+    p = tmp_path / "momentum.mcft"
+    p.write_text("coords t p_t\nfields y\nlagrangian 0.5*dy[t]^2 - 0.5*dy[p_t]^2\n")
+    assert run_cli("derive", str(p))[0] == 0
+    r = run_subprocess("derive", "--hamiltonian", str(p))
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr == ("error: Hamiltonian chart: duplicate coordinate names in "
+                        "['t', 'p_t', 'y', 'p_t', 'p_p_t', 's_t', 's_p_t']\n")
+
+
 # long division that fails takes a step per degree of the numerator's lead
 # before it finds a term it cannot divide: solving p_t = (1+y) y_t + y^k for
 # y_t gives up within the quotient budget and keeps 1/(1 + y)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from mcft.dsl import DslError, ModelFile, Scenario, parse, render, tokenize
-from mcft.expr import const, to_text, var
+from mcft.expr import const, mul, to_text, var
 
 
 class TestParse:
@@ -239,6 +239,41 @@ class TestRender:
     def test_directions_along_coordinates_named_like_the_action_roundtrip(self, text):
         m = parse(text)
         assert parse(render(m)) == m
+
+    @pytest.mark.parametrize("name", ["y_t", "y_x", "s_t", "s_x"])
+    def test_parameter_named_like_a_coordinate_is_refused_at_its_name(self, name):
+        # render writes the coordinate y_t as dy[t], so such a parameter would
+        # come back as the coordinate, and model_hash would hash another model
+        after = f"{HEAD}params {name}=1\nlagrangian dy[t]^2 + {name}*y\n"
+        before = f"params k {name}=1\n{HEAD}lagrangian dy[t]^2\n"
+        for text, line, col in ((after, 3, 8), (before, 1, 10)):
+            with pytest.raises(DslError) as exc:
+                parse(text)
+            assert (exc.value.message, exc.value.line, exc.value.col) == (
+                f"parameter {name!r} is named like a coordinate", line, col)
+        # a parameter named apart from every coordinate round-trips
+        m = parse(f"{HEAD}params yt=1\nlagrangian dy[t]^2 + yt*y\n")
+        assert parse(render(m)) == m and render(parse(render(m))) == render(m)
+
+    @pytest.mark.parametrize("head", ["coords t d\nfields y\n", "coords t\nfields y\nparams d\n"],
+                             ids=["coordinate-d", "parameter-d"])
+    @pytest.mark.parametrize("vf", ["(d/2)*d/dy", "d/2*d/dy - d/dt", "d/dy[t]*d/dy + d/ds[t]", "d*d/dt + d/dy"])
+    def test_coefficient_over_a_name_d_roundtrips(self, head, vf):
+        # d/ is a direction only when d/d<base or field> or d/ds[ follows
+        m = parse(head + "lagrangian dy[t]^2\nsymmetry Y: " + vf + "\n")
+        assert parse(render(m)) == m
+        text = render(m)
+        assert render(parse(text)) == text
+
+    @pytest.mark.parametrize("zero", ["0*(1+y)", "(1+y)*0", "0*(1+y)^300*(1+y)^300", "(y-y)*(1+y)/(1+y)^-2"])
+    def test_product_of_sums_with_a_zero_factor_is_zero(self, zero):
+        m = parse(f"{HEAD}lagrangian dy[t]^2 + {zero}*dy[x]\n")
+        assert m.lagrangian == parse(BODY).lagrangian
+
+    def test_coefficient_d_over_two_along_y(self):
+        m = parse("coords t d\nfields y\nlagrangian dy[t]^2\nsymmetry Y: d/2*d/dy\n")
+        assert m.symmetries["Y"] == {"y": mul(const(Fraction(1, 2)), m.chart.coord("d"))}
+        assert "symmetry Y: d/2*d/dy\n" in render(m)
 
 
 # ---------------------------------------------------------------------------

@@ -713,6 +713,39 @@ def polys(draw):
     return add(*(c * x**i * y**j * z**k for c, i, j, k in terms))
 
 
+w = var("w")  # a symbol no other strategy draws
+# what a divisor adds to a polynomial: nothing, a symbol the numerator may
+# hold, one it never holds, a function atom, a negative power
+DIVISOR_TAILS = [const(0), x, w, sin(y), mul(const(2), w, z), pow_(x, -1)]
+
+
+def _long_division(num, den):
+    """Exact division with long division tried on every pair: a monomial
+    divisor inverted, else the quotient, else the inverted sum."""
+    if len(den.terms) == 1:
+        return mul(num, pow_(den, -1))
+    quo = expr_module._poly_div(num, den)
+    return quo if quo is not None else mul(num, expr_module._sum_atom_pow(den, -1))
+
+
+@given(polys(), polys(), st.sampled_from(DIVISOR_TAILS[:5]), st.sampled_from([const(0), const(1), z]))
+@settings(max_examples=150, deadline=None)
+def test_div_exact_recovers_each_quotient(q, d, tail, shift):
+    den = add(d, tail, shift)
+    assume(len(den.terms) > 1)
+    assert div_exact(mul(q, den), den).terms == q.terms
+
+
+@given(st.one_of(operands(), polys()), polys(), st.sampled_from(DIVISOR_TAILS))
+@settings(max_examples=200, deadline=None)
+@example(num=add(x, y), d=add(x, const(1)), tail=w)  # a divisor symbol the numerator lacks
+@example(num=const(0), d=add(x, const(1)), tail=w)
+def test_div_exact_gives_what_long_division_gives(num, d, tail):
+    den = add(d, tail)
+    assume(den.terms)
+    assert div_exact(num, den).terms == _long_division(num, den).terms
+
+
 @st.composite
 def function_free_exprs(draw):
     """Rational expressions without function atoms, with an inverted sum

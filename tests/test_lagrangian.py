@@ -132,6 +132,35 @@ def test_coord_is_one_shared_expr_per_name():
         assert e == var(c.name, s.role, s.order) and e.single_symbol is s
 
 
+def test_one_chart_per_names_and_role(monkeypatch):
+    from mcft import charts, expr
+    from mcft.charts import ChartError
+
+    assert jet_chart(["t", "x"], ["y"]) is jet_chart(("t", "x"), ("y",))
+    assert ham_chart(["t", "x"], ["y"]) is ham_chart(["t", "x"], ["y"])
+    jet, ham = jet_chart(["t", "x"], ["y"]), ham_chart(["t", "x"], ["y"])
+    assert jet != ham and jet.names() == ["t", "x", "y", "y_t", "y_x", "s_t", "s_x"]
+    assert ham.names() == ["t", "x", "y", "p_t", "p_x", "s_t", "s_x"]
+    # a chart that fails is not stored: it fails on every call
+    for _ in range(3):
+        with pytest.raises(ChartError, match="duplicate coordinate names"):
+            ham_chart(["t", "p_t"], ["y"])
+        with pytest.raises(ChartError, match="not an identifier"):
+            jet_chart(["t", "1x"], ["y"])
+    assert ("momentum", ("t", "p_t"), ("y",)) not in charts._CHARTS
+    assert ("velocity", ("t", "1x"), ("y",)) not in charts._CHARTS
+    # the registry is cleared when full, as the kernel's memo tables are, and
+    # a chart built again equals the one it replaces
+    monkeypatch.setattr(charts, "_CHARTS", {})
+    monkeypatch.setattr(expr, "_TABLE_BOUND", 8)
+    first, most = [jet_chart(["t", f"x{i}"], ["y"]) for i in range(20)], 0
+    for i in range(40):
+        chart = jet_chart(["t", f"x{i % 20}"], ["y"])
+        assert chart == first[i % 20] and chart is jet_chart(["t", f"x{i % 20}"], ["y"])
+        most = max(most, len(charts._CHARTS))
+    assert most == 8
+
+
 class TestResiduals:
     def test_damped_string(self, string_system, params):
         rho, tau, gamma = params["rho"], params["tau"], params["gamma"]
