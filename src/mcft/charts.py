@@ -1,4 +1,4 @@
-"""Coordinate charts with role-tagged axes.
+"""Coordinate charts with role-tagged axes, and every name derived from them.
 
 A chart is an ordered list of named coordinates, each tagged with a role
 (base x^mu, field y^a, velocity y^a_mu, momentum p^mu_a, action s^mu, or
@@ -12,9 +12,14 @@ conventions:
     momentum dual to ``y`` along ``t``        ->  ``p_t``   (single field)
                                                   ``p_y_t`` (several fields)
 
+Placeholders (role ``aux``) follow the same rule: the slope of ``z`` along
+``t`` is ``z_t`` (``p_t_t``), d^2 y / dt dx is ``y_tx``, an unknown ``A4``.
+
 The naming rule lives here alone: every other module finds a coordinate by
 its role (``base_axes``, ``field_axes``, ``velocity_axis``, ``momentum_axis``,
-``action_axis``), so a model may call its bases and fields anything.
+``action_axis``) and a placeholder by ``Chart.slope``, ``second_derivative``
+and ``unknown``.  Symbols match by name, so a chart refuses a placeholder
+named like its coordinates, and ``derived_names`` is every name taken.
 
 A chart is immutable, so ``jet_chart`` and ``ham_chart`` build one per
 (bases, fields) and hand it out again, from a registry cleared like the
@@ -25,7 +30,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional, Sequence
 
-from .expr import Expr, Symbol, _coerce, _remember
+from .expr import Expr, Symbol, _coerce, _remember, var
 
 
 class ChartError(Exception):
@@ -126,6 +131,16 @@ class Chart:
     def names(self) -> list[str]:
         return [c.name for c in self.coords]
 
+    def slope(self, axis: int, mu: int) -> Expr:
+        """Placeholder for dz/dx^mu along a section, z the coordinate on
+        ``axis`` (e.g. s_t_t, p_t_t, y_t)."""
+        return var(f"{self.coords[axis].name}_{self.coords[self.base_axes[mu]].name}", "aux")
+
+    def second_derivative(self, field: int, mu: int, nu: int) -> Expr:
+        """Placeholder for d^2 y^a / dx^mu dx^nu (symmetric, e.g. y_tx)."""
+        lo, hi = sorted(self.base_axes[i] for i in (mu, nu))
+        return var(f"{self.coords[self.field_axes[field]].name}_{self.coords[lo].name}{self.coords[hi].name}", "aux")
+
 
 def _check_names(names: Sequence[str], what: str):
     for n in names:
@@ -133,12 +148,43 @@ def _check_names(names: Sequence[str], what: str):
             raise ChartError(f"{what} name {n!r} is not an identifier")
 
 
+def unknown(mu: int, axis: int) -> str:
+    """Factor ``mu``'s ansatz unknown along ``axis``: letter and 1-based axis (A4, B5)."""
+    return f"{chr(ord('A') + mu)}{axis + 1}"
+
+
+def _placeholders(bases: Sequence[str], fields: Sequence[str], role: str) -> list:
+    """(name, what it names) for the placeholders of the jet (y_tx, s_t_x) or Hamiltonian
+    picture (y_t, p_t_t, s_t_t), and the unknowns along the axes after the bases and fields."""
+    m, n = len(bases), len(fields)
+    if role == "velocity":
+        names = [f"{f}_{bases[mu]}{bases[nu]}" for f in fields for mu in range(m) for nu in range(mu, m)]
+        names += [f"s_{b}_{c}" for b in bases for c in bases]
+    else:
+        names = [f"{f}_{b}" for f in fields for b in bases]
+        names += [f"{momentum_name(bases, fields, a, mu)}_{bases[mu]}" for a in range(n) for mu in range(m)]
+        names += [f"s_{b}_{b}" for b in bases]
+    return [(name, "a section derivative") for name in names] + [
+        (unknown(mu, axis), "an ansatz unknown") for mu in range(m) for axis in range(m + n, 2 * m + n + n * m)]
+
+
+def derived_names(bases: Sequence[str], fields: Sequence[str]) -> dict:
+    """Every name derived from (bases, fields), mapped to what it names, with no Hamiltonian
+    chart built; a coordinate wins over the Hamiltonian slope y_t of its name."""
+    out = dict(_placeholders(bases, fields, "velocity") + _placeholders(bases, fields, "momentum"))
+    for mu, b in enumerate(bases):
+        out[f"s_{b}"] = "a coordinate"
+        for a, f in enumerate(fields):
+            out[f"{f}_{b}"] = out[momentum_name(bases, fields, a, mu)] = "a coordinate"
+    return out
+
+
 _CHARTS: dict = {}  # (role, bases, fields) -> its one jet or Hamiltonian chart
 
 
 def _bundle_chart(bases: Sequence[str], fields: Sequence[str], role: str, name) -> Chart:
-    """(x^mu, y^a, z^a_mu, s^mu), where z^a_mu has ``role`` and is named
-    ``name(a, mu)``; one chart per (role, bases, fields)."""
+    """(x^mu, y^a, z^a_mu, s^mu), where z^a_mu has ``role`` and is named ``name(a, mu)``; one
+    chart per (role, bases, fields), refused if a placeholder of its picture takes a name already taken."""
     key = (role, tuple(bases), tuple(fields))
     chart = _CHARTS.get(key)
     if chart is not None:
@@ -153,7 +199,13 @@ def _bundle_chart(bases: Sequence[str], fields: Sequence[str], role: str, name) 
         Coordinate(name(a, mu), role, field=a, base=mu) for a in range(len(fields)) for mu in range(len(bases))
     ]
     coords += [Coordinate(f"s_{b}", "action", base=mu) for mu, b in enumerate(bases)]
-    return _remember(_CHARTS, key, Chart(coords, len(bases)))
+    chart = Chart(coords, len(bases))
+    taken = dict.fromkeys(chart._axis, "a coordinate")
+    for derived, what in _placeholders(bases, fields, role):
+        if derived in taken:
+            raise ChartError(f"{derived!r} names both {taken[derived]} and {what}")
+        taken[derived] = what
+    return _remember(_CHARTS, key, chart)
 
 
 def jet_chart(bases: Sequence[str], fields: Sequence[str]) -> Chart:

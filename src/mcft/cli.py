@@ -35,7 +35,6 @@ from .forms import form_to_json, form_to_text, vector_to_text
 from .hamiltonian import LegendreError, hdw_residuals, legendre
 from .lagrangian import (
     LagrangianError,
-    Regularity,
     herglotz_el_residuals,
     solve_sopde_family,
 )
@@ -125,13 +124,11 @@ def cmd_derive(args) -> int:
         lines.append(f"EL[{fname}]: {r} = 0")
     lines.append(f"action: {outputs['action_residual']} = 0")
     if args.hamiltonian:
-        if sys_.regularity is Regularity.SINGULAR:
-            raise CliFailure("singular Lagrangian: no Hamiltonian picture", 3)
         try:
             lt = legendre(sys_)
         except LegendreError as exc:
             raise CliFailure(str(exc), 3) from exc
-        except ChartError as exc:  # a base or field named like a momentum, such as a base p_t
+        except ChartError as exc:  # a base or field named like a momentum or its slope, such as a base p_t
             raise CliFailure(f"Hamiltonian chart: {exc}", 2) from exc
         hs = lt.hamiltonian_system
         hres = hdw_residuals(hs)

@@ -58,7 +58,7 @@ def random_quadratic_system(rng: random.Random, index: int, n_fields: int | None
     for bname in bases:
         candidates.append((f"d/d{bname}", Multivector.vector(chart, {bname: 1})))
     for mu, bname in enumerate(bases):
-        candidates.append((f"d/ds[{bname}]", Multivector.vector(chart, {f"s_{bname}": 1})))
+        candidates.append((f"d/ds[{bname}]", Multivector.vector(chart, {chart.coords[chart.action_axis(mu)].name: 1})))
     # prolonged configuration fields: t d/dy and a base dilation
     candidates.append(
         (f"lift({bases[0]}*d/d{fields[0]})", jet_lift(Multivector.vector(chart, {fields[0]: chart.coord(bases[0])})))

@@ -30,9 +30,10 @@ from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .charts import Chart, ChartError, jet_chart
-from .expr import EvalError, Expr, ExprError, SumAtom, add, const, cos, exp, mul, pow_, sin, to_text, var
-from .forms import Multivector, scaled_text, signed_sum_text
+from .charts import Chart, ChartError, derived_names, jet_chart
+from .expr import (EvalError, Expr, ExprError, SumAtom, add, const, cos, exp, mul, pow_, signed_sum_text, sin, to_text,
+                   var)
+from .forms import Multivector, scaled_text
 from .lagrangian import LagrangianSystem, build_lagrangian_system
 
 DECLARATIONS = ("coords", "fields", "params", "lagrangian", "symmetry", "scenario")
@@ -256,8 +257,9 @@ class _Parser:
         self.fields: list = []
         self.params: list = []
         self.param_exprs: dict = {}  # parameter name -> its one shared Expr
-        self.param_toks: list = []  # each parameter's name token, for a clash with the jet chart built later
+        self.param_toks: list = []  # each parameter's name token, for a clash with a derived name found later
         self.chart: Optional[Chart] = None
+        self.derived: dict = {}  # derived_names of the bases and fields, once both are declared
         self.lagrangian: Optional[Expr] = None
         self.symmetries: dict = {}
         self.scenarios: dict = {}
@@ -366,16 +368,18 @@ class _Parser:
         if self.bases and self.fields:
             try:
                 self.chart = jet_chart(self.bases, self.fields)
-            except ChartError as exc:  # a derived name such as y_t or s_t taken twice
+            except ChartError as exc:  # a derived name such as y_t, s_t or y_tt taken twice
                 raise DslError(str(exc), t.line, t.col) from None
+            self.derived = derived_names(self.bases, self.fields)
             for tok in self.param_toks:
                 self.check_param(tok)
 
     def check_param(self, tok: Token):
-        """Refuse a parameter named like a coordinate of the jet chart, such
-        as ``y_t``: ``render`` would write it as that coordinate."""
-        if self.chart is not None and tok.text in self.chart.names():
-            raise DslError(f"parameter {tok.text!r} is named like a coordinate", tok.line, tok.col)
+        """Refuse a parameter that takes a derived name, such as ``y_t``, ``p_t``, ``y_tx``
+        or ``A4``: ``render``, ``substitute`` and the text outputs take a symbol by name."""
+        what = self.derived.get(tok.text)
+        if what is not None:
+            raise DslError(f"parameter {tok.text!r} is named like {what}", tok.line, tok.col)
 
     def require_chart(self, t: Token):
         if self.chart is None:

@@ -995,19 +995,17 @@ def _term_text(mono: Monomial, c, name_map) -> str:
             out += f"/{den_parts[0]}"
         else:
             out += f"/({'*'.join(den_parts)})"
-    return out
+    return f"-{out}" if c < 0 else out
+
+
+def signed_sum_text(chunks) -> str:
+    """The chunks joined by " + ", or by " - " before a chunk that starts
+    with a minus sign, which it loses; "0" for none."""
+    if not chunks:
+        return "0"
+    return chunks[0] + "".join(f" - {ch[1:]}" if ch.startswith("-") else f" + {ch}" for ch in chunks[1:])
 
 
 def to_text(e, name_map: Callable[[str], str] | None = None) -> str:
-    """Deterministic infix rendering of the canonical form."""
-    e = _coerce(e)
-    if not e.terms:
-        return "0"
-    chunks = []
-    for i, (mono, c) in enumerate(e.terms):
-        body = _term_text(mono, c, name_map)
-        if i == 0:
-            chunks.append(f"-{body}" if c < 0 else body)
-        else:
-            chunks.append(f" - {body}" if c < 0 else f" + {body}")
-    return "".join(chunks)
+    """Deterministic infix rendering of the canonical form, one signed chunk per term."""
+    return signed_sum_text([_term_text(mono, c, name_map) for mono, c in _coerce(e).terms])

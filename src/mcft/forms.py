@@ -35,6 +35,7 @@ from .expr import (
     free_symbols,
     is_zero,
     mul,
+    signed_sum_text,
     substitute,
     to_text,
     _coerce,
@@ -515,53 +516,26 @@ def scaled_text(c: Expr, unit: str, name_map=None, sep: str = " ") -> str:
     return f"({s}){sep}{unit}" if len(c.terms) > 1 else f"{s}{sep}{unit}"
 
 
-def signed_sum_text(chunks) -> str:
-    """The chunks joined by " + ", or by " - " before a chunk that starts
-    with a minus sign, which it loses; "0" for none."""
-    if not chunks:
-        return "0"
-    out = chunks[0]
-    for ch in chunks[1:]:
-        out += f" - {ch[1:]}" if ch.startswith("-") else f" + {ch}"
-    return out
-
-
-def form_to_text(a: Form, name_map=None) -> str:
+def form_to_text(a: Form) -> str:
     if a.degree == 0:
-        return to_text(a.coeff(), name_map)
-    name = name_map or (lambda n: n)
-    return signed_sum_text(
-        [scaled_text(c, "^".join(f"d{name(a.chart.coords[i].name)}" for i in idx), name_map) for idx, c in a.items()]
-    )
+        return to_text(a.coeff())
+    return signed_sum_text([scaled_text(c, "^".join(f"d{a.chart.coords[i].name}" for i in idx))
+                            for idx, c in a.items()])
 
 
-def form_to_json(a: Form, name_map=None) -> dict:
-    return {
-        "degree": a.degree,
-        "terms": [
-            {
-                "index": [name_map(a.chart.coords[i].name) if name_map else a.chart.coords[i].name for i in idx],
-                "coeff": to_text(c, name_map),
-            }
-            for idx, c in a.items()
-        ],
-    }
+def form_to_json(a: Form) -> dict:
+    terms = [{"index": [a.chart.coords[i].name for i in idx], "coeff": to_text(c)} for idx, c in a.items()]
+    return {"degree": a.degree, "terms": terms}
 
 
-def vector_to_text(v: Mapping[int, Expr], chart: Chart, name_map=None) -> str:
-    name = name_map or (lambda n: n)
-    return signed_sum_text(
-        [scaled_text(v[i], f"d/d{name(chart.coords[i].name)}", name_map) for i in sorted(v) if v[i].terms]
-    )
+def vector_to_text(v: Mapping[int, Expr], chart: Chart) -> str:
+    return signed_sum_text([scaled_text(v[i], f"d/d{chart.coords[i].name}") for i in sorted(v) if v[i].terms])
 
 
-def multivector_to_text(X: Multivector, name_map=None) -> str:
+def multivector_to_text(X: Multivector) -> str:
     if X.decomposable:
         if X.degree == 1:
-            return vector_to_text(X.factors[0], X.chart, name_map)
-        return " ^ ".join(f"({vector_to_text(f, X.chart, name_map)})" for f in X.factors)
-    chunks = []
-    for idx, c in sorted(X.table().items()):
-        dns = "^".join(f"d/d{X.chart.coords[i].name}" for i in idx)
-        chunks.append(f"({to_text(c, name_map)}) {dns}")
-    return " + ".join(chunks) if chunks else "0"
+            return vector_to_text(X.factors[0], X.chart)
+        return " ^ ".join(f"({vector_to_text(f, X.chart)})" for f in X.factors)
+    return signed_sum_text([f"({to_text(c)}) " + "^".join(f"d/d{X.chart.coords[i].name}" for i in idx)
+                            for idx, c in sorted(X.table().items())])

@@ -36,7 +36,6 @@ from .lagrangian import (
     SolutionFamily,
     check_symbols,
     semi_holonomic_ansatz,
-    slope_symbol,
 )
 
 
@@ -192,11 +191,11 @@ def hdw_residuals(hsys: HamiltonianSystem) -> HdwResiduals:
     fields = []
     for a in range(hsys.n):
         for mu in range(hsys.m):
-            fields.append(add(slope_symbol(chart, chart.field_axes[a], mu), mul(const(-1), _dH_dp(hsys, a, mu))))
+            fields.append(add(chart.slope(chart.field_axes[a], mu), mul(const(-1), _dH_dp(hsys, a, mu))))
     momenta = []
     for a in range(hsys.n):
-        parts = [slope_symbol(chart, chart.momentum_axis(a, mu), mu) for mu in range(hsys.m)]
+        parts = [chart.slope(chart.momentum_axis(a, mu), mu) for mu in range(hsys.m)]
         momenta.append(add(*parts, mul(const(-1), momentum_trace_rhs(hsys, a))))
-    action_parts = [slope_symbol(chart, chart.action_axis(mu), mu) for mu in range(hsys.m)]
+    action_parts = [chart.slope(chart.action_axis(mu), mu) for mu in range(hsys.m)]
     action = add(*action_parts, mul(const(-1), action_trace_rhs(hsys)))
     return HdwResiduals(fields=fields, momenta=momenta, action=action)

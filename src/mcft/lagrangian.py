@@ -34,10 +34,9 @@ from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
 from .algebra import InconsistentSystemError, det, solve_affine
-from .charts import Chart
+from .charts import Chart, unknown
 from .expr import (
     Expr,
-    Symbol,
     add,
     const,
     diff,
@@ -177,22 +176,6 @@ def build_lagrangian_system(chart: Chart, L) -> LagrangianSystem:
 # Herglotz-Euler-Lagrange residuals over total-derivative placeholders.
 
 
-def second_derivative_symbol(chart: Chart, field: int, mu: int, nu: int) -> Expr:
-    """Placeholder for d^2 y^a / dx^mu dx^nu (symmetric, e.g. y_tx)."""
-    lo, hi = sorted((mu, nu))
-    fname = chart.coords[chart.field_axes[field]].name
-    b = [chart.coords[i].name for i in chart.base_axes]
-    return var(f"{fname}_{b[lo]}{b[hi]}", "aux")
-
-
-def slope_symbol(chart: Chart, axis: int, mu: int) -> Expr:
-    """Placeholder for d z / dx^mu along a section, z the coordinate on
-    ``axis`` (e.g. s_t_t, p_t_t, y_t)."""
-    zname = chart.coords[axis].name
-    bname = chart.coords[chart.base_axes[mu]].name
-    return var(f"{zname}_{bname}", "aux")
-
-
 def total_derivative(e: Expr, chart: Chart, mu: int) -> Expr:
     """Total derivative D_mu along holonomic sections, with second-order
     jet and action derivatives as placeholder symbols."""
@@ -205,11 +188,11 @@ def total_derivative(e: Expr, chart: Chart, mu: int) -> Expr:
         for nu in range(chart.base_dim):
             dv = diff_held(e, chart.symbols[chart.velocity_axis(a, nu)])
             if dv.terms:
-                parts.append(mul(second_derivative_symbol(chart, a, mu, nu), dv))
+                parts.append(mul(chart.second_derivative(a, mu, nu), dv))
     for nu in range(chart.base_dim):
         ds = diff_held(e, chart.symbols[chart.action_axis(nu)])
         if ds.terms:
-            parts.append(mul(slope_symbol(chart, chart.action_axis(nu), mu), ds))
+            parts.append(mul(chart.slope(chart.action_axis(nu), mu), ds))
     return add(*parts)
 
 
@@ -235,7 +218,7 @@ def herglotz_el_residuals(sys: LagrangianSystem) -> EulerLagrangeResiduals:
         )
         out.append(add(lhs, mul(const(-1), dLdy), mul(const(-1), coupling)))
     action = add(
-        *[slope_symbol(chart, chart.action_axis(mu), mu) for mu in range(sys.m)],
+        *[chart.slope(chart.action_axis(mu), mu) for mu in range(sys.m)],
         mul(const(-1), sys.lagrangian),
     )
     return EulerLagrangeResiduals(fields=out, action=action)
@@ -270,26 +253,19 @@ class SolutionFamily(NamedTuple):
 def semi_holonomic_ansatz(sys: MulticontactSystem, field_component, conjugate_axis):
     """Factors X_mu = d/dx^mu + field_component(a, mu) d/dy^a + unknowns
     along the conjugate axes conjugate_axis(a, nu) (velocities or momenta)
-    and the action axes.
-
-    Unknowns are named per the factor letter and 1-based axis position:
-    factor 1 components A1..AN, factor 2 components B1..BN, so that the
-    degrees of freedom match the worked conventions (A4, B5, ...).
-    """
+    and the action axes, each named by ``charts.unknown``."""
     chart = sys.chart
     factors = []
     unknowns = []
     for mu in range(sys.m):
-        letter = chr(ord("A") + mu)
         comp = {chart.base_axes[mu]: const(1)}
         for a in range(sys.n):
             comp[chart.field_axes[a]] = field_component(a, mu)
         axes = [conjugate_axis(a, nu) for a in range(sys.n) for nu in range(sys.m)]
         axes += [chart.action_axis(nu) for nu in range(sys.m)]
         for ax in axes:
-            u = Symbol(f"{letter}{ax + 1}", "aux")
-            unknowns.append(u)
-            comp[ax] = var(u.name, "aux")
+            comp[ax] = var(unknown(mu, ax), "aux")
+            unknowns.append(comp[ax].single_symbol)
         factors.append(comp)
     return factors, unknowns
 

@@ -828,6 +828,65 @@ def test_momentum_named_like_a_base_exits_2(tmp_path):
                         "['t', 'p_t', 'y', 'p_t', 'p_p_t', 's_t', 's_p_t']\n")
 
 
+WAVE_HEAD = "coords t x\nfields y\n"
+
+
+@pytest.mark.parametrize(
+    "verb, text, message",
+    [
+        # sopde substituted its solved unknown A4 into the parameter A4 and failed its self-check
+        (["sopde"], WAVE_HEAD + "params A4=2\nlagrangian 0.5*A4*dy[t]^2 - 0.5*dy[x]^2 - s[t]/10\n",
+         "line 3, col 8: parameter 'A4' is named like an ansatz unknown"),
+        (["sopde"], "coords t x\nfields A4\nlagrangian 0.5*dA4[t]^2 - 0.5*dA4[x]^2 - 0.5*A4^2 - s[t]/10\n",
+         "line 2, col 1: 'A4' names both a coordinate and an ansatz unknown"),
+        # H printed as p_t^2/(2*p_t), one p_t the parameter and the other the momentum
+        (["derive", "--hamiltonian"], WAVE_HEAD + "params p_t=2\nlagrangian 0.5*p_t*dy[t]^2 - 0.5*dy[x]^2 - s[t]/10\n",
+         "line 3, col 8: parameter 'p_t' is named like a coordinate"),
+        # EL[y] printed the parameter times the placeholder for d^2y/dtdx, both as y_tx
+        (["derive"], WAVE_HEAD + "params y_tx=2\nlagrangian 0.5*dy[t]^2 - 0.5*dy[x]^2 + y_tx*y*dy[t]*dy[x]\n",
+         "line 3, col 8: parameter 'y_tx' is named like a section derivative"),
+        # y_tt named both d^2y/dt^2 and the velocity dy[tt]; s_t_t both ds_t/dt and the action s[t_t]
+        (["derive"], "coords t tt\nfields y\nlagrangian 0.5*dy[t]^2 - 0.5*dy[tt]^2 + y*dy[tt]\n",
+         "line 2, col 1: 'y_tt' names both a coordinate and a section derivative"),
+        (["derive"], "coords t t_t\nfields y\nlagrangian 0.5*dy[t]^2 - 0.5*dy[t_t]^2 - s[t_t]\n",
+         "line 2, col 1: 's_t_t' names both a coordinate and a section derivative"),
+        # y_uvw named both d^2y/du dvw and d^2y/duv dw, which cancelled in EL[y]
+        (["derive"], "coords u uv vw w\nfields y\nlagrangian 0.5*dy[u]^2 + dy[u]*dy[vw] - dy[uv]*dy[w]\n",
+         "line 2, col 1: 'y_uvw' names both a section derivative and a section derivative"),
+    ],
+    ids=["parameter-A4", "field-A4", "parameter-p_t", "parameter-y_tx", "bases-t-tt", "bases-t-t_t", "bases-u-uv-vw-w"],
+)
+def test_name_of_two_symbols_exits_2_at_parse(tmp_path, verb, text, message):
+    p = tmp_path / "named.mcft"
+    p.write_text(text)
+    assert run_cli(verb[0], str(p), *verb[1:]) == (2, "", f"error: {p}: {message}\n")
+
+
+def test_field_named_p_has_no_hamiltonian_picture(tmp_path):
+    # the slope p_t of a field p is named like its momentum p_t: substituting
+    # the velocity p_t by name zeroed the momentum too, and H printed as 0
+    p = tmp_path / "field-p.mcft"
+    p.write_text("coords t x\nfields p\nlagrangian 0.5*dp[t]^2 - 0.5*dp[x]^2\n")
+    assert run_cli("derive", str(p))[0] == 0
+    assert run_cli("derive", "--hamiltonian", str(p)) == (
+        2, "", "error: Hamiltonian chart: 'p_t' names both a coordinate and a section derivative\n")
+
+
+@pytest.mark.parametrize("name", ["k", "A1", "yt"])
+def test_parameter_apart_from_every_derived_name_solves(tmp_path, name):
+    # for m = 2, n = 1 the ansatz unknowns are A4..A7 and B4..B7, so A1 is free to take
+    from mcft.dsl import render
+
+    text = WAVE_HEAD + f"params {name}=2\nlagrangian 0.5*{name}*dy[t]^2 - 0.5*dy[x]^2 - s[t]/10\n"
+    p = tmp_path / "named.mcft"
+    p.write_text(text)
+    code, out, _ = run_cli("sopde", str(p))
+    assert code == 0 and "free component functions: A5, A7, B4, B5, B6, B7\n" in out
+    assert f"(B5/{name} - y_t/10) d/dy_t" in out
+    m = parse(text)
+    assert parse(render(m)) == m
+
+
 # long division that fails takes a step per degree of the numerator's lead
 # before it finds a term it cannot divide: solving p_t = (1+y) y_t + y^k for
 # y_t gives up within the quotient budget and keeps 1/(1 + y)

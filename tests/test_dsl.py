@@ -114,6 +114,14 @@ class TestParse:
 
 
 HEAD = "coords t x\nfields y\n"
+# names derived from HEAD's bases and fields, which a parameter may not take:
+# coordinates of the jet and the Hamiltonian chart, section derivatives of
+# both pictures, and the sopde unknowns A4..A7, B4..B7 of m = 2, n = 1
+DERIVED = {
+    **dict.fromkeys(["y_t", "y_x", "s_t", "s_x", "p_t", "p_x"], "a coordinate"),
+    **dict.fromkeys(["y_tx", "y_tt", "s_t_t", "p_t_t"], "a section derivative"),
+    **dict.fromkeys(["A4", "B7"], "an ansatz unknown"),
+}
 BODY = HEAD + "lagrangian dy[t]^2\n"
 
 # (model text, message, line, col) of each parse error no other test reaches
@@ -240,17 +248,19 @@ class TestRender:
         m = parse(text)
         assert parse(render(m)) == m
 
-    @pytest.mark.parametrize("name", ["y_t", "y_x", "s_t", "s_x"])
+    @pytest.mark.parametrize("name", list(DERIVED))
     def test_parameter_named_like_a_coordinate_is_refused_at_its_name(self, name):
         # render writes the coordinate y_t as dy[t], so such a parameter would
-        # come back as the coordinate, and model_hash would hash another model
+        # come back as the coordinate, and model_hash would hash another model;
+        # substitute would replace a parameter named like a section derivative
+        # or an ansatz unknown along with it
         after = f"{HEAD}params {name}=1\nlagrangian dy[t]^2 + {name}*y\n"
         before = f"params k {name}=1\n{HEAD}lagrangian dy[t]^2\n"
         for text, line, col in ((after, 3, 8), (before, 1, 10)):
             with pytest.raises(DslError) as exc:
                 parse(text)
             assert (exc.value.message, exc.value.line, exc.value.col) == (
-                f"parameter {name!r} is named like a coordinate", line, col)
+                f"parameter {name!r} is named like {DERIVED[name]}", line, col)
         # a parameter named apart from every coordinate round-trips
         m = parse(f"{HEAD}params yt=1\nlagrangian dy[t]^2 + yt*y\n")
         assert parse(render(m)) == m and render(parse(render(m))) == render(m)
@@ -281,7 +291,8 @@ class TestRender:
 
 # coordinate names, among them names that begin as the DSL's own syntax
 # does (d<field>, s[<base>]) or as the chart's derived names do (s_, p_)
-IDENTS = ["t", "x", "z", "y", "v", "f", "s", "d_a", "dy", "dt", "s_a", "s_t", "sx", "p", "p_t", "pos", "y_t", "a"]
+IDENTS = ["t", "x", "z", "y", "v", "f", "s", "d_a", "dy", "dt", "s_a", "s_t", "sx", "p", "p_t", "pos", "y_t", "a",
+          "tt", "t_t", "A4"]
 
 
 @st.composite
@@ -359,3 +370,95 @@ def test_parse_render_roundtrip(m):
     m2 = parse(text)
     assert m2 == m
     assert render(m2) == text
+
+
+# ---------------------------------------------------------------------------
+# Property: one name, one symbol.
+
+# names a model may try to give its bases, field and parameter: derived names
+# of the usual bases and fields, the DSL's own syntax and its built-ins
+ADVERSARIAL = ["t", "x", "y", "p", "p_t", "p_x", "y_t", "s_t", "d", "s", "dy", "ds", "tt", "t_t", "y_tt", "y_tx",
+               "s_t_t", "p_t_t", "A4", "B5", "A1", "pi", "sin", "init"]
+VERBS = [["derive"], ["derive", "--hamiltonian"], ["sopde"], ["check-symmetry", "Y"], ["current", "Y"],
+         ["verify-law", "Y", "run"], ["simulate", "run"]]
+
+
+def _named_model(bases, field, param, coupled):
+    """A damped wave over ``bases`` with one field and one parameter, on a
+    scenario small enough for every verb to finish at once; ``coupled`` adds
+    a mixed velocity term, a velocity-linear term and a mass term, which the
+    numeric verbs refuse."""
+    t, x = bases[0], bases[-1]
+    y0 = f"0.1*sin(2*pi*{x})" if len(bases) > 1 else "0.1"
+    extra = f" + {param}*d{field}[{t}]*d{field}[{x}]/4 + {param}*{field}*d{field}[{x}] - {field}^2/2" if coupled else ""
+    return (f"coords {' '.join(bases)}\nfields {field}\nparams {param}=2\n"
+            f"lagrangian 0.5*{param}*d{field}[{t}]^2 - 0.5*d{field}[{x}]^2{extra} - s[{t}]/10\n"
+            f"symmetry Y: d/d{field}\n"
+            f"scenario run {{ bc periodic; grid cfl=0.5 lx=1 nx=8 t=0.5; init y0 = {y0}; init v0 = 0; }}\n")
+
+
+def _shared_names(*groups):
+    """Each name that two distinct symbols of ``groups`` (expressions, forms,
+    symbols) carry, with the symbols."""
+    from mcft.expr import free_symbols
+    from mcft.forms import Form
+
+    seen: dict = {}
+    for group in groups:
+        for e in group:
+            for c in (dict(e.items()).values() if isinstance(e, Form) else [e]):
+                for s in free_symbols(c):
+                    seen.setdefault(s.name, set()).add(s)
+    return {name: syms for name, syms in seen.items() if len(syms) > 1}
+
+
+def _family(fam):
+    return [*fam.free, *fam.solved, *fam.solved.values(), *(c for f in fam.factors for c in f.values())]
+
+
+@given(st.lists(st.sampled_from(ADVERSARIAL), min_size=3, max_size=4, unique=True), st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_each_name_is_one_symbol(tmp_path_factory, names, coupled):
+    # substitute, evaluate and the text outputs match a symbol by its name,
+    # so two symbols of one name would be taken for one another
+    import contextlib
+    import io
+
+    from mcft.charts import ChartError
+    from mcft.cli import main
+    from mcft.hamiltonian import LegendreError, hdw_multivector, hdw_residuals, legendre
+    from mcft.lagrangian import LagrangianError, herglotz_el_residuals, solve_sopde_family
+
+    *bases, field, param = names
+    text = _named_model(bases, field, param, coupled)
+    path = tmp_path_factory.getbasetemp() / "named.mcft"
+    path.write_text(text)
+    try:
+        model = parse(text)
+    except DslError:
+        model = None
+    for verb in VERBS if model is not None else VERBS[:1]:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main([verb[0], str(path), *verb[1:]])
+        assert code in (0, 1, 2, 3) and (model is not None or code == 2), (verb, code)
+    if model is None:
+        return
+    sys_ = model.system()
+    res = herglotz_el_residuals(sys_)
+    jet = [sys_.lagrangian, sys_.energy, sys_.hessian_det, *sys_.momenta.values(), sys_.theta, sys_.sigma,
+           *res.fields, res.action, *sys_.chart.symbols]
+    try:
+        jet += _family(solve_sopde_family(sys_))
+    except LagrangianError:
+        pass
+    try:
+        lt = legendre(sys_)
+    except (LegendreError, ChartError):  # a singular Lagrangian, or a momentum named like a placeholder
+        assert not _shared_names(jet)
+        return
+    hs = lt.hamiltonian_system
+    ham = [hs.hamiltonian, hs.theta, hs.sigma, *hs.chart.symbols, *_family(hdw_multivector(hs))]
+    hres = hdw_residuals(hs)
+    assert not _shared_names(jet, lt.forward.values(), lt.inverse.values(), ham)
+    # the Hamiltonian residuals' slope y_t is the velocity y_t along a section: apart from the jet picture
+    assert not _shared_names(ham, [*hres.fields, *hres.momenta, hres.action])
