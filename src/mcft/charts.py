@@ -24,7 +24,8 @@ named like its coordinates, and ``derived_names`` is every name taken.
 A chart is immutable, so ``jet_chart`` and ``ham_chart`` build one per
 (bases, fields) and hand it out again, from a registry cleared like the
 kernel's memo tables (``expr._remember``); a ``ChartError`` is raised on
-every call, since only a chart that was built is stored.
+every call, since only a chart that was built is stored.  ``derived_names``
+keeps one table per (bases, fields) under the same rule.
 """
 from __future__ import annotations
 
@@ -168,18 +169,23 @@ def _placeholders(bases: Sequence[str], fields: Sequence[str], role: str) -> lis
         (unknown(mu, axis), "an ansatz unknown") for mu in range(m) for axis in range(m + n, 2 * m + n + n * m)]
 
 
+_CHARTS: dict = {}  # (role, bases, fields) -> its one jet or Hamiltonian chart
+_DERIVED: dict = {}  # (bases, fields) -> its derived_names, shared and never mutated
+
+
 def derived_names(bases: Sequence[str], fields: Sequence[str]) -> dict:
     """Every name derived from (bases, fields), mapped to what it names, with no Hamiltonian
     chart built; a coordinate wins over the Hamiltonian slope y_t of its name."""
+    key = (tuple(bases), tuple(fields))
+    out = _DERIVED.get(key)
+    if out is not None:
+        return out
     out = dict(_placeholders(bases, fields, "velocity") + _placeholders(bases, fields, "momentum"))
     for mu, b in enumerate(bases):
         out[f"s_{b}"] = "a coordinate"
         for a, f in enumerate(fields):
             out[f"{f}_{b}"] = out[momentum_name(bases, fields, a, mu)] = "a coordinate"
-    return out
-
-
-_CHARTS: dict = {}  # (role, bases, fields) -> its one jet or Hamiltonian chart
+    return _remember(_DERIVED, key, out)
 
 
 def _bundle_chart(bases: Sequence[str], fields: Sequence[str], role: str, name) -> Chart:

@@ -56,7 +56,7 @@ class CliFailure(Exception):
 
 def _load_model(path: str) -> ModelFile:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # a leading byte-order mark is dropped
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise CliFailure(f"cannot read {path}: {exc}", 2) from exc

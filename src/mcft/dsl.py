@@ -266,10 +266,8 @@ class _Parser:
         self.names: set = set()  # every declared name, for duplicates
 
     # -- token plumbing ----------------------------------------------------
-    def peek(self, ahead: int = 0) -> Token:
-        if not ahead:  # next() never moves past eof, so pos is in range
-            return self.toks[self.pos]
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+    def peek(self) -> Token:
+        return self.toks[self.pos]  # next() never moves past eof, so pos is in range
 
     def next(self) -> Token:
         t = self.toks[self.pos]
@@ -408,6 +406,8 @@ class _Parser:
         return value
 
     # -- expressions ---------------------------------------------------------
+    # The descent reads self.toks[self.pos] itself: a peek or at_op call for
+    # each token it looks at was a large share of a parse.
     def resolve(self, tok: Token, bracket: Optional[Token], init: bool) -> Expr:
         """A name in an expression: ``pi``, a parameter, and then a jet or
         action coordinate, or in ``init`` data a base coordinate after the first."""
@@ -443,19 +443,19 @@ class _Parser:
         return self.bases.index(tok.text)
 
     def parse_expr(self, init: bool) -> Expr:
-        e = self.parse_term(init)
-        while self.at_op("+-"):
-            op = self.next().text
+        terms = [self.parse_term(init)]
+        while (op := self.toks[self.pos]).kind == "op" and op.text in "+-":
+            self.pos += 1
             rhs = self.parse_term(init)
-            e = add(e, rhs if op == "+" else mul(const(-1), rhs))
-        return e
+            terms.append(rhs if op.text == "+" else mul(const(-1), rhs))
+        return add(*terms) if len(terms) > 1 else terms[0]  # one sort of the whole sum, not one per summand
 
     def parse_term(self, init: bool, stop_at_direction: bool = False) -> Expr:
         e = self.parse_unary(init)
-        while self.at_op("*/"):
-            if stop_at_direction and self.peek().text == "*" and self._direction_ahead(1):
+        while (op := self.toks[self.pos]).kind == "op" and op.text in "*/":
+            if stop_at_direction and op.text == "*" and self._direction_ahead(1):
                 break
-            op = self.next()
+            self.pos += 1
             rhs = self.parse_unary(init)
             if op.text == "/":
                 # 1/rhs of one term expands each inverted sum in it to the power it was inverted by
@@ -468,18 +468,18 @@ class _Parser:
         return e
 
     def parse_unary(self, init: bool) -> Expr:
-        if self.at_op("-"):
-            self.next()
+        if (t := self.toks[self.pos]).kind == "op" and t.text == "-":
+            self.pos += 1
             return mul(const(-1), self.parse_unary(init))
         return self.parse_power(init)
 
     def parse_power(self, init: bool) -> Expr:
         base = self.parse_atom(init)
-        if self.at_op("^"):
-            caret = self.next()
+        if (caret := self.toks[self.pos]).kind == "op" and caret.text == "^":
+            self.pos += 1
             sign = 1
-            if self.at_op("-"):
-                self.next()
+            if (t := self.toks[self.pos]).kind == "op" and t.text == "-":
+                self.pos += 1
                 sign = -1
             num = self.next()
             k = _number_value(num) if num.kind == "number" else None
@@ -503,7 +503,8 @@ class _Parser:
         return base
 
     def parse_atom(self, init: bool) -> Expr:
-        t = self.next()
+        t = self.toks[self.pos]
+        self.pos += 1  # past eof only on the way to the error below
         if t.kind == "number":
             return const(_number_value(t))
         if t.kind == "op" and t.text == "(":
@@ -511,14 +512,14 @@ class _Parser:
             self.expect_op(")")
             return e
         if t.kind == "ident":
-            if t.text in FUNCTIONS and self.at_op("("):
-                self.next()
+            if t.text in FUNCTIONS and (t2 := self.toks[self.pos]).kind == "op" and t2.text == "(":
+                self.pos += 1
                 arg = self.parse_expr(init)
                 self.expect_op(")")
                 return FUNCTIONS[t.text](arg)
             bracket = None
-            if self.at_op("["):
-                self.next()
+            if (t2 := self.toks[self.pos]).kind == "op" and t2.text == "[":
+                self.pos += 1
                 bracket = self.expect_ident("index")
                 self.expect_op("]")
             return self.resolve(t, bracket, init)
@@ -529,11 +530,13 @@ class _Parser:
         """Whether a direction starts ``offset`` tokens ahead: ``d /`` where
         ``d`` names nothing else, and otherwise ``d / d<base or field>`` or
         ``d / ds [``, so that ``d/2`` divides a coordinate or parameter ``d``."""
-        d, slash, name, after = (self.peek(offset + i) for i in range(4))
-        if (d.kind, d.text, slash.kind, slash.text) != ("ident", "d", "op", "/"):
+        toks, i = self.toks, self.pos + offset  # offset is 0, or 1 past a '*', so toks[i] exists
+        d = toks[i]
+        if d.kind != "ident" or d.text != "d" or (slash := toks[i + 1]).kind != "op" or slash.text != "/":
             return False
         if "d" not in self.param_exprs and "d" not in self.bases and "d" not in self.fields:
             return True
+        name, after = toks[i + 2], toks[min(i + 3, len(toks) - 1)]  # only eof ends the list
         rest = name.text[1:] if name.kind == "ident" and name.text.startswith("d") else None
         bracket = (after.kind, after.text) == ("op", "[")  # dy[t] is a velocity, ds[t] the action
         return rest == "s" and bracket or not bracket and (rest in self.bases or rest in self.fields)
@@ -563,8 +566,8 @@ class _Parser:
     def parse_vf(self) -> dict:
         comps: dict = {}
         sign = 1
-        if self.at_op("-"):
-            self.next()
+        if (t := self.toks[self.pos]).kind == "op" and t.text == "-":
+            self.pos += 1
             sign = -1
         while True:
             if self._direction_ahead(0):
@@ -573,9 +576,10 @@ class _Parser:
                 coeff = mul(const(sign), self.parse_term(False, stop_at_direction=True))
                 self.expect_op("*")
             coord = self.parse_direction()
-            comps[coord] = add(comps.get(coord, const(0)), coeff)
-            if self.at_op("+-"):
-                sign = 1 if self.next().text == "+" else -1
+            comps[coord] = add(comps[coord], coeff) if coord in comps else coeff
+            if (t := self.toks[self.pos]).kind == "op" and t.text in "+-":
+                self.pos += 1
+                sign = 1 if t.text == "+" else -1
                 continue
             break
         return {k: v for k, v in comps.items() if v.terms}

@@ -152,13 +152,17 @@ class LagrangianSystem(MulticontactSystem):
             for a in range(n)
             for mu in range(m)
         ]
-        self.hessian_det = det(self.hessian)
+
+    @cached_property
+    def hessian_det(self) -> Expr:
+        """Taken on first read, as is the regularity: only ``derive``, ``legendre`` and ``sopde`` read them."""
+        return det(self.hessian)
+
+    @cached_property
+    def regularity(self) -> Regularity:
         if not self.hessian_det.terms:
-            self.regularity = Regularity.SINGULAR
-        elif self.hessian_det.is_rational:
-            self.regularity = Regularity.REGULAR
-        else:
-            self.regularity = Regularity.REGULAR_GENERICALLY
+            return Regularity.SINGULAR
+        return Regularity.REGULAR if self.hessian_det.is_rational else Regularity.REGULAR_GENERICALLY
 
     @property
     def is_regular(self) -> bool:

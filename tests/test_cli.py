@@ -9,11 +9,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mcft import cli
 from mcft.cli import _mesh, main
-from mcft.dsl import parse
-from mcft.numeric import damped_wave, integrate_damped_wave
+from mcft.dsl import DslError, ModelFile, parse, render, tokenize
+from mcft.expr import ExprError
+from mcft.numeric import NumericError, damped_wave, integrate_damped_wave
 
 MODEL = str(pathlib.Path(__file__).resolve().parents[1] / "models" / "string.mcft")
 MODEL_TEXT = pathlib.Path(MODEL).read_text(encoding="utf-8")
@@ -339,6 +341,27 @@ def test_superscript_digit_exit_2(tmp_path):
     r = run_subprocess("derive", str(p))
     assert r.returncode == 2
     assert r.stderr == f"error: {p}: line 3, col 12: bad number '\u00b2'\n"
+
+
+def test_leading_byte_order_mark_is_dropped(tmp_path):
+    # a file saved with a UTF-8 byte-order mark is the model after it, with the same model_hash
+    p = tmp_path / "bom.mcft"
+    p.write_text("\ufeff" + MODEL_TEXT, encoding="utf-8")
+    code, out, _ = run_cli("--json", "derive", str(p))
+    assert (code, out) == run_cli("--json", "derive", MODEL)[:2]
+
+
+@pytest.mark.parametrize(
+    "old, new, line, col",
+    [("#", "\ufeff#", 1, 1), ("coords", "\ufeffcoords", 2, 1), ("coords t", "coords t\ufeff", 2, 9)],
+    ids=["second-mark", "line-start", "mid-line"],
+)
+def test_byte_order_mark_past_the_first_character_exit_2(tmp_path, old, new, line, col):
+    p = tmp_path / "bom.mcft"
+    p.write_text("\ufeff" + MODEL_TEXT.replace(old, new, 1), encoding="utf-8")
+    code, out, err = run_cli("derive", str(p))
+    assert (code, out) == (2, "")
+    assert err == f"error: {p}: line {line}, col {col}: unexpected character '\\ufeff'\n"
 
 
 DEGENERATE = {
@@ -976,3 +999,113 @@ def test_unexpected_exception_exits_4_with_its_traceback(monkeypatch, argv):
     first, *rest = err.splitlines()
     assert first == "error: internal error"
     assert rest[0] == "Traceback (most recent call last):" and rest[-1] == "RuntimeError: boom"
+
+
+def test_verbs_that_print_no_hessian_determinant_never_take_it(tmp_path, monkeypatch):
+    from mcft import lagrangian
+
+    argvs = [["check-symmetry", MODEL, "Y"], ["current", MODEL, "Y"], ["verify-law", MODEL, "Y", "main"],
+             ["simulate", MODEL, "main"]]
+    unpatched = [run_cli("--json", *argv)[:2] for argv in argvs]
+
+    def no_det(matrix):
+        raise AssertionError("det taken")
+
+    monkeypatch.setattr(lagrangian, "det", no_det)
+    assert [run_cli("--json", *argv)[:2] for argv in argvs] == unpatched
+    # 4 fields over 4 bases: a 16x16 constant Hessian, whose det was most of check-symmetry's time
+    velocities = [f"d{f}[{b}]" for f in "uvqr" for b in "txwz"]
+    kinetic = " + ".join(f"{1 if v.endswith('[t]') else -1}/2*{v}^2" for v in velocities)
+    coupling = " + ".join(f"1/{k + 3}*{a}*{b}" for k, (a, b) in enumerate(zip(velocities, velocities[1:])))
+    p = tmp_path / "kg44.mcft"
+    p.write_text(f"coords t x w z\nfields u v q r\nlagrangian {kinetic} + {coupling} - s[t]/10\nsymmetry U: d/du\n")
+    code, out, err = run_cli("check-symmetry", str(p), "U")
+    assert code == 0 and "classification: strong-noether" in out, err
+
+
+# ---------------------------------------------------------------------------
+# Property: a model mutated by one token parses or is refused, and never crashes a verb.
+
+
+def _corpus_text(entry) -> str:
+    """An ``mcft.corpus`` system as model text, with its unprolonged candidates."""
+    chart = entry.system.chart
+    names = [[chart.coords[i].name for i in axes] for axes in (chart.base_axes, chart.field_axes)]
+    symmetries = {f"C{i}": {chart.coords[axis].name: c for axis, c in mv.factors[0].items()}
+                  for i, (label, mv) in enumerate(entry.candidates) if not label.startswith("lift")}
+    return render(ModelFile(*names, [], entry.system.lagrangian, symmetries, {}, chart))
+
+
+def _mutation_seeds() -> list:
+    from mcft.corpus import corpus
+
+    paths = [pathlib.Path(MODEL), *sorted(PARAMETRIC_N2.parent.glob("*.mcft"))]
+    return [p.read_text(encoding="utf-8") for p in paths] + [_corpus_text(e) for e in corpus(size=3)]
+
+
+MUTATION_SEEDS = _mutation_seeds()
+# small tokens of each kind: a replacement grows no number and no grid past what the seeds hold
+SMALL_TOKENS = {"ident": ["y", "t", "x", "d", "s", "pi", "sin", "fields", "symmetry", "grid", "nx", "p_t"],
+                "number": ["0", "2", "0.5"], "op": sorted("=*+-/^()[]{}:;,")}
+
+
+@st.composite
+def mutants(draw):
+    """A seed model with one token deleted, duplicated, swapped with another or replaced by one of another kind."""
+    toks = tokenize(draw(st.sampled_from(MUTATION_SEEDS)))[:-1]
+    texts = [t.text for t in toks]
+    i = draw(st.integers(0, len(toks) - 1))
+    how = draw(st.sampled_from(["delete", "duplicate", "swap", "replace"]))
+    if how == "delete":
+        del texts[i]
+    elif how == "duplicate":
+        texts.insert(i, texts[i])
+    elif how == "swap":
+        j = draw(st.integers(0, len(toks) - 1))
+        texts[i], texts[j] = texts[j], texts[i]
+    else:
+        texts[i] = draw(st.sampled_from([t for kind, ts in SMALL_TOKENS.items() if kind != toks[i].kind for t in ts]))
+    return " ".join(texts)
+
+
+def _finest_cells(model, scenario) -> int:
+    """nx * nt of verify-law's finest mesh of ``scenario``, or 0 where the verbs refuse it before integrating."""
+    try:
+        bindings = model.param_defaults()
+        grid = _mesh(damped_wave(model.system(), bindings), scenario, bindings, 4 * scenario.nx)[0]
+    except (NumericError, ExprError):  # EvalError is an ExprError, CflError a NumericError
+        return 0
+    return grid.nx * grid.nt
+
+
+def _smallest_scenario(model):
+    """The scenario with the fewest cells, and its count."""
+    return min(((_finest_cells(model, sc), name) for name, sc in model.scenarios.items()), default=(0, None))
+
+
+SHIPPED_CELLS = max(_smallest_scenario(parse(text))[0] for text in MUTATION_SEEDS)
+
+
+@given(mutants())
+@settings(max_examples=600, deadline=None, derandomize=True)
+def test_token_mutants_parse_or_are_refused(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "mutant.mcft"
+    path.write_text(text, encoding="utf-8")
+    try:
+        model = parse(text)
+    except DslError:
+        model = None
+    verbs = [["derive"]]
+    if model is not None:
+        shown = render(model)
+        again = parse(shown)
+        assert again == model and render(again) == shown
+        name = next(iter(model.symmetries), "Y")
+        verbs += [["derive", "--hamiltonian"], ["sopde"], ["check-symmetry", name], ["current", name]]
+        # the numeric verbs only on a grid no larger than one a seed ships with
+        cells, scenario = _smallest_scenario(model)
+        if scenario is not None and cells <= SHIPPED_CELLS:
+            verbs += [["verify-law", name, scenario], ["simulate", scenario]]
+    for verb, *rest in verbs:
+        code = run_cli(verb, str(path), *rest)[0]
+        assert code in (0, 1, 2, 3) and (model is not None or code == 2), (verb, code)
