@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Mesh-refinement study of the discrete dissipation law.
 
-For the damped string and a sweep of damping coefficients, integrate on a
-sequence of halved meshes, evaluate the current of the field-shift
-symmetry, and report the residual norms of
+For the damped string and a sweep of damping coefficients, run the check of
+``mcft verify-law`` (``mcft.numeric.check_law``) on halved meshes: integrate,
+evaluate the current of the field-shift symmetry, and report the residual norms of
 
     d f^mu / dx^mu - (dL/ds^mu o psi) f^mu
 
@@ -12,22 +12,11 @@ together with the fitted momentum-decay exponent.  Emits a JSON summary
 """
 import argparse
 import json
-import math
 import os
 import sys
 
-import numpy as np
-
 from mcft.dsl import parse
-from mcft.numeric import (
-    ResidualNorms,
-    decay_fit,
-    dissipation_residual,
-    evaluate_current,
-    make_grid,
-    momentum_series,
-    stream_damped_wave,
-)
+from mcft.numeric import check_law, damped_wave, scenario_mesh
 from mcft.symmetry import jet_lift, noether_current
 
 MODEL = """\
@@ -36,6 +25,7 @@ fields y
 params rho=1 tau=1 gamma=0
 lagrangian 0.5*(rho*dy[t]^2 - tau*dy[x]^2) - gamma*s[t]
 symmetry Y: d/dy
+scenario sweep { bc periodic; grid lx=1; init y0 = 0.1*sin(2*pi*x); init v0 = 1; }
 """
 
 
@@ -43,24 +33,17 @@ def study(gamma: float, meshes, t_final: float, cfl: float) -> dict:
     model = parse(MODEL)
     sys_ = model.system()
     xi = noether_current(jet_lift(model.candidate("Y", sys_.chart)), sys_)
-    bindings = {"rho": 1.0, "tau": 1.0, "gamma": gamma}
-    rows = []
-    for nx in meshes:
-        grid = make_grid(nx, 1.0, cfl, t_final, 1.0, "periodic")
-        y0 = 0.1 * np.sin(2 * math.pi * grid.x)
-        v0 = np.ones(grid.nx)
-        # streamed as in verify-law: the solution is never held whole
-        norms, P = ResidualNorms(grid), np.empty(grid.nt + 1)
-        for w in stream_damped_wave(bindings, y0, v0, grid):
-            dissipation_residual(*evaluate_current(xi, w, bindings), -gamma, w, norms)
-            P[w.levels] = momentum_series(w)
-        rows.append({"nx": nx, "dt": grid.dt, "l2": norms.l2_norm, "max": norms.max_norm})
-    ratios = [a["l2"] / b["l2"] if b["l2"] else None for a, b in zip(rows, rows[1:])]
+    bindings = {**model.param_defaults(), "gamma": gamma}
+    wave = damped_wave(sys_, bindings)
+    scenario = model.scenarios["sweep"]._replace(cfl=cfl, t_final=t_final)
+    grids = [scenario_mesh(wave, scenario, bindings, nx) for nx in meshes]
+    law = check_law(xi, wave, bindings, grids)
+    rows = [{"nx": n["nx"], "dt": grid.dt, "l2": n["l2"], "max": n["max"]} for n, (grid, _, _) in zip(law.norms, grids)]
     return {
         "gamma": gamma,
         "norms": rows,
-        "convergence_ratios": ratios,
-        "decay_fit": decay_fit(grid.t, P),  # of the last, finest mesh
+        "convergence_ratios": law.convergence_ratios,
+        "decay_fit": law.decay_fit,  # of the last, finest mesh
     }
 
 

@@ -43,10 +43,6 @@ from .symmetry import NOT_NOETHER, SymmetryError, classify, jet_lift
 # numpy and mcft.numeric are imported by verify-law and simulate only, so
 # that the symbolic verbs start without them
 
-RATIO_BAND = (3.2, 4.8)
-GAMMA_FIT_TOL = 1e-3
-CONSERVATION_TOL = 1e-6
-
 
 class CliFailure(Exception):
     def __init__(self, message: str, code: int):
@@ -213,22 +209,6 @@ def cmd_sopde(args) -> int:
     return 0
 
 
-def _initial_arrays(scenario, xs, bindings, space):
-    import numpy as np
-
-    from .numeric import compile_expr
-
-    env = dict(bindings)
-    env[space] = xs
-    out = []
-    # a pole on the grid gives inf/nan here, which the integrator rejects
-    with np.errstate(all="ignore"):
-        for e in (scenario.y0, scenario.v0):
-            v = compile_expr(e)(env)
-            out.append(np.broadcast_to(np.asarray(v, dtype=float), xs.shape).copy())
-    return out
-
-
 def _scenario(model: ModelFile, name: str):
     if name not in model.scenarios:
         raise CliFailure(f"unknown scenario {name!r}", 2)
@@ -249,120 +229,42 @@ def _numeric_failures():
         raise CliFailure(str(exc), 2) from exc
 
 
-def _mesh(wave, scenario, bindings, nx):
-    """Grid and initial data of a scenario on an nx-point mesh."""
-    from .numeric import NumericError, make_grid
-
-    c = math.sqrt(wave.tau / wave.rho)
-    try:
-        sizes = [float(v) for v in (scenario.lx, scenario.cfl, scenario.t_final)]
-    except OverflowError:
-        raise NumericError("grid lx, cfl or t is too large for a float") from None
-    grid = make_grid(nx, *sizes, c, scenario.bc)
-    return (grid, *_initial_arrays(scenario, grid.x, bindings, wave.action.section.x))
-
-
-def _momentum_gate(t, P, P_abs, nx, gamma):
-    """(decay fit, conservation drift, why the fit is absent, passed) for
-    a momentum series P and the series of sum |rho y_t| dx.  A momentum
-    within the round-off bound sqrt(nt) nx eps max(P_abs) is zero: no
-    decay can be fitted to it, and none is."""
-    import numpy as np
-
-    from .numeric import NumericError, decay_fit
-
-    p_max = float(np.max(np.abs(P)))
-    bound = math.sqrt(len(P) - 1) * nx * float(np.finfo(float).eps) * float(np.max(P_abs))
-    if p_max <= bound:
-        return None, None, f"momentum within round-off: max |P| = {p_max:.3e} <= {bound:.3e}", True
-    fit, drift, reason, passed = None, None, None, True
-    try:
-        fit = decay_fit(t, P)
-        passed = abs(fit - gamma) <= GAMMA_FIT_TOL
-    except NumericError as exc:
-        reason, passed = str(exc), False
-    p0 = abs(P[0])
-    if gamma == 0.0 and p0 > 0:
-        drift = float(np.max(np.abs(P - P[0])) / p0)
-        passed = passed and drift <= CONSERVATION_TOL
-    return fit, drift, reason, passed
-
-
 def cmd_verify_law(args) -> int:
-    import numpy as np
-
-    from .numeric import (
-        ResidualNorms,
-        current_names,
-        damped_wave,
-        dissipation_residual,
-        evaluate_current,
-        momentum_series,
-        stream_damped_wave,
-    )
+    from .numeric import CONSERVATION_TOL, GAMMA_FIT_TOL, RATIO_BAND, check_law, damped_wave, scenario_mesh
 
     model = _load_model(args.model)
     sys_ = model.system()
     scenario = _scenario(model, args.scenario)
     rep = _classified(model, sys_, args)
-    xi = rep.current
-    meshes = [scenario.nx, 2 * scenario.nx, 4 * scenario.nx]
-    norms = []
     with _numeric_failures():
         bindings = model.param_defaults()
         wave = damped_wave(sys_, bindings)
-        gamma = wave.gamma
-        # s_t costs a recurrence over the whole trajectory: only a current that reads it pays for it
-        action = wave.action if wave.action.section.s_t in current_names(xi) else None
-        for nx in meshes:
-            grid, y0, v0 = _mesh(wave, scenario, bindings, nx)
-            res = ResidualNorms(grid)
-            P, P_abs = np.empty(grid.nt + 1), np.empty(grid.nt + 1)
-            for w in stream_damped_wave(wave.params, y0, v0, grid, action):
-                # dissipation source: dL/ds^t (dL/ds^x = 0 in the gauge)
-                dissipation_residual(*evaluate_current(xi, w, bindings), wave.action.c_t, w, res)
-                if nx == meshes[-1]:  # the momentum gate reads the finest mesh only
-                    P[w.levels] = momentum_series(w)
-                    P_abs[w.levels] = momentum_series(w, magnitude=True)
-            norms.append({"nx": nx, "l2": res.l2_norm, "max": res.max_norm})
-    zero_data = all(n["l2"] == 0.0 and n["max"] == 0.0 for n in norms)
-    ratios = [None if b["l2"] == 0.0 else a["l2"] / b["l2"] for a, b in zip(norms, norms[1:])]
-    fit = drift = None
-    reason = "all residual norms are zero"
-    passed = rep.classification != NOT_NOETHER
-    if not zero_data:
-        for r in ratios:
-            if r is not None and not (RATIO_BAND[0] <= r <= RATIO_BAND[1]):
-                passed = False
-        fit, drift, reason, momentum_ok = _momentum_gate(grid.t, P, P_abs, grid.nx, gamma)
-        passed = passed and momentum_ok
+        meshes = [scenario_mesh(wave, scenario, bindings, k * scenario.nx) for k in (1, 2, 4)]
+        law = check_law(rep.current, wave, bindings, meshes)
     outputs = {
         "classification": rep.classification,
-        "current": form_to_text(xi),
-        "gamma": gamma,
-        "norms": norms,
-        "convergence_ratios": ratios,
-        "decay_fit": fit,
-        "decay_fit_reason": reason,
-        "conservation_drift": drift,
+        "current": form_to_text(rep.current),
+        "gamma": wave.gamma,
+        **law._asdict(),
         "thresholds": {
             "ratio_band": list(RATIO_BAND),
             "gamma_fit_tol": GAMMA_FIT_TOL,
             "conservation_tol": CONSERVATION_TOL,
         },
-        "passed": passed,
+        "passed": law.passed and rep.classification != NOT_NOETHER,
     }
+    fit = law.decay_fit
     lines = [
         f"current xi = {outputs['current']}",
-        f"residual L2 norms: " + ", ".join(f"nx={n['nx']}: {n['l2']:.3e}" for n in norms),
-        f"convergence ratios: {['%.2f' % r if r is not None else 'n/a' for r in ratios]}",
-        f"decay fit: {'%.6f' % fit if fit is not None else 'none, ' + reason} (gamma = {gamma})",
+        f"residual L2 norms: " + ", ".join(f"nx={n['nx']}: {n['l2']:.3e}" for n in law.norms),
+        f"convergence ratios: {['%.2f' % r if r is not None else 'n/a' for r in law.convergence_ratios]}",
+        f"decay fit: {'%.6f' % fit if fit is not None else 'none, ' + law.decay_fit_reason} (gamma = {wave.gamma})",
     ]
-    if drift is not None:
-        lines.append(f"conservation drift: {drift:.3e}")
-    lines.append("PASS" if passed else "FAIL")
+    if law.conservation_drift is not None:
+        lines.append(f"conservation drift: {law.conservation_drift:.3e}")
+    lines.append("PASS" if outputs["passed"] else "FAIL")
     _emit(_report("verify-law", model, args, outputs), args, lines)
-    return 0 if passed else 1
+    return 0 if outputs["passed"] else 1
 
 
 @contextlib.contextmanager
@@ -395,7 +297,7 @@ def _write_csv_rows(fh, traj) -> None:
 def cmd_simulate(args) -> int:
     import numpy as np
 
-    from .numeric import damped_wave, energy_series, momentum_series, stream_damped_wave
+    from .numeric import damped_wave, energy_series, momentum_series, scenario_mesh, stream_damped_wave
 
     model = _load_model(args.model)
     sys_ = model.system()
@@ -403,7 +305,7 @@ def cmd_simulate(args) -> int:
     with _numeric_failures():
         bindings = model.param_defaults()
         wave = damped_wave(sys_, bindings)
-        grid, y0, v0 = _mesh(wave, scenario, bindings, scenario.nx)
+        grid, y0, v0 = scenario_mesh(wave, scenario, bindings, scenario.nx)
         windows = stream_damped_wave(wave.params, y0, v0, grid, wave.action)
         P, E = np.empty(grid.nt + 1), np.empty(grid.nt + 1)
         with _csv_file(args.csv) as fh:

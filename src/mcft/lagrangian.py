@@ -147,11 +147,12 @@ class LagrangianSystem(MulticontactSystem):
             mul(const(-1), L),
         )
         super().__init__(chart, self.momenta, self.energy, L, -1)
-        self.hessian = [
-            [diff_held(self.momenta[(a, mu)], chart.symbols[chart.velocity_axis(b, nu)]) for b in range(n) for nu in range(m)]
-            for a in range(n)
-            for mu in range(m)
-        ]
+
+    @cached_property
+    def hessian(self) -> list:
+        """Built on first read, by the determinant and the numeric verbs."""
+        chart, keys = self.chart, list(self.momenta)  # rows and columns by (field, base), field-major
+        return [[diff_held(self.momenta[k], chart.symbols[chart.velocity_axis(*j)]) for j in keys] for k in keys]
 
     @cached_property
     def hessian_det(self) -> Expr:

@@ -68,6 +68,10 @@ __all__ = [
     "DampedWave",
     "damped_wave",
     "compile_expr",
+    "scenario_mesh",
+    "momentum_gate",
+    "LawCheck",
+    "check_law",
 ]
 
 
@@ -770,3 +774,87 @@ def damped_wave(lsys, bindings: Mapping[str, float]) -> DampedWave:
     if rho <= 0 or tau <= 0:
         raise NumericError("need rho > 0 and tau > 0 for a real wave speed")
     return DampedWave(rho=float(rho), tau=float(tau), action=action)
+
+
+# ---------------------------------------------------------------------------
+# The dissipation-law check along solutions on refined meshes.
+
+
+RATIO_BAND = (3.2, 4.8)  # L2 residual ratio of successive meshes: second order reads 4
+GAMMA_FIT_TOL = 1e-3
+CONSERVATION_TOL = 1e-6
+
+
+def scenario_mesh(wave: DampedWave, scenario, bindings: Mapping[str, float], nx: int):
+    """Grid and initial data (grid, y0, v0) of a model scenario on an nx-point mesh."""
+    try:
+        sizes = [float(v) for v in (scenario.lx, scenario.cfl, scenario.t_final)]
+    except OverflowError:
+        raise NumericError("grid lx, cfl or t is too large for a float") from None
+    grid = make_grid(nx, *sizes, math.sqrt(wave.tau / wave.rho), scenario.bc)
+    env = {**bindings, wave.action.section.x: grid.x}
+    # a pole on the grid gives inf/nan here, which the integrator rejects
+    with np.errstate(all="ignore"):
+        y0, v0 = [np.broadcast_to(np.asarray(compile_expr(e)(env), dtype=float), grid.x.shape).copy()
+                  for e in (scenario.y0, scenario.v0)]
+    return grid, y0, v0
+
+
+def momentum_gate(t, P, P_abs, nx, gamma):
+    """(decay fit, conservation drift, why the fit is absent, passed) for
+    a momentum series P and the series of sum |rho y_t| dx.  A momentum
+    within the round-off bound sqrt(nt) nx eps max(P_abs) is zero: no
+    decay can be fitted to it, and none is."""
+    p_max = float(np.max(np.abs(P)))
+    bound = math.sqrt(len(P) - 1) * nx * float(np.finfo(float).eps) * float(np.max(P_abs))
+    if p_max <= bound:
+        return None, None, f"momentum within round-off: max |P| = {p_max:.3e} <= {bound:.3e}", True
+    fit, drift, reason, passed = None, None, None, True
+    try:
+        fit = decay_fit(t, P)
+        passed = abs(fit - gamma) <= GAMMA_FIT_TOL
+    except NumericError as exc:
+        reason, passed = str(exc), False
+    p0 = abs(P[0])
+    if gamma == 0.0 and p0 > 0:
+        drift = float(np.max(np.abs(P - P[0])) / p0)
+        passed = passed and drift <= CONSERVATION_TOL
+    return fit, drift, reason, passed
+
+
+class LawCheck(NamedTuple):
+    """The verdict of ``check_law``, named as verify-law's report keys; ``passed`` is the numeric verdict alone."""
+
+    norms: list  # {"nx", "l2", "max"} per mesh
+    convergence_ratios: list  # L2 norm of a mesh over that of the next; None where the next is 0
+    decay_fit: Optional[float]
+    decay_fit_reason: Optional[str]
+    conservation_drift: Optional[float]
+    passed: bool
+
+
+def check_law(xi: Form, wave: DampedWave, bindings: Mapping[str, float], meshes) -> LawCheck:
+    """The dissipation law of the current ``xi`` along the solutions of ``wave``
+    on ``meshes``, a list of (grid, y0, v0) of halving spacing: each is streamed
+    into its residual norms, which must converge at second order (RATIO_BAND),
+    and the finest solution's momentum must pass ``momentum_gate``."""
+    # s_t costs a recurrence over the whole trajectory: only a current that reads it pays for it
+    action = wave.action if wave.action.section.s_t in current_names(xi) else None
+    norms = []
+    for grid, y0, v0 in meshes:
+        finest = grid is meshes[-1][0]  # the momentum gate reads the finest mesh only
+        res = ResidualNorms(grid)
+        P, P_abs = np.empty(grid.nt + 1), np.empty(grid.nt + 1)
+        for w in stream_damped_wave(wave.params, y0, v0, grid, action):
+            # dissipation source: dL/ds^t (dL/ds^x = 0 in the gauge)
+            dissipation_residual(*evaluate_current(xi, w, bindings), wave.action.c_t, w, res)
+            if finest:
+                P[w.levels] = momentum_series(w)
+                P_abs[w.levels] = momentum_series(w, magnitude=True)
+        norms.append({"nx": grid.nx, "l2": res.l2_norm, "max": res.max_norm})
+    ratios = [None if b["l2"] == 0.0 else a["l2"] / b["l2"] for a, b in zip(norms, norms[1:])]
+    if all(n["l2"] == 0.0 and n["max"] == 0.0 for n in norms):
+        return LawCheck(norms, ratios, None, "all residual norms are zero", None, True)
+    converged = all(r is None or RATIO_BAND[0] <= r <= RATIO_BAND[1] for r in ratios)
+    fit, drift, reason, momentum_ok = momentum_gate(grid.t, P, P_abs, grid.nx, wave.gamma)
+    return LawCheck(norms, ratios, fit, reason, drift, converged and momentum_ok)

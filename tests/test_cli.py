@@ -12,10 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mcft import cli
-from mcft.cli import _mesh, main
+from mcft.cli import main
 from mcft.dsl import DslError, ModelFile, parse, render, tokenize
 from mcft.expr import ExprError
-from mcft.numeric import NumericError, damped_wave, integrate_damped_wave
+from mcft.numeric import NumericError, damped_wave, integrate_damped_wave, scenario_mesh as _mesh
 
 MODEL = str(pathlib.Path(__file__).resolve().parents[1] / "models" / "string.mcft")
 MODEL_TEXT = pathlib.Path(MODEL).read_text(encoding="utf-8")
@@ -165,6 +165,21 @@ class TestVerifyLaw:
         assert code == 0
         rep = json.loads(out)
         assert all(n["l2"] == 0.0 for n in rep["outputs"]["norms"])
+
+    def test_undamped_momentum_is_conserved_and_gated(self, tmp_path):
+        # gamma = 0 with a uniform drift: the momentum is conserved, and the
+        # conservation gate, not the decay fit alone, decides the verdict
+        p = tmp_path / "undamped.mcft"
+        p.write_text(MODEL_TEXT.replace("gamma=0.1", "gamma=0"))
+        code, out, err = run_cli("--json", "verify-law", str(p), "Y", "main")
+        assert code == 0, err
+        outputs = json.loads(out)["outputs"]
+        assert outputs["passed"] is True
+        drift = outputs["conservation_drift"]
+        assert isinstance(drift, float) and drift <= outputs["thresholds"]["conservation_tol"]
+        code, out, err = run_cli("verify-law", str(p), "Y", "main")
+        assert code == 0, err
+        assert f"conservation drift: {drift:.3e}\n" in out and out.endswith("PASS\n")
 
     def test_cfl_violation_exit_3(self, tmp_path):
         p = tmp_path / "cfl.mcft"
@@ -1013,6 +1028,13 @@ def test_verbs_that_print_no_hessian_determinant_never_take_it(tmp_path, monkeyp
 
     monkeypatch.setattr(lagrangian, "det", no_det)
     assert [run_cli("--json", *argv)[:2] for argv in argvs] == unpatched
+
+    def no_hessian(system):
+        raise AssertionError("Hessian built")
+
+    # the symbolic verbs that print no determinant build no Hessian either
+    monkeypatch.setattr(lagrangian.LagrangianSystem, "hessian", property(no_hessian))
+    assert [run_cli("--json", *argv)[:2] for argv in argvs[:2]] == unpatched[:2]
     # 4 fields over 4 bases: a 16x16 constant Hessian, whose det was most of check-symmetry's time
     velocities = [f"d{f}[{b}]" for f in "uvqr" for b in "txwz"]
     kinetic = " + ".join(f"{1 if v.endswith('[t]') else -1}/2*{v}^2" for v in velocities)

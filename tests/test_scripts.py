@@ -1,11 +1,14 @@
 """Smoke tests of the experiment scripts, run as a user would run them."""
+import contextlib
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
 
-from mcft.cli import GAMMA_FIT_TOL
+from mcft.cli import main
+from mcft.numeric import GAMMA_FIT_TOL
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -24,6 +27,19 @@ def test_convergence_study_smoke():
     for r in row["convergence_ratios"]:
         assert 3.2 <= r <= 4.8
     assert abs(row["decay_fit"] - 0.1) <= GAMMA_FIT_TOL
+
+
+def test_convergence_study_is_the_verify_law_check():
+    # the study's defaults (meshes 128, 256, 512, t = 2, cfl = 0.5) on its
+    # string are models/string.mcft's main scenario: the same computation
+    (row,) = json.loads(run_script("convergence_study.py", "--gammas", "0.1"))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["--json", "verify-law", str(ROOT / "models" / "string.mcft"), "Y", "main"]) == 0
+    law = json.loads(out.getvalue())["outputs"]
+    assert [{k: n[k] for k in ("nx", "l2", "max")} for n in row["norms"]] == law["norms"]
+    assert row["convergence_ratios"] == law["convergence_ratios"]
+    assert row["decay_fit"] == law["decay_fit"]
 
 
 def test_noether_corpus_smoke():

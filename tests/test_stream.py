@@ -18,11 +18,12 @@ from hypothesis.extra.numpy import arrays
 
 from mcft import numeric
 from mcft.charts import jet_chart
-from mcft.cli import RATIO_BAND, _momentum_gate, main
+from mcft.cli import main
 from mcft.expr import add, const, mul
 from mcft.forms import Form
 from mcft.numeric import (
     BCS,
+    RATIO_BAND,
     ActionCoordinate,
     Grid1p1,
     NumericError,
@@ -35,6 +36,7 @@ from mcft.numeric import (
     integrate_action_coordinate,
     integrate_damped_wave,
     make_grid,
+    momentum_gate as _momentum_gate,
     momentum_series,
     stream_damped_wave,
 )
