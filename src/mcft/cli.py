@@ -70,15 +70,6 @@ def _emit(report: dict, args, human_lines) -> None:
             print(line)
 
 
-def _report(command: str, model: ModelFile, args, outputs: dict) -> dict:
-    return {
-        "command": command,
-        "model_hash": model.model_hash(),
-        "seed": args.seed,
-        "outputs": outputs,
-    }
-
-
 def _classified(model: ModelFile, sys_, args):
     """The classification of candidate ``args.name``; exits 2 for a candidate
     that is not projectable or a zero test that cannot evaluate the model."""
@@ -94,9 +85,7 @@ def _classified(model: ModelFile, sys_, args):
         raise CliFailure(f"zero test: {exc}", 2) from exc
 
 
-def cmd_derive(args) -> int:
-    model = _load_model(args.model)
-    sys_ = model.system()
+def cmd_derive(model: ModelFile, sys_, args):
     res = herglotz_el_residuals(sys_)
     outputs = {
         "Theta_L": form_to_json(sys_.theta),
@@ -152,13 +141,10 @@ def cmd_derive(args) -> int:
         for r in outputs["hdw_residuals"]["momenta"]:
             lines.append(f"HDW momentum: {r} = 0")
         lines.append(f"HDW action: {outputs['hdw_residuals']['action']} = 0")
-    _emit(_report("derive", model, args, outputs), args, lines)
-    return 0
+    return outputs, lines, 0
 
 
-def cmd_check_symmetry(args) -> int:
-    model = _load_model(args.model)
-    sys_ = model.system()
+def cmd_check_symmetry(model: ModelFile, sys_, args):
     rep = _classified(model, sys_, args)
     outputs = rep.to_json()
     lines = [
@@ -172,26 +158,20 @@ def cmd_check_symmetry(args) -> int:
             lines.append(f"witness: L_Y Theta[{'^'.join(idx)}] = {to_text(c)}")
     if rep.numerically_certified:
         lines.append("note: zero decided by numeric probing, not canonical form")
-    _emit(_report("check-symmetry", model, args, outputs), args, lines)
-    return 0 if rep.classification != NOT_NOETHER else 1
+    return outputs, lines, 0 if rep.classification != NOT_NOETHER else 1
 
 
-def cmd_current(args) -> int:
-    model = _load_model(args.model)
-    sys_ = model.system()
+def cmd_current(model: ModelFile, sys_, args):
     rep = _classified(model, sys_, args)
     xi = rep.current
     outputs = {"current": form_to_json(xi), "current_text": form_to_text(xi), "classification": rep.classification}
     lines = [f"xi_{args.name} = {outputs['current_text']}"]
     if rep.classification == NOT_NOETHER:
         lines.append(f"warning: {args.name} is not a Noether symmetry; the current obeys no dissipation law")
-    _emit(_report("current", model, args, outputs), args, lines)
-    return 0
+    return outputs, lines, 0
 
 
-def cmd_sopde(args) -> int:
-    model = _load_model(args.model)
-    sys_ = model.system()
+def cmd_sopde(model: ModelFile, sys_, args):
     try:
         fam = solve_sopde_family(sys_)
     except LagrangianError as exc:
@@ -205,8 +185,7 @@ def cmd_sopde(args) -> int:
     lines.append("free component functions: " + ", ".join(outputs["free"]))
     for k, v in outputs["solved"].items():
         lines.append(f"solved: {k} = {v}")
-    _emit(_report("sopde", model, args, outputs), args, lines)
-    return 0
+    return outputs, lines, 0
 
 
 def _scenario(model: ModelFile, name: str):
@@ -229,11 +208,9 @@ def _numeric_failures():
         raise CliFailure(str(exc), 2) from exc
 
 
-def cmd_verify_law(args) -> int:
+def cmd_verify_law(model: ModelFile, sys_, args):
     from .numeric import CONSERVATION_TOL, GAMMA_FIT_TOL, RATIO_BAND, check_law, damped_wave, scenario_mesh
 
-    model = _load_model(args.model)
-    sys_ = model.system()
     scenario = _scenario(model, args.scenario)
     rep = _classified(model, sys_, args)
     with _numeric_failures():
@@ -263,8 +240,7 @@ def cmd_verify_law(args) -> int:
     if law.conservation_drift is not None:
         lines.append(f"conservation drift: {law.conservation_drift:.3e}")
     lines.append("PASS" if outputs["passed"] else "FAIL")
-    _emit(_report("verify-law", model, args, outputs), args, lines)
-    return 0 if outputs["passed"] else 1
+    return outputs, lines, 0 if outputs["passed"] else 1
 
 
 @contextlib.contextmanager
@@ -294,13 +270,11 @@ def _write_csv_rows(fh, traj) -> None:
         fh.write("".join(f"{t},{xv},{yv!r}\n" for xv, yv in zip(xs, row.tolist())))
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(model: ModelFile, sys_, args):
     import numpy as np
 
     from .numeric import damped_wave, energy_series, momentum_series, scenario_mesh, stream_damped_wave
 
-    model = _load_model(args.model)
-    sys_ = model.system()
     scenario = _scenario(model, args.scenario)
     with _numeric_failures():
         bindings = model.param_defaults()
@@ -329,8 +303,7 @@ def cmd_simulate(args) -> int:
     ]
     if args.csv:
         lines.append(f"trajectory written to {args.csv}")
-    _emit(_report("simulate", model, args, outputs), args, lines)
-    return 0
+    return outputs, lines, 0
 
 
 def positive_finite(text: str) -> float:
@@ -339,6 +312,18 @@ def positive_finite(text: str) -> float:
     if not 0 < tol < math.inf:
         raise argparse.ArgumentTypeError(f"must be positive and finite, not {text!r}")
     return tol
+
+
+# each verb: (name, function, help, positionals after the model); a verb
+# computes its outputs and human lines, and main reads the model and prints
+VERBS = (
+    ("derive", cmd_derive, "derive the multicontact structures and field equations", ()),
+    ("check-symmetry", cmd_check_symmetry, "classify a symmetry candidate", ("name",)),
+    ("current", cmd_current, "dissipated current of a candidate", ("name",)),
+    ("sopde", cmd_sopde, "solve the multivector-field family", ()),
+    ("verify-law", cmd_verify_law, "verify the dissipation law along a numeric solution", ("name", "scenario")),
+    ("simulate", cmd_simulate, "integrate a scenario and summarize", ("scenario",)),
+)
 
 
 @functools.cache
@@ -351,37 +336,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="seed for zero-test probing")
     p.add_argument("--tol", type=positive_finite, default=1e-9, help="positive, finite probing tolerance for zero tests")
     sub = p.add_subparsers(dest="cmd", required=True)
-
-    d = sub.add_parser("derive", help="derive the multicontact structures and field equations")
-    d.add_argument("model")
-    d.add_argument("--hamiltonian", action="store_true")
-    d.set_defaults(fn=cmd_derive)
-
-    c = sub.add_parser("check-symmetry", help="classify a symmetry candidate")
-    c.add_argument("model")
-    c.add_argument("name")
-    c.set_defaults(fn=cmd_check_symmetry)
-
-    cu = sub.add_parser("current", help="dissipated current of a candidate")
-    cu.add_argument("model")
-    cu.add_argument("name")
-    cu.set_defaults(fn=cmd_current)
-
-    s = sub.add_parser("sopde", help="solve the multivector-field family")
-    s.add_argument("model")
-    s.set_defaults(fn=cmd_sopde)
-
-    v = sub.add_parser("verify-law", help="verify the dissipation law along a numeric solution")
-    v.add_argument("model")
-    v.add_argument("name")
-    v.add_argument("scenario")
-    v.set_defaults(fn=cmd_verify_law)
-
-    si = sub.add_parser("simulate", help="integrate a scenario and summarize")
-    si.add_argument("model")
-    si.add_argument("scenario")
-    si.add_argument("--csv", default=None, help="write the trajectory as CSV (t, x, value)")
-    si.set_defaults(fn=cmd_simulate)
+    verbs = {}
+    for name, fn, help_text, positionals in VERBS:
+        verbs[name] = sub.add_parser(name, help=help_text)
+        for arg in ("model", *positionals):
+            verbs[name].add_argument(arg)
+        verbs[name].set_defaults(fn=fn)
+    verbs["derive"].add_argument("--hamiltonian", action="store_true")
+    verbs["simulate"].add_argument("--csv", default=None, help="write the trajectory as CSV (t, x, value)")
     return p
 
 
@@ -393,7 +355,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
-        code = args.fn(args)
+        model = _load_model(args.model)
+        outputs, lines, code = args.fn(model, model.system(), args)
+        report = {"command": args.cmd, "model_hash": model.model_hash(), "seed": args.seed, "outputs": outputs}
+        _emit(report, args, lines)
         sys.stdout.flush()
     except CliFailure as exc:
         print(f"error: {exc}", file=sys.stderr)

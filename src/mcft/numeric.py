@@ -634,7 +634,7 @@ class ActionCoordinate(NamedTuple):
     section: Section
     bindings: Mapping[str, float]
     c_t: float  # dL/ds^t at the parameter values
-    gamma: float  # -c_t; 0.0 where L has no s_t
+    gamma: float  # 0.0 - c_t, so +0.0 where c_t is a zero of either sign
     l0: CompiledExpr  # L at s = 0
     names: frozenset  # the names l0 reads
 
@@ -653,7 +653,7 @@ class ActionCoordinate(NamedTuple):
             section=section,
             bindings=bindings,
             c_t=ct_val,
-            gamma=-ct_val if c_t.terms else 0.0,
+            gamma=0.0 - ct_val,
             l0=compile_expr(L0),
             names=frozenset(s.name for s in free_symbols(L0)),
         )

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from mcft import cli
 from mcft.cli import main
 from mcft.dsl import DslError, ModelFile, parse, render, tokenize
-from mcft.expr import ExprError
+from mcft.expr import ExprError, SumAtom, evaluate
 from mcft.numeric import NumericError, damped_wave, integrate_damped_wave, scenario_mesh as _mesh
 
 MODEL = str(pathlib.Path(__file__).resolve().parents[1] / "models" / "string.mcft")
@@ -1131,3 +1131,91 @@ def test_token_mutants_parse_or_are_refused(tmp_path_factory, text):
     for verb, *rest in verbs:
         code = run_cli(verb, str(path), *rest)[0]
         assert code in (0, 1, 2, 3) and (model is not None or code == 2), (verb, code)
+
+
+def test_undamped_gamma_prints_positive_zero(tmp_path):
+    # gamma = 0 as a parameter makes dL/ds_t evaluate to a zero, whose
+    # negation is -0.0; the report prints 0.0, and every number of the law
+    # check equals that of the same model with no action term at all
+    damped, bare = tmp_path / "zero_gamma.mcft", tmp_path / "no_action.mcft"
+    damped.write_text(MODEL_TEXT.replace("gamma=0.1", "gamma=0"))
+    bare.write_text(MODEL_TEXT.replace("gamma=0.1", "gamma=0").replace(" - gamma*s[t]", ""))
+    code, out, err = run_cli("--json", "verify-law", str(damped), "Y", "main")
+    assert code == 0, err
+    assert '"gamma": 0.0, ' in out and "-0.0" not in out
+    outputs = json.loads(out)["outputs"]
+    assert math.copysign(1.0, outputs["gamma"]) == 1.0
+    code, reference, err = run_cli("--json", "verify-law", str(bare), "Y", "main")
+    assert code == 0, err
+    assert outputs == json.loads(reference)["outputs"]
+    code, out, err = run_cli("verify-law", str(damped), "Y", "main")
+    assert code == 0, err
+    assert "decay fit: 0.000000 (gamma = 0.0)\n" in out
+
+
+NUMERIC_REFUSALS = {
+    "t*dy[t]^2/2 - dy[x]^2/2": "velocity coefficients must be constants",
+    "dy[t]^2/2 - dy[x]^2/2 + dy[t]": "velocity-linear terms are not supported numerically",
+    "-dy[t]^2/2 - dy[x]^2/2": "need rho > 0 and tau > 0 for a real wave speed",
+    "dy[t]^2/2 - dy[x]^2/2 - s[t]^2": "only affine s_t-dependence is supported",
+    "dy[t]^2/2 - dy[x]^2/2 - s[x]": "gauge s_x = 0 needs L independent of s_x",
+    # the y-derivative cancels exactly, so only the shape check sees the y
+    "dy[t]^2/2 - dy[x]^2/2 + sin(y)^2 + cos(y)^2": "unsupported density shape for numeric integration",
+}
+
+
+@pytest.mark.parametrize("verb", [["verify-law", "Y"], ["simulate"]], ids=["verify-law", "simulate"])
+@pytest.mark.parametrize("lagrangian", list(NUMERIC_REFUSALS))
+def test_density_the_integrator_does_not_model_exit_2(tmp_path, verb, lagrangian):
+    p = tmp_path / "refused.mcft"
+    p.write_text(
+        f"coords t x\nfields y\nlagrangian {lagrangian}\nsymmetry Y: d/dy\n"
+        "scenario m { grid nx=16; init y0 = sin(2*pi*x); }\n"
+    )
+    code, out, err = run_cli(verb[0], str(p), *verb[1:], "m")
+    assert (code, out, err) == (2, "", f"error: {NUMERIC_REFUSALS[lagrangian]}\n")
+
+
+@pytest.mark.parametrize("init", ["1/(2 + x^2)", "x/(3 + x^2) - 1/(1 + x)^2"])
+def test_initial_data_with_inverted_sums_match_evaluate(tmp_path, init):
+    # scenario_mesh compiles each inverted sum once for the whole grid;
+    # without sin or cos, numpy and the scalar evaluation agree bit for bit
+    text = MODEL_TEXT + f"scenario inverted {{ grid nx=16 t=0.5; init y0 = {init}; }}\n"
+    model = parse(text)
+    scenario = model.scenarios["inverted"]
+    assert any(isinstance(a, SumAtom) for mono, _ in scenario.y0.terms for a, _ in mono)
+    bindings = model.param_defaults()
+    wave = damped_wave(model.system(), bindings)
+    for nx in (16, 128):
+        grid, y0, _ = _mesh(wave, scenario, bindings, nx)
+        expected = [evaluate(scenario.y0, {**bindings, "x": x}) for x in grid.x.tolist()]
+        assert y0.tolist() == expected
+    p = tmp_path / "inverted.mcft"
+    p.write_text(text)
+    code, out, err = run_cli("simulate", str(p), "inverted")
+    assert code == 0, err
+    assert out.startswith("grid: nx=16 ")
+
+
+def test_unwritable_csv_exit_2_and_leaves_no_file(tmp_path):
+    csv = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli("simulate", MODEL, "main", "--csv", str(csv))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {csv}: ") and err.count("\n") == 1
+    assert not csv.exists() and not csv.parent.exists()
+
+
+def test_zero_decided_by_probing_is_noted(tmp_path):
+    # sin(x)^2 + cos(x)^2 - 1 has no canonical zero, so the classification
+    # rests on numeric probing, and both reports say so
+    p = tmp_path / "probed.mcft"
+    p.write_text(
+        "coords t x\nfields y\n"
+        "lagrangian 0.5*dy[t]^2 - 0.5*dy[x]^2 + (sin(x)^2 + cos(x)^2 - 1)*y\nsymmetry Y: d/dy\n"
+    )
+    code, out, err = run_cli("check-symmetry", str(p), "Y")
+    assert code == 0, err
+    assert "note: zero decided by numeric probing, not canonical form\n" in out
+    code, out, err = run_cli("--json", "check-symmetry", str(p), "Y")
+    assert code == 0, err
+    assert json.loads(out)["outputs"]["numerically_certified"] is True
