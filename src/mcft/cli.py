@@ -64,7 +64,7 @@ def _load_model(path: str) -> ModelFile:
 
 def _emit(report: dict, args, human_lines) -> None:
     if args.json:
-        print(json.dumps(report, sort_keys=True, separators=(", ", ": ")))
+        print(json.dumps(report, sort_keys=True, separators=(", ", ": "), allow_nan=False))
     else:
         for line in human_lines:
             print(line)
@@ -197,15 +197,28 @@ def _scenario(model: ModelFile, name: str):
 @contextlib.contextmanager
 def _numeric_failures():
     """Exit 3 for a CFL violation, 2 for any other numeric error, such as
-    a parameter default past the largest float."""
+    a parameter default past the largest float.  An overflow is refused
+    where its value is read, so numpy's floating-point warnings are off."""
+    import numpy as np
+
     from .numeric import CflError, NumericError
 
     try:
-        yield
+        with np.errstate(all="ignore"):
+            yield
     except CflError as exc:
         raise CliFailure(str(exc), 3) from exc
     except (NumericError, EvalError) as exc:
         raise CliFailure(str(exc), 2) from exc
+
+
+def _finite(value) -> bool:
+    """Whether every float in a report value is finite: JSON holds no NaN or Infinity."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return all(map(_finite, value))
+    return not isinstance(value, float) or math.isfinite(value)
 
 
 def cmd_verify_law(model: ModelFile, sys_, args):
@@ -218,6 +231,8 @@ def cmd_verify_law(model: ModelFile, sys_, args):
         wave = damped_wave(sys_, bindings)
         meshes = [scenario_mesh(wave, scenario, bindings, k * scenario.nx) for k in (1, 2, 4)]
         law = check_law(rep.current, wave, bindings, meshes)
+        if not _finite(law._asdict()):
+            raise CliFailure("a residual norm, ratio or fit of the law check is too large for a float", 2)
     outputs = {
         "classification": rep.classification,
         "current": form_to_text(rep.current),
@@ -288,13 +303,15 @@ def cmd_simulate(model: ModelFile, sys_, args):
                 E[w.levels] = energy_series(w)
                 if fh is not None:
                     _write_csv_rows(fh, w)
-    outputs = {
-        "grid": {"nx": grid.nx, "dt": grid.dt, "nt": grid.nt, "bc": grid.bc},
-        "momentum": {"initial": float(P[0]), "final": float(P[-1])},
-        "energy": {"initial": float(E[0]), "final": float(E[-1])},
-        "action_final_mean": float(np.mean(w.s_t[-1])),
-        "csv": args.csv,
-    }
+            outputs = {
+                "grid": {"nx": grid.nx, "dt": grid.dt, "nt": grid.nt, "bc": grid.bc},
+                "momentum": {"initial": float(P[0]), "final": float(P[-1])},
+                "energy": {"initial": float(E[0]), "final": float(E[-1])},
+                "action_final_mean": float(np.mean(w.s_t[-1])),
+                "csv": args.csv,
+            }
+            if not _finite(outputs):  # refused before the CSV is kept
+                raise CliFailure("momentum, energy or action is too large for a float", 2)
     lines = [
         f"grid: nx={grid.nx} dt={grid.dt:.6g} nt={grid.nt} bc={grid.bc}",
         f"momentum: {P[0]:.6e} -> {P[-1]:.6e}",

@@ -6,7 +6,7 @@ absorbed into the coefficient by one rule, ``_merge_parity``, wherever axes
 are inserted into a multi-index (wedge, d, Lie derivative, a table's
 contraction).  Multivector fields are either a decomposable wedge list of
 vector fields or an expanded table of the factors' maximal minors
-(``algebra.minors``).
+(``algebra.minors``, ``algebra.det`` on each set of columns).
 
 Contraction convention: i_{X_1 ^ ... ^ X_m} alpha = i_{X_m} ... i_{X_1} alpha,
 i.e. X_1 fills the first argument slot.  The Lie derivative along a vector
@@ -301,8 +301,6 @@ class Multivector(_Table):
 
 
 def _contract_vector(v: Mapping[int, Expr], a: Form) -> Form:
-    if a.degree == 0:
-        return Form.zero(a.chart, 0)
     parts: dict = {}
     for idx, c in a.table.items():
         for pos, axis in enumerate(idx):
@@ -370,15 +368,10 @@ def lie_derivative(X: Multivector, a: Form) -> Form:
         raise FormError("Lie derivative across different charts")
     if X.degree == 1:
         return _lie_vector(X, a)
-    left = ext_d(contract(X, a))
     right = contract(X, ext_d(a)).scale(_SIGN[(X.degree + 1) & 1])
-    # degrees: both are a.degree - m + 1 when defined; guard the edge where
-    # contraction collapsed to a zero 0-form of mismatched degree
-    if left.is_structurally_zero() and left.degree != right.degree:
-        left = Form.zero(X.chart, right.degree)
-    if right.is_structurally_zero() and right.degree != left.degree:
-        right = Form.zero(X.chart, left.degree)
-    return left + right
+    if a.degree < X.degree:  # i_X a vanishes, and i_X d a is a 0-form
+        return right
+    return ext_d(contract(X, a)) + right
 
 
 def lie_bracket(X: Multivector, Y: Multivector) -> Multivector:

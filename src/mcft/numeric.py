@@ -543,10 +543,7 @@ def evaluate_current(xi: Form, traj: Trajectory, bindings: Mapping[str, float]):
     coefficient, term, power = (traj.scratch(k) for k in range(3))
     f, started = [traj.buffer("f^t"), traj.buffer("f^x")], [False, False]
     for (i,), coeff in xi.table.items():
-        name = chart.coords[i].name
-        if name not in dpsi:
-            raise NumericError(f"current references {name!r}, absent from the trajectory")
-        d_t, d_x = dpsi[name]()
+        d_t, d_x = dpsi[chart.coords[i].name]()
         parts = [(k, d) for k, d in ((0, d_x), (1, d_t)) if isinstance(d, np.ndarray) or d]  # the constant 0 adds nothing
         # the coefficient of dt or dx, where it is the first term of its component, is evaluated into it, as 0.0 + it
         alone = len(parts) == 1 and not isinstance(parts[0][1], np.ndarray) and not started[parts[0][0]]

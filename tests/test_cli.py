@@ -434,6 +434,35 @@ def test_model_number_past_float_range_exit_2(tmp_path, verb, case):
     assert run_cli("derive", str(p))[0] == 0
 
 
+# finite initial data whose report values are past the largest float: the
+# energy of 1e160*sin overflows, and so do the residual norms of 1e200*sin
+REPORT_OVERFLOWS = {
+    "simulate": ("1e160", ["simulate"], "momentum, energy or action is too large for a float"),
+    "verify-law": ("1e200", ["verify-law", "Y"], "of the law check is too large for a float"),
+}
+
+
+@pytest.mark.parametrize("in_process", [True, False], ids=["run_cli", "subprocess"])
+@pytest.mark.parametrize("verb", sorted(REPORT_OVERFLOWS))
+def test_report_value_past_float_range_exit_2(tmp_path, verb, in_process):
+    # JSON has no NaN or Infinity: such a report is refused, and no numpy warning is printed
+    scale, argv, message = REPORT_OVERFLOWS[verb]
+    p = tmp_path / "big.mcft"
+    p.write_text(MODEL_TEXT.replace("init y0 = 0.1*sin", f"init y0 = {scale}*sin"))
+    csv = tmp_path / "traj.csv"
+    extra = ["--csv", str(csv)] if verb == "simulate" else []
+    for mode in (["--json"], []):
+        command = [*mode, argv[0], str(p), *argv[1:], "main", *extra]
+        if in_process:
+            code, out, err = run_cli(*command)
+        else:
+            r = run_subprocess(*command)
+            code, out, err = r.returncode, r.stdout, r.stderr
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+        assert not csv.exists()
+
+
 @pytest.mark.parametrize(
     "names", ["coords t x\nfields s", "coords t x\nfields y y_t", "coords t s_t\nfields y"], ids=["s", "y_t", "s_t"]
 )

@@ -290,6 +290,21 @@ class TestLieDerivative:
                     want = ext_d(contract(X, a)) + want
                 assert lie_derivative(X, a) == want
 
+    def test_multivector_on_form_of_lower_degree(self):
+        # L_X a = d i_X a - (-1)^m i_X d a, and i_X a vanishes for deg a < m:
+        # a 1-form gives the 0-form -(-1)^m da(X_1, ..., X_m), zero when m > 2
+        rng = random.Random(41)
+        for _ in range(20):
+            ch = chart5()
+            a = rand_form(rng, ch, 1)
+            X = rand_multivector(rng, ch, 2)
+            want = mul(const(-1), apply_form(ext_d(a), X.factors))
+            for Y in (X, Multivector(ch, 2, table=X.table())):
+                got = lie_derivative(Y, a)
+                assert got.degree == 0 and got.coeff() == want
+            got = lie_derivative(rand_multivector(rng, ch, 3), a)
+            assert got.degree == 0 and got.is_structurally_zero()
+
     def test_invariance_of_theta_under_field_shift(self, string_system):
         Y = Multivector.vector(string_system.chart, {"y": 1})
         assert lie_derivative(Y, string_system.theta).is_structurally_zero()
